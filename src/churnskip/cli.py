@@ -65,7 +65,7 @@ def eval_rate_expr(expr: str, n: int) -> int:
 _INT_FIELDS = {"n", "seed_adv", "seed_alg", "horizon_cycles"}
 _FLOAT_FIELDS = {"query_density", "p", "c_msg", "c_comm", "c_lo", "c_hi_mean",
                  "beta_bootstrap", "c_churn", "alpha_reshape", "beta_reshape",
-                 "c_cycle", "c_del", "c_wave"}
+                 "c_cycle"}
 _STR_FIELDS = {"strategy", "churn_rate_expr"}
 
 
@@ -167,7 +167,7 @@ def run_fixture(name: str) -> str:
         return "OK"
     if name == "create":
         heights = fixtures.create_instance()
-        buf, summary, _ = create_buffer(sorted(heights), heights, 1024)
+        buf, summary, _ = create_buffer(sorted(heights), heights)
         keys = sorted(heights)
         top = max(heights.values())
         ref = oracle_build([BUF_LS, *keys, BUF_RS],
@@ -177,7 +177,7 @@ def run_fixture(name: str) -> str:
         return "OK"
     if name == "merge":
         clean, heights = fixtures.merge_instance()
-        buf, _, _ = create_buffer(sorted(heights), heights, 1024)
+        buf, _, _ = create_buffer(sorted(heights), heights)
         summary, profile, events = wave_merge(clean, buf)
         got = [(e["round"], e["group_leader"], e["event"], e["level"])
                for e in events]
@@ -252,7 +252,7 @@ def cmd_bench(args) -> int:
         c_keys, b_keys = sorted(pool[:n]), sorted(pool[n:])
         heights = {k: sample_height(rng) for k in pool}
         clean = oracle_build(c_keys, [heights[k] for k in c_keys])
-        buf, _, _ = create_buffer(b_keys, heights, n)
+        buf, _, _ = create_buffer(b_keys, heights)
         engine = WaveEngine(clean, buf)
         summary = engine.run()
         reds = set(rng.sample(c_keys, max(1, n // 10)))

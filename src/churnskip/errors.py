@@ -21,10 +21,6 @@ class MessageBudgetExceeded(ChurnSkipError):
         self.cap = cap
 
 
-class PayloadTooLarge(ChurnSkipError):
-    pass
-
-
 class PeerDeparted(ChurnSkipError):
     pass
 
@@ -81,6 +77,7 @@ ORPHAN_LEAF = "OrphanLeaf"
 MESSAGE_SHAPE_VIOLATION = "MessageShapeViolation"
 SPLICE_CONFLICT = "SpliceConflict"
 QUERY_TIMEOUT = "QueryTimeout"
+LIVE_MISMATCH = "LiveMismatch"
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,14 @@ departed node answerable throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
+from itertools import chain
 
 from .adversary import ChurnSchedule, Query, gen_queries, gen_schedule
-from .errors import COMMITTEE_DESTROYED, InconsistentWorld, QUERY_TIMEOUT, STALLED
-from .params import SimParams, ceil_log2
+from .errors import (COMMITTEE_DESTROYED, LIVE_MISMATCH, QUERY_TIMEOUT, STALLED,
+                     InconsistentWorld)
+from .params import SimParams
 from .phase_buffer import create_buffer
 from .phase_delete import delete_phase
 from .phase_merge import WaveEngine
@@ -22,7 +25,7 @@ from .phase_update import live_equals_clean, update_phase
 from .simcore import MAINTENANCE, World
 from .skiplist import BUF_LS, BUF_RS, SkipNet, search
 from .overlay import bootstrap_overlay, route_hops
-from .work import WorkProfile
+from .work import RoundWork
 
 PHASES = ("Delete", "BufferCreate", "Merge", "Update")
 
@@ -145,11 +148,14 @@ class Simulation:
                 audit.verified_round = world.round
         self._pending_audits = [a for a in self._pending_audits if a.ok is None]
 
-    def _play(self, profile: WorkProfile, category: str, phase: str) -> int:
-        for row in profile.rows:
+    def _play(self, rows: Iterable[RoundWork], category: str, phase: str) -> int:
+        """Charge one row per world round; returns the rounds played."""
+        played = 0
+        for row in rows:
             self.world.play_row(row, category)
             self._advance(phase)
-        return profile.rounds
+            played += 1
+        return played
 
     # -- bootstrap --------------------------------------------------------------------
 
@@ -159,10 +165,10 @@ class Simulation:
             self.world.spawn(node)
         self.overlay, overlay_profile = bootstrap_overlay(
             range(params.n), params, self.world.rng_alg, allow_degenerate=True)
-        self._play(overlay_profile, "bootstrap", "-")
+        self._play(overlay_profile.rows, "bootstrap", "-")
         keys = list(range(params.n))
-        buf, summary, profile = create_buffer(keys, self.world.heights, params.n)
-        self._play(profile, "bootstrap", "-")
+        buf, summary, profile = create_buffer(keys, self.world.heights)
+        self._play(profile.rows, "bootstrap", "-")
         if buf is not None:
             for key in (BUF_LS, BUF_RS):
                 buf.unlink_tower(key)
@@ -193,59 +199,35 @@ class Simulation:
         # Phase 1: deletion of covered keys present in the clean structure
         reds = sorted(k for k in self.overlay.covered_index if k in self.clean.heights)
         dsummary, profile = delete_phase(self.clean, reds)
-        phase_rounds.append(self._play(profile, "delete", "Delete"))
+        phase_rounds.append(self._play(profile.rows, "delete", "Delete"))
         for key in reds:
             self.overlay.uncover(key)
             self.removed_clean[key] = world.round
-        self.phase_records.append({
-            "phase": "delete", "cycle": cycle_no,
-            "reds_removed": dsummary.reds_removed,
-            "bridge_edges_created": dsummary.bridge_edges_created,
-            "rounds_used": dsummary.rounds_used,
-            "messages_used": dsummary.messages_used})
+        self.phase_records.append({"phase": "delete", "cycle": cycle_no, **asdict(dsummary)})
 
         # Phase 2: buffer creation from the joiner backlog (cutoff now)
         joiners, self.joiner_backlog = self.joiner_backlog, []
         joiners = [j for j in joiners if j not in self.clean.heights]
-        buf, bsummary, bprofile = create_buffer(joiners, world.heights, self.params.n)
-        phase_rounds.append(self._play(bprofile, "buffer", "BufferCreate"))
-        self.phase_records.append({
-            "phase": "buffer", "cycle": cycle_no,
-            "joiners": bsummary.joiners, "padded_width": bsummary.padded_width,
-            "sort_depth": bsummary.sort_depth,
-            "rounds_used": bsummary.rounds_used,
-            "messages_used": bsummary.messages_used,
-            "edges_formed": bsummary.edges_formed})
+        buf, bsummary, bprofile = create_buffer(joiners, world.heights)
+        phase_rounds.append(self._play(bprofile.rows, "buffer", "BufferCreate"))
+        self.phase_records.append({"phase": "buffer", "cycle": cycle_no, **asdict(bsummary)})
 
         # Phase 3: merge wave, stepped one engine round per world round
         if buf is not None:
             engine = WaveEngine(self.clean, buf, cycle_no)
-            rounds = self._play(engine.pre.profile, "merge", "Merge")
-            guard = 400 * (buf.height + ceil_log2(self.params.n) + 4)
-            while not engine.done:
-                engine.step()
-                self.world.play_row(engine.profile.rows[-1], "merge")
-                self._advance("Merge")
-                rounds += 1
-                if engine.round > guard:
-                    raise InconsistentWorld("merge failed to converge")
+            phase_rounds.append(self._play(chain(engine.pre.profile.rows, engine.rounds()),
+                                           "merge", "Merge"))
             self.merge_events.extend(engine.events)
-            phase_rounds.append(rounds)
-            self.phase_records.append({
-                "phase": "merge", "cycle": cycle_no,
-                "groups": engine.summary.groups_formed,
-                "splits": engine.summary.splits,
-                "preprocess_rounds": engine.pre.rounds,
-                "rounds_used": rounds})
+            self.phase_records.append({"phase": "merge", "cycle": cycle_no,
+                                       **asdict(engine.summary)})
         else:
             phase_rounds.append(0)
 
         # Phase 4: label flips only
         usummary = update_phase(self.clean)
-        self.phase_records.append({
-            "phase": "update", "cycle": cycle_no,
-            "labels_flipped": usummary.labels_flipped})
-        assert live_equals_clean(self.clean)
+        self.phase_records.append({"phase": "update", "cycle": cycle_no, **asdict(usummary)})
+        if not live_equals_clean(self.clean):
+            world.fail(LIVE_MISMATCH, f"cycle {cycle_no}")
         for key in self.clean.heights:
             if key not in self.entered_live:
                 self.entered_live[key] = world.round

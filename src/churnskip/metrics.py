@@ -123,19 +123,6 @@ class WhpReport:
             yield f"{k.ljust(width)}  {v}"
 
 
-def occupancy_chi_square(counts: list[int], significance: float = 0.01
-                         ) -> tuple[float, float, bool]:
-    """Chi-square uniformity check over committee occupancy counts.
-
-    Returns (statistic, critical value, not-rejected)."""
-    from scipy.stats import chi2
-
-    expected = sum(counts) / len(counts)
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    crit = float(chi2.ppf(1 - significance, len(counts) - 1))
-    return stat, crit, stat < crit
-
-
 def whp_report(sims, search_probe: int = 0) -> WhpReport:
     """Aggregate empirical rates over >= 20 seeded finished runs."""
     import random

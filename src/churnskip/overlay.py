@@ -104,9 +104,6 @@ class CommitteeOverlay:
 
     # -- membership ----------------------------------------------------------
 
-    def committee_of(self, node: int) -> Committee:
-        return self.committees[self.assignment[node]]
-
     def place(self, node: int, addr: Address) -> None:
         self.assignment[node] = addr
         self.committees[addr].members.add(node)

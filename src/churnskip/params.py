@@ -49,8 +49,6 @@ class SimParams:
     alpha_reshape: float = 1.5     # grow threshold (x c_comm log n)
     beta_reshape: float = 0.5      # shrink threshold (x c_comm log n)
     c_cycle: float = 4.0           # cycle round budget factor (x log^2 n)
-    c_del: float = 8.0             # delete-phase round bound factor (x log n)
-    c_wave: float = 12.0           # merge-phase round bound factor (x log n)
 
     strategy: str = "uniform_random"
     churn_rate: int = 0
@@ -73,7 +71,7 @@ class SimParams:
 
     @property
     def message_cap(self) -> int:
-        """Per-node per-round send/receive cap; also the payload bit budget."""
+        """Per-node per-round send cap."""
         return max(16, int(self.c_msg * log2n(self.n) ** 2))
 
     @property

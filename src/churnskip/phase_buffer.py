@@ -81,7 +81,7 @@ class SortingOverlay:
     build_profile: WorkProfile
 
 
-def build_sorting_overlay(joiners: list[int], n: int) -> SortingOverlay:
+def build_sorting_overlay(joiners: list[int]) -> SortingOverlay:
     """Lay one overlay position per wire over the joiners, O(log n) rounds.
 
     Construction follows the leader/tree/cycle recipe used for the main
@@ -188,13 +188,13 @@ class BufferSummary:
     edges_formed: int = 0
 
 
-def create_buffer(joiners: list[int], heights: dict[int, int], n: int
+def create_buffer(joiners: list[int], heights: dict[int, int]
                   ) -> tuple[SkipNet | None, BufferSummary, WorkProfile]:
     """Full phase: overlay, network sort, level raising."""
     summary = BufferSummary(joiners=len(joiners))
     if not joiners:
         return None, summary, WorkProfile()
-    overlay = build_sorting_overlay(joiners, n)
+    overlay = build_sorting_overlay(joiners)
     profile = WorkProfile()
     profile.append(overlay.build_profile)
     sorted_keys, sort_prof = run_network_sort(overlay)

@@ -111,6 +111,8 @@ class LevelTree:
     parents: dict[tuple[int, int], tuple[int, int]]
     leaves: list[int]
     depth: int
+    right_of: dict[int, int]                 # level-lvl successor, sentinels included
+    depth_map: dict[tuple[int, int], int]    # tree depth of every node
 
     def nodes(self):
         seen = set(self.parents)
@@ -165,17 +167,14 @@ def tree_formation(net: SkipNet, lvl: int, red: set[int]) -> LevelTree:
         return d
 
     max_depth = max((depth_of((leaf, lvl)) for leaf in leaves), default=0)
-    tree = LevelTree(lvl, root, parents, leaves, max_depth)
-    tree._right_of = right_of  # type: ignore[attr-defined]
-    tree._depth_map = depth  # type: ignore[attr-defined]
-    return tree
+    return LevelTree(lvl, root, parents, leaves, max_depth, right_of, depth)
 
 
 def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
                          ) -> tuple[list[tuple[int, int]], WorkProfile]:
     """Flow boundary pairs leaves-to-root, forming one edge per red run."""
     lvl = tree.level
-    right_of = tree._right_of  # type: ignore[attr-defined]
+    right_of = tree.right_of
     children: dict[tuple[int, int], dict[str, tuple[int, int]]] = {}
     for node, parent in tree.parents.items():
         kind = "below" if parent[0] == node[0] else "right"
@@ -186,7 +185,7 @@ def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
 
     # fire(u): round at which u sends upward; leaves fire once their own
     # message exists, passthrough/merge nodes one round after their inputs.
-    order = sorted(tree.parents, key=lambda n: -tree._depth_map[n])  # type: ignore[attr-defined]
+    order = sorted(tree.parents, key=lambda n: -tree.depth_map[n])
     fire: dict[tuple[int, int], int] = {}
     rounds: dict[int, RoundAcc] = {}
 
@@ -260,7 +259,7 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         tree = tree_formation(net, lvl, at_level)
         # formation backtracks one hop per round, in parallel from all leaves
         formation = WorkProfile()
-        depth_map = tree._depth_map  # type: ignore[attr-defined]
+        depth_map = tree.depth_map
         by_round: dict[int, RoundAcc] = {}
         for (key, _l), parent in tree.parents.items():
             rnd = tree.depth - depth_map[(key, _l)] + 1
@@ -268,7 +267,6 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         for rnd in range(1, max(by_round, default=0) + 1):
             formation.add(by_round.get(rnd, RoundAcc()))
         bridges, prop = propagate_and_bridge(net, tree, at_level)
-        assert bridges == expected_bridges([LS, *net.iter_level(lvl), RS], at_level)
         formation.append(prop)
         profile.merge(formation)
         per_level_bridges[lvl] = bridges

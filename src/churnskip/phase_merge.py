@@ -12,11 +12,12 @@ merged down to the node's own level or provably diverged from its key.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import SPLICE_CONFLICT, ChurnSkipError, MalformedBuffer
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, is_sentinel
-from .work import RoundAcc, WorkProfile
+from .work import RoundAcc, RoundWork, WorkProfile
 
 
 class SpliceConflict(ChurnSkipError):
@@ -129,7 +130,7 @@ def preprocess(buf: SkipNet) -> Preprocessed:
 
 @dataclass
 class MergeSummary:
-    groups_formed: int = 0
+    groups: int = 0
     splits: int = 0
     preprocess_rounds: int = 0
     wave_rounds: int = 0
@@ -164,8 +165,7 @@ class WaveEngine:
         self.events: list[dict] = []
         self.profile = WorkProfile()
         self.group_spans: list[tuple[CohesiveGroup, int, int]] = []
-        self.summary = MergeSummary(groups_formed=1,
-                                    preprocess_rounds=self.pre.rounds)
+        self.summary = MergeSummary(groups=1, preprocess_rounds=self.pre.rounds)
         self.absorbed = False
         self._ready: set[int] = set()
 
@@ -270,7 +270,7 @@ class WaveEngine:
             for m in members:
                 self.walks[m].activated = True
             self.active.append(group)
-            self.summary.groups_formed += 1
+            self.summary.groups += 1
 
     # -- group actions ---------------------------------------------------------
 
@@ -299,7 +299,7 @@ class WaveEngine:
             g.splits += 1
             g.state = "merge" if g.level <= g.top else "descend"
             self.active.append(right)
-            self.summary.groups_formed += 1
+            self.summary.groups += 1
             self.summary.splits += 1
         else:
             self._notify(g.members, v, z, "down", g.level, acc)
@@ -351,10 +351,6 @@ class WaveEngine:
 
     # -- rounds -----------------------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        return self.absorbed
-
     def step(self) -> None:
         acc = RoundAcc()
         self.round += 1
@@ -384,20 +380,23 @@ class WaveEngine:
             self.absorbed = True
         self.profile.add(acc)
 
-    def run(self, guard: int | None = None) -> MergeSummary:
-        guard = guard or 200 * (self.buf.height + math.ceil(math.log2(len(self.clean) + 4)) + 4)
-        while not self.done:
+    def rounds(self) -> Iterator[RoundWork]:
+        """Step the wave until the buffer is absorbed, yielding each round's
+        work; fills in the summary once the wave is done."""
+        guard = 200 * (self.buf.height + math.ceil(math.log2(len(self.clean) + 4)) + 4)
+        while not self.absorbed:
             if self.round > guard:
                 raise SpliceConflict("wave failed to converge")
             self.step()
+            yield self.profile.rows[-1]
         self.summary.wave_rounds = self.round
         self.summary.rounds_used = self.pre.rounds + self.round
-        full = WorkProfile()
-        full.append(self.pre.profile)
-        full.append(self.profile)
-        self.profile = full
-        self.summary.messages_used = full.messages
-        self.summary.edges_formed = full.edges_formed
+        self.summary.messages_used = self.pre.profile.messages + self.profile.messages
+        self.summary.edges_formed = self.pre.profile.edges_formed + self.profile.edges_formed
+
+    def run(self) -> MergeSummary:
+        for _ in self.rounds():
+            pass
         return self.summary
 
 
@@ -406,4 +405,4 @@ def wave_merge(clean: SkipNet, buf: SkipNet, cycle: int = 0
     """Run the whole merge phase; clean is mutated into the union."""
     engine = WaveEngine(clean, buf, cycle)
     summary = engine.run()
-    return summary, engine.profile, engine.events
+    return summary, WorkProfile(engine.pre.profile.rows + engine.profile.rows), engine.events

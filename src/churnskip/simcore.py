@@ -1,12 +1,11 @@
 """Deterministic round-synchronous execution core.
 
-The world owns the global clock, the alive set, the message queue, and the
-append-only work ledger. Protocol phases charge work either message by
-message (send/form_edge/delete_edge) or by playing back a per-round work
-profile, under the same per-node budget either way. Node step functions run
-once per round for every alive node that registered one; phase engines act
-through the per-round hook, which is the bulk-at-the-barrier form the
-execution model allows.
+The world owns the global clock, the alive set, the attachment edges, and
+the append-only work ledger. Protocol phases charge their work by playing
+back a per-round work profile (play_row); churn plumbing and queries charge
+single messages and edges directly (charge_msgs/charge_edges/form_edge).
+Both paths check the per-node send cap, and every charge lands in the row
+of the round the clock is in.
 """
 
 from __future__ import annotations
@@ -15,13 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    FailureEvent,
-    InconsistentWorld,
-    MessageBudgetExceeded,
-    PayloadTooLarge,
-    PeerDeparted,
-)
+from .errors import FailureEvent, InconsistentWorld, MessageBudgetExceeded, PeerDeparted
 from .params import SimParams
 from .work import RoundWork
 
@@ -30,15 +23,6 @@ MAINTENANCE = "Maintenance"
 
 WORK_CATEGORIES = ("bootstrap", "delete", "buffer", "merge", "update",
                    "covering", "queries", "other")
-
-
-@dataclass
-class Envelope:
-    src: int
-    dst: int
-    payload: object
-    size_bits: int = 64
-    sent_round: int = 0
 
 
 @dataclass
@@ -102,18 +86,12 @@ class World:
         self.heights: dict[int, int] = {}
         self.ledger = WorkLedger()
         self.failures: list[FailureEvent] = []
-        self.queue: list[Envelope] = []
-        self.inbox: dict[int, list[Envelope]] = {}
         self.attach_edges: set[frozenset] = set()
         self._attach_adj: dict[int, set[int]] = {}
-        self.steps: dict[int, object] = {}
-        self.phase_hook = None
         self.on_depart = None
         self.on_join = None
-        self.drop_log: list[tuple[int, Envelope]] = []
         self._row = LedgerRow(0)
         self._sent_this_round: dict[int, int] = {}
-        self._recv_this_round: dict[int, int] = {}
 
     # -- population -------------------------------------------------------------
 
@@ -166,16 +144,7 @@ class World:
         self.ledger.category_totals[category] += (
             row.messages + row.edges_formed + row.edges_deleted)
 
-    # -- messaging ----------------------------------------------------------------
-
-    def send(self, src: int, dst: int, payload, size_bits: int = 64,
-             category: str = "other") -> None:
-        if src not in self.alive:
-            raise PeerDeparted(f"sender {src} not alive")
-        if size_bits > self.message_cap:
-            raise PayloadTooLarge(f"{size_bits} bits > {self.message_cap}")
-        self.charge_msgs(src, 1, category)
-        self.queue.append(Envelope(src, dst, payload, size_bits, self.round))
+    # -- attachment edges -------------------------------------------------------------
 
     def form_edge(self, a: int, b: int, category: str = "other") -> None:
         """Idempotent bidirectional attachment; a no-op edge is free."""
@@ -188,17 +157,6 @@ class World:
         self._attach_adj.setdefault(a, set()).add(b)
         self._attach_adj.setdefault(b, set()).add(a)
         self.charge_edges(formed=1, category=category)
-
-    def delete_edge(self, a: int, b: int, category: str = "other") -> None:
-        edge = frozenset((a, b))
-        if edge in self.attach_edges:
-            self.attach_edges.discard(edge)
-            self._attach_adj.get(a, set()).discard(b)
-            self._attach_adj.get(b, set()).discard(a)
-            self.charge_edges(deleted=1, category=category)
-
-    def register_step(self, node: int, fn) -> None:
-        self.steps[node] = fn
 
     # -- the round loop --------------------------------------------------------------
 
@@ -225,7 +183,6 @@ class World:
             self.alive.discard(node)
             self.departed_round[node] = self.round
             self._row.churn_out += 1
-            self.steps.pop(node, None)
             for peer in self._attach_adj.pop(node, ()):
                 self._attach_adj.get(peer, set()).discard(node)
                 self.attach_edges.discard(frozenset((node, peer)))
@@ -241,27 +198,7 @@ class World:
             if self.on_join is not None:
                 self.on_join(node, host)
 
-        # (2) deliveries of earlier rounds' sends
-        pending = [e for e in self.queue if e.sent_round < self.round]
-        self.queue = [e for e in self.queue if e.sent_round >= self.round]
-        for env in pending:
-            if env.dst not in self.alive:
-                self.drop_log.append((self.round, env))
-                continue
-            got = self._recv_this_round.get(env.dst, 0) + 1
-            if got > self.message_cap:
-                raise MessageBudgetExceeded(env.dst, got, self.message_cap)
-            self._recv_this_round[env.dst] = got
-            self.inbox.setdefault(env.dst, []).append(env)
-
-        # (3) node steps, then the phase hook's bulk work
-        for node in sorted(self.steps):
-            if node in self.alive:
-                self.steps[node](self, node)
-        if self.phase_hook is not None:
-            self.phase_hook(self)
-
-        # (4)+(5) seal row, advance
+        # (2) seal row, advance
         self._row.phase_tag = self.phase_tag
         self._row.cycle_phase = self.cycle_phase
         self.ledger.rows.append(self._row)
@@ -271,11 +208,7 @@ class World:
         self._row = LedgerRow(self.round, phase_tag=self.phase_tag,
                               cycle_phase=self.cycle_phase)
         self._sent_this_round = {}
-        self._recv_this_round = {}
         return self
-
-    def take_inbox(self, node: int) -> list[Envelope]:
-        return self.inbox.pop(node, [])
 
     # -- trace --------------------------------------------------------------------
 

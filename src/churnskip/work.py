@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MessageBudgetExceeded
-
 
 @dataclass
 class RoundWork:
@@ -95,8 +93,3 @@ class WorkProfile:
 
     def append(self, other: "WorkProfile") -> None:
         self.rows.extend(other.rows)
-
-    def check_budget(self, cap: int) -> None:
-        for row in self.rows:
-            if row.max_node_messages > cap:
-                raise MessageBudgetExceeded(row.busiest, row.max_node_messages, cap)

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from churnskip import metrics
+from churnskip import maintenance, metrics
 from churnskip.adversary import Query
-from churnskip.errors import DirtyLabels
+from churnskip.errors import LIVE_MISMATCH, DirtyLabels
 from churnskip.maintenance import Simulation
 from churnskip.params import SimParams
-from churnskip.phase_update import live_equals_clean, update_phase
+from churnskip.phase_update import UpdateSummary, live_equals_clean, update_phase
 from churnskip.skiplist import oracle_build
 
 
@@ -95,6 +100,17 @@ def test_update_phase_flips_and_rejects_stale():
     net.pending.add((0, 7, 9))
     with pytest.raises(DirtyLabels):
         update_phase(net)
+
+
+def test_skipped_update_is_recorded_as_live_mismatch(monkeypatch):
+    sim = small_sim(n=64, rate=1, cycles=1)
+    sim.bootstrap_all()
+    monkeypatch.setattr(maintenance, "update_phase", lambda net: UpdateSummary())
+    while not sim.world.failures:   # the first cycle may have no joiners to merge
+        assert len(sim.cycles) < 4
+        sim.run_cycle()
+    assert not live_equals_clean(sim.clean)
+    assert [f.kind for f in sim.world.failures] == [LIVE_MISMATCH]
 
 
 def test_update_category_work_is_zero():
@@ -228,3 +244,17 @@ def test_final_content_matches_lifecycle_bookkeeping():
         # and everything integrated kept its join-time tower height
         for key in sim.clean.heights:
             assert sim.clean.heights[key] == sim.world.heights[key]
+
+
+def test_simulation_imports_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from churnskip import SimParams, Simulation\n"
+            "Simulation(SimParams(n=32, churn_rate=1, horizon_cycles=1,"
+            " query_density=0.01)).run()\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported at run time'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

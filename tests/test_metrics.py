@@ -67,16 +67,6 @@ def test_height_and_run_length_checks():
     assert 1.8 <= m <= 2.2
 
 
-def test_occupancy_chi_square_accepts_uniform_and_rejects_skew():
-    rng = random.Random(1)
-    uniform = [sum(1 for _ in range(40)) + rng.randrange(-5, 6) for _ in range(24)]
-    stat, crit, ok = metrics.occupancy_chi_square([max(1, u) for u in uniform])
-    assert ok
-    skew = [5] * 23 + [900]
-    stat, crit, ok = metrics.occupancy_chi_square(skew)
-    assert not ok
-
-
 def test_whp_report_and_csv():
     sims = []
     for seed in (1, 2):

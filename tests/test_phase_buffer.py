@@ -54,13 +54,13 @@ def test_sorts_random_permutations():
 
 def test_overlay_requires_joiners():
     with pytest.raises(NoJoiners):
-        build_sorting_overlay([], 1024)
+        build_sorting_overlay([])
 
 
 def test_overlay_padding_and_work():
     rng = random.Random(2)
     joiners = rng.sample(range(10_000), 100)
-    overlay = build_sorting_overlay(joiners, 1024)
+    overlay = build_sorting_overlay(joiners)
     assert overlay.network.padded_width == 128
     assert overlay.build_profile.rounds <= 2 * math.log2(1024)
     log2n = math.log2(1024)
@@ -69,11 +69,11 @@ def test_overlay_padding_and_work():
 
 def test_network_sort_idempotent_and_depth():
     joiners = list(range(128))
-    overlay = build_sorting_overlay(joiners, 1024)
+    overlay = build_sorting_overlay(joiners)
     out, prof = run_network_sort(overlay)
     assert out == joiners
     assert prof.rounds == 28  # depth(128)
-    reverse = build_sorting_overlay(list(reversed(joiners)), 1024)
+    reverse = build_sorting_overlay(list(reversed(joiners)))
     out, prof = run_network_sort(reverse)
     assert out == joiners
     assert prof.rounds == 28
@@ -104,7 +104,7 @@ def test_seeded_builds_match_oracle():
         count = rng.randint(1, 256)
         joiners = rng.sample(range(100_000), count)
         heights = {k: sample_height(rng) for k in joiners}
-        buf, summary, profile = create_buffer(joiners, heights, 1024)
+        buf, summary, profile = create_buffer(joiners, heights)
         assert buf.validate().ok
         top = max(heights.values(), default=0)
         ordered = sorted(joiners)
@@ -117,6 +117,6 @@ def test_seeded_builds_match_oracle():
 
 
 def test_empty_phase_is_noop():
-    buf, summary, profile = create_buffer([], {}, 256)
+    buf, summary, profile = create_buffer([], {})
     assert buf is None
     assert profile.work == 0

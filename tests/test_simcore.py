@@ -1,6 +1,6 @@
 import pytest
 
-from churnskip.errors import MessageBudgetExceeded, PayloadTooLarge, PeerDeparted
+from churnskip.errors import MessageBudgetExceeded, PeerDeparted
 from churnskip.params import SimParams
 from churnskip.simcore import World
 
@@ -33,13 +33,12 @@ def test_empty_round_all_zero():
 
 
 def test_budget_arithmetic_allows_small_payload():
-    # budget at n=1024 is 4*log2(1024)^2 = 400 message slots and bits
+    # budget at n=1024 is 4*log2(1024)^2 = 400 message slots per node and round
     params = SimParams(n=1024)
     world = World(params)
     world.spawn(0)
-    world.spawn(1)
     assert world.message_cap == 400
-    world.send(0, 1, "hi", size_bits=64)
+    world.charge_msgs(0, 1)
     assert world.ledger.category_totals["other"] == 1
 
 
@@ -47,29 +46,12 @@ def test_send_over_cap_raises():
     world = fresh_world(16)
     cap = world.message_cap
     for _ in range(cap):
-        world.send(0, 1, "x")
+        world.charge_msgs(0, 1)
     with pytest.raises(MessageBudgetExceeded):
-        world.send(0, 1, "x")
-
-
-def test_payload_too_large():
-    world = fresh_world(4)
-    with pytest.raises(PayloadTooLarge):
-        world.send(0, 1, "x", size_bits=10 ** 6)
-
-
-def test_delivery_next_round_and_drop_on_departure():
-    world = fresh_world(16)
-    adv = StaticChurn([((), ()), ((3,), ((16, 0),))])
-    world.send(0, 3, "ping")
-    world.run_round(adv)   # round 0: message in flight, no churn
-    assert world.inbox.get(3) is None
-    world.send(0, 3, "pong")
-    world.run_round(adv)   # round 1: churn removes 3 first, delivery drops
-    assert any(env.dst == 3 and env.payload == "ping" for _, env in world.drop_log)
-    assert 3 not in world.alive and 16 in world.alive
-    world.run_round(adv)   # round 2: the pong send also drops
-    assert sum(env.dst == 3 for _, env in world.drop_log) == 2
+        world.charge_msgs(0, 1)
+    world.charge_msgs(1, cap)      # the cap is per node
+    world.run_round()
+    world.charge_msgs(0, cap)      # and per round
 
 
 def test_churn_keeps_size_and_counts():
@@ -87,12 +69,10 @@ def test_form_edge_idempotent_and_roundtrip():
     world.run_round()
     world.form_edge(0, 1)
     world.form_edge(1, 0)          # idempotent, no extra charge
-    world.delete_edge(0, 1)
     world.run_round()
     formed = sum(r.edges_formed for r in world.ledger.rows)
-    deleted = sum(r.edges_deleted for r in world.ledger.rows)
-    assert (formed, deleted) == (1, 1)
-    assert not world.attach_edges
+    assert formed == 1
+    assert world.attach_edges == {frozenset((0, 1))}
 
 
 def test_edge_auto_removed_on_departure():
@@ -112,16 +92,6 @@ def test_form_edge_to_departed_peer():
         world.form_edge(0, 2)
 
 
-def test_steps_run_once_for_alive_only():
-    world = fresh_world(4)
-    seen = []
-    for node in range(4):
-        world.register_step(node, lambda w, u: seen.append((w.round, u)))
-    world.run_round(StaticChurn([((2,), ((11, 0),))]))
-    assert (0, 2) not in seen
-    assert {(0, 0), (0, 1), (0, 3)} <= set(seen)
-
-
 def test_determinism_bit_identical_traces():
     def run():
         world = fresh_world(16, seed_adv=5, seed_alg=6)
@@ -136,20 +106,11 @@ def test_determinism_bit_identical_traces():
 
 def test_message_conservation_per_round():
     world = fresh_world(16)
-    world.send(0, 1, "a")
-    world.send(2, 3, "b")
+    world.charge_msgs(0, 1, category="queries")
+    world.charge_msgs(2, 3, category="covering")
     world.run_round()
-    assert world.ledger.rows[0].messages_sent == 2
-
-
-def test_inbound_cap_enforced_at_delivery():
-    params = SimParams(n=1024)
-    world = World(params)
-    for node in range(600):
-        world.spawn(node)
-    # everyone floods node 0; deliveries next round exceed the receive cap
-    for src in range(1, 600):
-        world.send(src, 0, "x", size_bits=8)
+    world.charge_msgs(0, 1)
     world.run_round()
-    with pytest.raises(MessageBudgetExceeded):
-        world.run_round()
+    assert [r.messages_sent for r in world.ledger.rows] == [4, 1]
+    assert world.ledger.category_totals["queries"] == 1
+    assert world.ledger.category_totals["covering"] == 3
