@@ -101,6 +101,8 @@ class Simulation:
         self.phase_records: list[dict] = []
         self.merge_events: list[dict] = []
         self._pending_audits: list[CoveringAudit] = []
+        # departed nodes whose cover failed: the only keys a relay can stall on
+        self.uncovered: set[int] = set()
         self.world.on_depart = self._on_depart
         self.world.on_join = self._on_join
 
@@ -113,6 +115,7 @@ class Simulation:
                          for lvl, l, r in self.clean.neighbors_of(node)]
         record, edges = self.overlay.cover_node(node, neighbors, self.world.round)
         if record is None:
+            self.uncovered.add(node)
             self.world.fail(COMMITTEE_DESTROYED, f"covering node {node}")
             return
         self.world.charge_edges(formed=edges, category="covering")
@@ -274,7 +277,10 @@ class Simulation:
         world = self.world
         addr = self.overlay.assignment.get(q.s, (0, 0))
         hops = route_hops(addr, (0, 0), self.overlay.k) + 1
-        result = search(self.clean, q.x, representable=self._representable,
+        # every departure is covered until a cover fails, so until then
+        # every key is representable and the search need not check
+        representable = self._representable if self.uncovered else None
+        result = search(self.clean, q.x, representable=representable,
                         live_view=True)
         if result.stalled:
             world.fail(STALLED, f"query {q.x} from {q.s}")

@@ -4,7 +4,10 @@ Every "10" port becomes "11" and the freshly merged keys gain live
 membership. No messages, no edge changes; one simulated round. A "01"
 label (live-only edge) is unrepresentable here because splice-displaced
 and red-node edges leave both networks when they are charged, in the merge
-and delete phases respectively.
+and delete phases respectively. The simulator still remembers where each
+displaced live edge pointed, in ``SkipNet.displaced``, so that live-view
+searches skip the pending keys in O(1); that index is bookkeeping, not an
+edge, and assigning the new live set here clears it.
 """
 
 from __future__ import annotations

@@ -68,9 +68,21 @@ class SkipNet:
     ``links[key][lvl] == [left, right]``. An edge label is "11" unless its
     canonical id is in ``pending`` ("10": present in the clean network but
     not yet promoted to live). "01" and "00" are unrepresentable by design.
+
+    ``displaced`` is a simulator-side index of the live edges a merge
+    displaced, not a protocol edge: the first ``splice_run`` at (lvl, v),
+    with v the left sentinel or live, records v's right neighbour at that
+    moment under ``(lvl, v)``. The live set does not change during a merge,
+    so that neighbour stays v's live successor at lvl until the next update,
+    and a live-view search reads it in O(1) instead of relaying through the
+    pending keys spliced in since. Assigning ``live`` (as ``update_phase``
+    does) clears the index; keys join the live set only that way. A key
+    that leaves the live set (``unlink_tower``, the delete phase) leaves the
+    index exact: a record naming it is no longer live, and ``search`` then
+    relays.
     """
 
-    __slots__ = ("tag", "heights", "links", "pending", "live")
+    __slots__ = ("tag", "heights", "links", "pending", "_live", "displaced")
 
     def __init__(self, tag: str = "C"):
         self.tag = tag
@@ -80,7 +92,17 @@ class SkipNet:
             RS: [[LS, RS]],
         }
         self.pending: set[tuple[int, int, int]] = set()
-        self.live: set[int] = set()
+        self._live: set[int] = set()
+        self.displaced: dict[tuple[int, int], int] = {}
+
+    @property
+    def live(self) -> set[int]:
+        return self._live
+
+    @live.setter
+    def live(self, keys: set[int]) -> None:
+        self._live = keys
+        self.displaced.clear()
 
     # -- construction ------------------------------------------------------
 
@@ -144,6 +166,8 @@ class SkipNet:
         if self.links[v][lvl][1] != z:
             raise ValueError(f"splice target not adjacent: {v}..{z} at {lvl}")
         self._drop_pending(v, z, lvl)
+        if (lvl, v) not in self.displaced and (v == LS or v in self._live):
+            self.displaced[(lvl, v)] = z
         chain = [v, *members, z]
         for a, b in zip(chain, chain[1:]):
             self.set_link(a, b, lvl, pending=pending)
@@ -260,34 +284,45 @@ def search(net: SkipNet, target: int, representable=None,
     With ``live_view`` the walk only stands on live members, relaying
     through not-yet-promoted keys at the same level (mid-merge buffer
     residents have complete links at every level they have merged, so the
-    relay chain is always walkable); relay hops cost rounds like any other.
+    relay chain is always walkable). Only a move right is charged, as one
+    round per relay hop it crossed; the hops relayed before a move down or
+    the final level-0 answer are discarded and never charged.
+
+    Without ``representable`` nothing can stall, so the live successor is
+    read from the displaced-edge index (see ``SkipNet``) instead of relaying
+    to it. The relay is still walked to count the hops of a move right, and
+    whenever the candidate is neither live nor ``RS``, which keeps nets with
+    arbitrary live sets exact. With ``representable`` every relay key is
+    checked, as the protocol would.
     """
+    links = net.links
+    live = net.live
+    indexed = live_view and representable is None
     pos, lvl = LS, net.height
     h_moves = v_moves = 0
     path = [(pos, lvl)]
-    stalled = [False]
 
     def reachable(key):
-        if representable is not None and not is_sentinel(key) \
-                and not representable(key):
-            stalled[0] = True
-            return False
-        return True
+        return representable is None or is_sentinel(key) or representable(key)
 
-    def next_member(p, l):
-        z = net.right(p, l)
-        hops = 1
-        while live_view and z != RS and z not in net.live:
+    def relay(p, l):
+        """(first live key or RS right of p, hops), or (None, hops) on a stall."""
+        z, hops = links[p][l][1], 1
+        while z != RS and z not in live:
             if not reachable(z):
-                return z, hops
-            z = net.right(z, l)
-            hops += 1
+                return None, hops
+            z, hops = links[z][l][1], hops + 1
         return z, hops
 
     while True:
-        z, hops = next_member(pos, lvl)
-        if stalled[0]:
-            return SearchResult(False, h_moves, v_moves, path, stalled=True)
+        z, hops = links[pos][lvl][1], 1
+        if live_view and z != RS and z not in live:
+            if indexed:
+                z = net.displaced.get((lvl, pos), z)
+            if not indexed or (z != RS and (z < target or z not in live)):
+                z, hops = relay(pos, lvl)
+                if z is None:
+                    return SearchResult(False, h_moves, v_moves, path, stalled=True)
         if z < target and z != RS:
             if not reachable(z):
                 return SearchResult(False, h_moves, v_moves, path, stalled=True)
@@ -299,11 +334,10 @@ def search(net: SkipNet, target: int, representable=None,
             v_moves += 1
             path.append((pos, lvl))
         else:
-            z, _ = next_member(pos, 0)
             found = pos == target or z == target
             if found and z == target and not reachable(z):
                 return SearchResult(False, h_moves, v_moves, path, stalled=True)
-            return SearchResult(found, h_moves, v_moves, path, stalled=stalled[0])
+            return SearchResult(found, h_moves, v_moves, path)
 
 
 # -- sequential oracles ------------------------------------------------------

@@ -7,11 +7,13 @@ import pytest
 
 from churnskip import maintenance, metrics
 from churnskip.adversary import Query
-from churnskip.errors import LIVE_MISMATCH, DirtyLabels
+from churnskip.errors import COMMITTEE_DESTROYED, LIVE_MISMATCH, STALLED, DirtyLabels
 from churnskip.maintenance import Simulation
+from churnskip.overlay import CommitteeOverlay
 from churnskip.params import SimParams
 from churnskip.phase_update import UpdateSummary, live_equals_clean, update_phase
-from churnskip.skiplist import oracle_build
+from churnskip.skiplist import is_sentinel, oracle_build, search
+from search_reference import reference_search
 
 
 def small_sim(n=64, rate=1, cycles=4, density=0.0, seed=1, **kw):
@@ -258,3 +260,81 @@ def test_simulation_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _serve_both_ways(sim, monkeypatch):
+    """Serve every query with the fast search and check it against the
+    reference relay walk, which always checks representability."""
+    served = []
+
+    def both(net, target, representable=None, live_view=False):
+        fast = search(net, target, representable, live_view)
+        ref = reference_search(net, target, sim._representable, live_view)
+        assert fast == ref, (sim.world.round, target)
+        served.append((representable is not None, bool(net.displaced), ref.stalled))
+        return fast
+
+    monkeypatch.setattr(maintenance, "search", both)
+    return served
+
+
+def test_served_queries_match_reference_walk(monkeypatch):
+    sim = small_sim(n=128, rate=3, cycles=4, density=0.05, seed=3)
+    served = _serve_both_ways(sim, monkeypatch)
+    sim.run()
+    assert not sim.world.failures
+    assert len(served) == len(sim.query_log) > 1000
+    assert not any(checked for checked, _, _ in served)
+    # many queries were served mid-merge, with the displaced-edge index in use
+    assert sum(mid_merge for _, mid_merge, _ in served) > 100
+
+
+@pytest.mark.parametrize("strategy,seed", [("uniform_random", 11),
+                                           ("targeted_committee", 12),
+                                           ("burst", 13)])
+def test_clean_keys_stay_answerable_every_round(monkeypatch, strategy, seed):
+    # the stall checks are skipped on this invariant: with no failed cover,
+    # every clean key is alive or covered after every round
+    sim = small_sim(n=128, rate=3, cycles=4, seed=seed, strategy=strategy)
+    advance = sim._advance
+    rounds = []
+
+    def checked(phase):
+        advance(phase)
+        rounds.append(sim.world.round)
+        for key in sim.clean.heights:
+            assert is_sentinel(key) or sim._representable(key), (key, sim.world.round)
+
+    monkeypatch.setattr(sim, "_advance", checked)
+    sim.run()
+    assert COMMITTEE_DESTROYED not in {f.kind for f in sim.world.failures}
+    assert not sim.uncovered
+    assert rounds and sim.world.departed_round
+
+
+def test_failed_cover_takes_checking_path_and_stalls_like_reference(monkeypatch):
+    sim = small_sim(n=128, rate=3, cycles=5, density=0.05, seed=3)
+    cover_node = CommitteeOverlay.cover_node
+    victim = []
+
+    def failing_cover(overlay, node, neighbors, round_no):
+        if not victim and node >= sim.params.n and node in sim.clean.live:
+            victim.append(node)          # a merged joiner: its cover fails
+            overlay.remove_member(node)
+            return None, 0
+        return cover_node(overlay, node, neighbors, round_no)
+
+    monkeypatch.setattr(CommitteeOverlay, "cover_node", failing_cover)
+    served = _serve_both_ways(sim, monkeypatch)
+    sim.run()
+    assert victim and sim.uncovered == set(victim)
+    kinds = [f.kind for f in sim.world.failures]
+    assert kinds.count(COMMITTEE_DESTROYED) == 1
+    first = kinds.index(COMMITTEE_DESTROYED)
+    # before the failure no query checks; from it on every query does
+    checks = [checked for checked, _, _ in served]
+    assert not checks[0] and checks[-1] and checks == sorted(checks)
+    stalls = sum(stalled for _, _, stalled in served)
+    assert stalls > 0
+    assert kinds.count(STALLED) == stalls
+    assert STALLED not in kinds[:first]

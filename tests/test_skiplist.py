@@ -7,6 +7,7 @@ from churnskip.errors import UnsortedInput
 from churnskip.skiplist import (
     LS,
     RS,
+    SkipNet,
     oracle_build,
     oracle_delete,
     oracle_insert,
@@ -14,6 +15,7 @@ from churnskip.skiplist import (
     sample_height,
     search,
 )
+from search_reference import reference_search
 
 
 def test_height_law_small_probabilities():
@@ -160,3 +162,92 @@ def test_search_stalls_on_unrepresentable_relay():
     net = oracle_build([10, 20, 30], [0, 2, 0])
     res = search(net, 30, representable=lambda k: k != 20)
     assert res.stalled and not res.found
+
+
+def test_live_view_search_stalls_on_unrepresentable_relay_key():
+    # 20 sits between live keys and is not live: the walk relays through it
+    # and never stands on it, so only the relay check can stall
+    net = oracle_build([10, 20, 30], [0, 0, 0])
+    net.live = {10, 30}
+    res = search(net, 30, representable=lambda k: k != 20, live_view=True)
+    assert res.stalled and not res.found
+    assert res.path == [(LS, 0), (10, 0)]
+    assert res == reference_search(net, 30, lambda k: k != 20, live_view=True)
+    assert search(net, 30, live_view=True).found
+
+
+def test_live_view_search_reads_displaced_edge():
+    # live 10 and 20; a merge splices the pending tail 21..29 after 20
+    net = oracle_build([10, 20], [1, 0])
+    net.live = {10, 20}
+    tail = list(range(21, 30))
+    for key in tail:
+        net.add_key(key, 0)
+    net.splice_run(20, tail, RS, 0, pending=True)
+    assert net.displaced == {(0, 20): RS}
+    for target in (15, 20, 25, 30, RS):
+        assert search(net, target, live_view=True) == \
+            reference_search(net, target, live_view=True)
+    net.live = {10, 20, 25}
+    assert not net.displaced          # a new live set clears the index
+    assert search(net, 30, live_view=True).path[-1] == (25, 0)
+
+
+def _splice_mid_merge(net: SkipNet, heights: dict, lowest: dict, rnd) -> None:
+    """Splice the new keys at their levels lowest[k]..heights[k], in random
+    order, some as multi-member runs, as a merge wave part way done does."""
+    ops = [(lvl, k) for k in lowest for lvl in range(lowest[k], heights[k] + 1)]
+    rnd.shuffle(ops)
+    for key in lowest:
+        net.add_key(key, heights[key])
+    done = set()
+    for lvl, key in ops:
+        if (lvl, key) in done:
+            continue
+        net.ensure_height(lvl)
+        v = LS
+        while net.right(v, lvl) != RS and net.right(v, lvl) < key:
+            v = net.right(v, lvl)
+        z = net.right(v, lvl)
+        run = [key]
+        if rnd.random() < 0.5:
+            run = sorted(k for (l, k) in ops
+                         if l == lvl and v < k < z and (l, k) not in done)
+        net.splice_run(v, run, z, lvl, pending=True)
+        done.update((lvl, k) for k in run)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.integers(0, 400), max_size=40),
+    st.sets(st.integers(0, 400), max_size=40),
+    st.randoms(use_true_random=False),
+)
+def test_live_view_search_matches_reference_mid_merge(clean_keys, new_keys, rnd):
+    clean_keys = sorted(clean_keys)
+    new_keys = sorted(new_keys - set(clean_keys))
+    heights = {k: sample_height(rnd) for k in clean_keys + new_keys}
+    net = oracle_build(clean_keys, [heights[k] for k in clean_keys])
+    net.live = {k for k in clean_keys if rnd.random() < 0.8}
+    lowest = {k: rnd.randint(0, heights[k]) for k in new_keys
+              if rnd.random() < 0.9}
+    _splice_mid_merge(net, heights, lowest, rnd)
+    merged = [k for k in lowest if lowest[k] == 0]
+    roll = rnd.random()
+    if merged and roll < 0.15:
+        net.unlink_tower(rnd.choice(merged))
+    elif net.live and roll < 0.3:
+        net.unlink_tower(rnd.choice(sorted(net.live)))
+    elif net.live and roll < 0.4:
+        net.live.discard(rnd.choice(sorted(net.live)))
+    elif merged and roll < 0.5:
+        net.live = net.live | set(rnd.sample(merged, len(merged) // 2 + 1))
+    bad = {k for k in net.keys() if rnd.random() < 0.1}
+    targets = [LS, RS, *rnd.sample(range(-1, 403), 30), *net.keys()]
+    # only the live view is defined mid-merge: a plain walk may stand on a
+    # key whose lower levels are not spliced yet
+    for target in targets:
+        for rep in (None, lambda k: k not in bad):
+            assert search(net, target, rep, live_view=True) == \
+                reference_search(net, target, rep, live_view=True), \
+                (target, rep is None)
