@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import NoAgreement, TooFewNodes
 from .params import SimParams, butterfly_k, ceil_log2, log2n
-from .work import RoundAcc, WorkProfile
+from .work import RoundAcc, WorkProfile, uniform_round
 
 Address = tuple[int, int]
 
@@ -223,23 +223,16 @@ def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
     for node in nodes[len(addrs):]:
         state.place(node, addrs[rng.randrange(len(addrs))])
 
-    profile = WorkProfile()
     lg = ceil_log2(n)
-    for _ in range(2 * lg):          # leader election + tree construction
-        acc = RoundAcc()
-        acc.counts = {node: 1 for node in nodes}
-        profile.add(acc)
-    wiring = RoundAcc()
+    # leader election + tree construction
+    profile = WorkProfile([uniform_round(nodes) for _ in range(2 * lg)])
     clique_edges = sum(len(c.members) * (len(c.members) - 1) // 2
                        for c in state.committees.values())
     bip_edges = 0
     for edge in state.edges:
         a, b = tuple(edge)
         bip_edges += len(state.committees[a].members) * len(state.committees[b].members)
-    wiring.edges(formed=clique_edges + bip_edges)
-    for node in nodes:
-        wiring.msg(node, 2)
-    profile.add(wiring)
+    profile.rows.append(uniform_round(nodes, 2, formed=clique_edges + bip_edges))
     profile.pad_to(2 * lg + 4)
     return state, profile
 

@@ -10,6 +10,7 @@ tree on the level chain (see bridge_chain).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import MESSAGE_SHAPE_VIOLATION, ChurnSkipError
@@ -187,10 +188,7 @@ def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
     # message exists, passthrough/merge nodes one round after their inputs.
     order = sorted(tree.parents, key=lambda n: -tree.depth_map[n])
     fire: dict[tuple[int, int], int] = {}
-    rounds: dict[int, RoundAcc] = {}
-
-    def charge(key: int, rnd: int) -> None:
-        rounds.setdefault(rnd, RoundAcc()).msg(key)
+    rounds: defaultdict[int, RoundAcc] = defaultdict(RoundAcc)
 
     for node in order:
         key, l = node
@@ -212,7 +210,7 @@ def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
             pair = _merge_pairs(pair, other, bridges, lvl)
         pair_at[node] = pair
         fire[node] = when + 1
-        charge(key, fire[node])
+        rounds[when + 1].msg(key)
 
     # Root folds its inputs but sends nothing further. When the deletion
     # level is the top level, the root sentinel may itself be a leaf.
@@ -260,10 +258,9 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         # formation backtracks one hop per round, in parallel from all leaves
         formation = WorkProfile()
         depth_map = tree.depth_map
-        by_round: dict[int, RoundAcc] = {}
+        by_round: defaultdict[int, RoundAcc] = defaultdict(RoundAcc)
         for (key, _l), parent in tree.parents.items():
-            rnd = tree.depth - depth_map[(key, _l)] + 1
-            by_round.setdefault(rnd, RoundAcc()).msg(key)
+            by_round[tree.depth - depth_map[(key, _l)] + 1].msg(key)
         for rnd in range(1, max(by_round, default=0) + 1):
             formation.add(by_round.get(rnd, RoundAcc()))
         bridges, prop = propagate_and_bridge(net, tree, at_level)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import SPLICE_CONFLICT, ChurnSkipError, MalformedBuffer
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, is_sentinel
-from .work import RoundAcc, RoundWork, WorkProfile
+from .work import RoundAcc, RoundWork, WorkProfile, uniform_round
 
 
 class SpliceConflict(ChurnSkipError):
@@ -106,25 +106,15 @@ def preprocess(buf: SkipNet) -> Preprocessed:
     profile = WorkProfile()
     longest = max(len(g) for g in groups)
     for r in range(max(1, longest - 1)):
-        acc = RoundAcc()
-        for g in groups:
-            for member in g[r + 1:]:
-                acc.msg(member)   # ID stream hops one step leftward
-        profile.add(acc)
+        # ID stream hops one step leftward
+        profile.rows.append(uniform_round([key for g in groups for key in g[r + 1:]]))
     shortcut = RoundAcc()
     for g in groups:
         shortcut.edges(formed=len(g) * (len(g) - 1) // 2)
-        for member in g[1:]:
-            shortcut.msg(g[0])   # leader announcement
+        shortcut.msg(g[0], len(g) - 1)   # leader announcement
     profile.add(shortcut)
-    discovery = RoundAcc()
-    for key in parents:
-        discovery.msg(key, 2)
-    profile.add(discovery)
-    init = RoundAcc()
-    for member in top_members:
-        init.msg(member)
-    profile.add(init)
+    profile.rows.append(uniform_round(parents, 2))     # parent discovery
+    profile.rows.append(uniform_round(top_members))   # state init
     return Preprocessed(groups, parents, children, top_members, profile, profile.rounds)
 
 

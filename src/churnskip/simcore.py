@@ -134,10 +134,17 @@ class World:
         self.ledger.category_totals[category] += formed + deleted
 
     def play_row(self, row: RoundWork, category: str) -> None:
-        """Charge one profile round of bulk phase work."""
-        if row.max_node_messages > self.message_cap:
-            raise MessageBudgetExceeded(row.busiest, row.max_node_messages,
-                                        self.message_cap)
+        """Charge one profile round of bulk phase work.
+
+        The row's busiest node is held to the send cap together with what
+        charge_msgs already charged it this round, and the sum is recorded
+        for later charges in the same round.
+        """
+        if row.busiest is not None:
+            count = self._sent_this_round.get(row.busiest, 0) + row.max_node_messages
+            if count > self.message_cap:
+                raise MessageBudgetExceeded(row.busiest, count, self.message_cap)
+            self._sent_this_round[row.busiest] = count
         self._row.messages_sent += row.messages
         self._row.edges_formed += row.edges_formed
         self._row.edges_deleted += row.edges_deleted

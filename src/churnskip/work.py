@@ -47,6 +47,18 @@ class RoundAcc:
         return RoundWork(total, self.edges_formed, self.edges_deleted, peak, busiest)
 
 
+def uniform_round(nodes, k: int = 1, formed: int = 0) -> RoundWork:
+    """One round in which every listed node sends k messages.
+
+    The nodes must be distinct. The row equals what RoundAcc.seal() gives
+    after msg(node, k) for each node in order: the busiest node is the
+    first one listed.
+    """
+    if not (nodes and k):
+        return RoundWork(0, formed)
+    return RoundWork(k * len(nodes), formed, 0, k, next(iter(nodes)))
+
+
 @dataclass
 class WorkProfile:
     """One RoundWork per simulated round of a phase."""

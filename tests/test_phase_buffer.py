@@ -4,7 +4,10 @@ from itertools import product
 
 import pytest
 
+from churnskip import phase_buffer
 from churnskip.errors import NoJoiners
+from churnskip.maintenance import Simulation
+from churnskip.params import SimParams
 from churnskip.phase_buffer import (
     build_bitonic,
     build_sorting_overlay,
@@ -61,7 +64,7 @@ def test_overlay_padding_and_work():
     rng = random.Random(2)
     joiners = rng.sample(range(10_000), 100)
     overlay = build_sorting_overlay(joiners)
-    assert overlay.network.padded_width == 128
+    assert overlay.padded_width == 128
     assert overlay.build_profile.rounds <= 2 * math.log2(1024)
     log2n = math.log2(1024)
     assert overlay.build_profile.work <= 12 * len(joiners) * log2n ** 2
@@ -120,3 +123,19 @@ def test_empty_phase_is_noop():
     buf, summary, profile = create_buffer([], {})
     assert buf is None
     assert profile.work == 0
+
+
+def test_hot_path_runs_no_comparator_network(monkeypatch):
+    def forbidden(m):
+        raise AssertionError("the buffer phase must not build a comparator network")
+
+    monkeypatch.setattr(phase_buffer, "build_bitonic", forbidden)
+    joiners = [9, 4, 7, 1]
+    buf, summary, _ = create_buffer(joiners, {k: 0 for k in joiners})
+    assert buf.level_list(0) == [BUF_LS, 1, 4, 7, 9, BUF_RS]
+    assert (summary.padded_width, summary.sort_depth) == (4, 3)
+    sim = Simulation(SimParams(n=64, seed_adv=1, seed_alg=2, churn_rate=2,
+                               horizon_cycles=2))
+    sim.bootstrap_all()
+    cycles = [sim.run_cycle(), sim.run_cycle()]   # the first has no joiners yet
+    assert cycles[-1].joiners > 0 and not sim.world.failures

@@ -3,6 +3,7 @@ import pytest
 from churnskip.errors import MessageBudgetExceeded, PeerDeparted
 from churnskip.params import SimParams
 from churnskip.simcore import World
+from churnskip.work import RoundWork
 
 
 def fresh_world(n=16, **kw):
@@ -52,6 +53,24 @@ def test_send_over_cap_raises():
     world.charge_msgs(1, cap)      # the cap is per node
     world.run_round()
     world.charge_msgs(0, cap)      # and per round
+
+
+def test_send_cap_holds_on_charges_plus_played_row():
+    # n=1024, cap 400: node 0 may not send 400 direct messages and then be
+    # the busiest node of a 400-message row in the same round, either way round
+    row = RoundWork(messages=400, max_node_messages=400, busiest=0)
+    world = fresh_world(1024)
+    assert world.message_cap == 400
+    world.charge_msgs(0, 400)
+    with pytest.raises(MessageBudgetExceeded):
+        world.play_row(row, "other")
+    world.run_round()
+    world.play_row(row, "other")
+    with pytest.raises(MessageBudgetExceeded):
+        world.charge_msgs(0, 1)
+    world.charge_msgs(1, 400)      # other nodes keep their own budget
+    world.run_round()
+    world.play_row(row, "other")   # and the next round starts afresh
 
 
 def test_churn_keeps_size_and_counts():
