@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import compress
 
 from .errors import NoAgreement, TooFewNodes
 from .params import SimParams, butterfly_k, ceil_log2, log2n
@@ -59,14 +61,29 @@ class CoverRecord:
     speaker: int
 
 
-@dataclass
 class Committee:
-    address: Address
-    members: set[int] = field(default_factory=set)
-    covered: dict[int, CoverRecord] = field(default_factory=dict)
+    """One committee of an overlay. Its members are not stored here: they
+    are the overlay's tick draw for this slot plus the deltas since."""
+
+    __slots__ = ("address", "slot", "overlay", "covered")
+
+    def __init__(self, address: Address, slot: int, overlay: "CommitteeOverlay"):
+        self.address = address
+        self.slot = slot
+        self.overlay = overlay
+        self.covered: dict[int, CoverRecord] = {}
+
+    @property
+    def members(self) -> set[int]:
+        """A copy built on demand; change membership through the overlay."""
+        return self.overlay._members(self.slot)
+
+    @property
+    def size(self) -> int:
+        return self.overlay._size[self.slot]
 
     def speaker(self) -> int | None:
-        return min(self.members) if self.members else None
+        return self.overlay._speaker(self.slot)
 
 
 @dataclass
@@ -86,15 +103,26 @@ class Census:
 
 
 class CommitteeOverlay:
+    """Membership is the last draw plus deltas: ``_nodes`` (sorted) and
+    ``_picks`` (their committee slots) as drawn or bootstrapped, the
+    snapshot nodes that left since (``_gone``) and the nodes placed since
+    (``_added``, per slot). Sizes are kept as counts, and each committee's
+    speaker (its smallest member) is cached until it leaves or a smaller
+    node arrives, so no per-committee set is ever rebuilt."""
+
     def __init__(self, k: int):
         self.k = k
+        addrs = self.addresses(k)
         self.committees: dict[Address, Committee] = {
-            addr: Committee(addr) for addr in self.addresses(k)
+            addr: Committee(addr, slot, self) for slot, addr in enumerate(addrs)
         }
         self.assignment: dict[int, Address] = {}
         self.edges: set[frozenset] = butterfly_edge_set(k)
         self.covered_index: dict[int, Address] = {}
         self.census_log: list[Census] = []
+        self._addrs = addrs
+        self._slots = list(range(len(addrs)))
+        self._load([], [])
 
     @staticmethod
     def addresses(k: int) -> list[Address]:
@@ -104,20 +132,78 @@ class CommitteeOverlay:
 
     # -- membership ----------------------------------------------------------
 
+    def _load(self, nodes: list[int], picks: list[int]) -> None:
+        """Make sorted nodes, node i in slot picks[i], the whole membership."""
+        self._nodes = nodes
+        self._picks = picks
+        self.assignment = dict(zip(nodes, map(self._addrs.__getitem__, picks)))
+        counts = Counter(picks)
+        self._size = [counts[slot] for slot in self._slots]
+        self._gone: set[int] = set()
+        self._added: dict[int, set[int]] = {}
+        self._head = [-1] * len(self._slots)   # snapshot index of each speaker
+        self._speakers: dict[int, int | None] = {}
+
+    def _members(self, slot: int) -> set[int]:
+        drawn = compress(self._nodes, map(slot.__eq__, self._picks))
+        return set(drawn).difference(self._gone).union(self._added.get(slot, ()))
+
+    def _speaker(self, slot: int) -> int | None:
+        if slot in self._speakers:
+            return self._speakers[slot]
+        nodes, picks, gone = self._nodes, self._picks, self._gone
+        end = len(nodes)
+
+        def drawn_from(i: int) -> int:
+            try:
+                return picks.index(slot, i)
+            except ValueError:
+                return end
+
+        # snapshot members only leave, so the head only moves right
+        i = self._head[slot]
+        if i < 0:
+            i = drawn_from(0)
+        while i < end and nodes[i] in gone:
+            i = drawn_from(i + 1)
+        self._head[slot] = i
+        best = nodes[i] if i < end else None
+        placed = self._added.get(slot)
+        if placed:
+            low = min(placed)
+            if best is None or low < best:
+                best = low
+        self._speakers[slot] = best
+        return best
+
     def place(self, node: int, addr: Address) -> None:
+        slot = self.committees[addr].slot
         self.assignment[node] = addr
-        self.committees[addr].members.add(node)
+        self._added.setdefault(slot, set()).add(node)
+        self._size[slot] += 1
+        if slot in self._speakers:
+            speaker = self._speakers[slot]
+            if speaker is None or node < speaker:
+                self._speakers[slot] = node
 
     def remove_member(self, node: int) -> Committee | None:
         addr = self.assignment.pop(node, None)
         if addr is None:
             return None
         committee = self.committees[addr]
-        committee.members.discard(node)
+        slot = committee.slot
+        placed = self._added.get(slot)
+        if placed and node in placed:
+            placed.discard(node)
+        else:
+            self._gone.add(node)
+        self._size[slot] -= 1
+        if self._speakers.get(slot) == node:
+            del self._speakers[slot]
         return committee
 
     def sizes(self) -> list[int]:
-        return [len(c.members) for c in self.committees.values()]
+        return list(self._size)
 
     # -- covering -------------------------------------------------------------
 
@@ -129,14 +215,13 @@ class CommitteeOverlay:
         was wiped out (a counted protocol failure, not an exception).
         """
         committee = self.remove_member(node)
-        if committee is None or not committee.members:
+        if committee is None or not committee.size:
             return None, 0
-        speaker = committee.speaker()
         record = CoverRecord(node, committee.address, list(neighbors),
-                             round_no, speaker)
+                             round_no, committee.speaker())
         committee.covered[node] = record
         self.covered_index[node] = committee.address
-        edges = len(committee.members) * max(1, len(record.neighbors))
+        edges = committee.size * max(1, len(record.neighbors))
         return record, edges
 
     def uncover(self, node: int) -> None:
@@ -157,19 +242,12 @@ class CommitteeOverlay:
 
     def maintenance_tick(self, alive, rng: random.Random, round_no: int) -> Census:
         """Uniform reassignment of every alive node; covered state stays
-        with the committee identity."""
-        addrs = self.addresses(self.k)
-        for c in self.committees.values():
-            c.members.clear()
-        self.assignment.clear()
+        with the committee identity. The draw becomes the membership."""
         nodes = sorted(alive)
-        picks = rng.choices(addrs, k=len(nodes))
-        for node, addr in zip(nodes, picks):
-            self.assignment[node] = addr
-            self.committees[addr].members.add(node)
-        sizes = self.sizes()
-        census = Census(round_no, self.k, len(addrs),
-                        min(sizes), max(sizes), sum(sizes) / len(addrs))
+        self._load(nodes, rng.choices(self._slots, k=len(nodes)))
+        sizes = self._size
+        census = Census(round_no, self.k, len(sizes),
+                        min(sizes), max(sizes), sum(sizes) / len(sizes))
         self.census_log.append(census)
         return census
 
@@ -187,9 +265,12 @@ class CommitteeOverlay:
 
     def validate_cliques(self) -> str:
         for addr, committee in self.committees.items():
-            for node in committee.members:
+            members = committee.members
+            for node in members:
                 if self.assignment.get(node) != addr:
                     return f"clique: stale assignment for node {node}"
+            if len(members) != committee.size:
+                return f"clique: size count off at {addr}"
         return "OK"
 
     def size_band(self, params: SimParams) -> tuple[int, int]:
@@ -212,26 +293,21 @@ def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
         if not allow_degenerate:
             raise TooFewNodes(f"n={n} cannot host a k=1 wrapped butterfly")
         state = CommitteeOverlay(0)
-        for node in nodes:
-            state.place(node, (0, 0))
+        state._load(nodes, [0] * n)
         return state, WorkProfile()
     state = CommitteeOverlay(k)
-    addrs = state.addresses(k)
-    leaders = nodes[: len(addrs)]
-    for node, addr in zip(leaders, addrs):
-        state.place(node, addr)
-    for node in nodes[len(addrs):]:
-        state.place(node, addrs[rng.randrange(len(addrs))])
+    m = len(state.committees)
+    # the first m nodes lead one committee each, the rest fill at random
+    state._load(nodes, list(range(min(m, n))) + [rng.randrange(m) for _ in nodes[m:]])
 
     lg = ceil_log2(n)
     # leader election + tree construction
     profile = WorkProfile([uniform_round(nodes) for _ in range(2 * lg)])
-    clique_edges = sum(len(c.members) * (len(c.members) - 1) // 2
-                       for c in state.committees.values())
+    clique_edges = sum(s * (s - 1) // 2 for s in state._size)
     bip_edges = 0
     for edge in state.edges:
         a, b = tuple(edge)
-        bip_edges += len(state.committees[a].members) * len(state.committees[b].members)
+        bip_edges += state.committees[a].size * state.committees[b].size
     profile.rows.append(uniform_round(nodes, 2, formed=clique_edges + bip_edges))
     profile.pad_to(2 * lg + 4)
     return state, profile
@@ -246,9 +322,9 @@ def committee_opinions(state: CommitteeOverlay, params: SimParams, n_ref: int
     shrink_at = params.beta_reshape * params.c_comm * log2n(n_ref)
     out = {}
     for addr, c in state.committees.items():
-        if len(c.members) > grow_at:
+        if c.size > grow_at:
             out[addr] = "grow"
-        elif len(c.members) < shrink_at:
+        elif c.size < shrink_at:
             out[addr] = "shrink"
         else:
             out[addr] = "stay"
@@ -261,15 +337,15 @@ def _recruit(state: CommitteeOverlay, needy: list[Address], pool: list[int],
     rounds = 0
     pool = list(pool)
     rng.shuffle(pool)
-    needy = [a for a in needy if len(state.committees[a].members) < target]
+    needy = [a for a in needy if state.committees[a].size < target]
     while needy and pool:
         rounds += 1
         still = []
         for addr in needy:
             committee = state.committees[addr]
-            if pool and len(committee.members) < target:
+            if pool and committee.size < target:
                 state.place(pool.pop(), addr)
-            if len(committee.members) < target:
+            if committee.size < target:
                 still.append(addr)
         needy = still
     addrs = state.addresses(state.k)
@@ -279,7 +355,7 @@ def _recruit(state: CommitteeOverlay, needy: list[Address], pool: list[int],
         for node in pool:
             for _ in range(4):
                 addr = addrs[rng.randrange(len(addrs))]
-                if len(state.committees[addr].members) < hi_cap:
+                if state.committees[addr].size < hi_cap:
                     state.place(node, addr)
                     break
             else:
@@ -287,7 +363,7 @@ def _recruit(state: CommitteeOverlay, needy: list[Address], pool: list[int],
         if len(leftovers) == len(pool):  # all probes bounced; force-balance
             for node in leftovers:
                 addr = min(state.committees,
-                           key=lambda a: len(state.committees[a].members))
+                           key=lambda a: state.committees[a].size)
                 state.place(node, addr)
             leftovers = []
         pool = leftovers
@@ -334,21 +410,16 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
         for addr in new.addresses(new.k):
             if addr in carried:
                 continue
-            donor_addr = max(carried,
-                             key=lambda a: len(new.committees[a].members))
-            donor = new.committees[donor_addr]
-            members = sorted(donor.members)
+            donor_addr = max(carried, key=lambda a: new.committees[a].size)
+            members = sorted(new.committees[donor_addr].members)
             leader = members[rng.randrange(len(members))]
-            donor.members.discard(leader)
-            del new.assignment[leader]
+            new.remove_member(leader)
             new.place(leader, addr)
         pool: list[int] = []
         for addr in carried:
-            committee = new.committees[addr]
-            spare = sorted(committee.members)[target:]
+            spare = sorted(new.committees[addr].members)[target:]
             for node in spare:
-                committee.members.discard(node)
-                del new.assignment[node]
+                new.remove_member(node)
                 pool.append(node)
         needy = list(new.addresses(new.k))
     else:
@@ -374,8 +445,7 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
     rounds = _recruit(new, needy, pool, target, rng, hi_cap)
     new.census_log = state.census_log
     acc = RoundAcc()
-    clique_edges = sum(len(c.members) * (len(c.members) - 1) // 2
-                       for c in new.committees.values())
+    clique_edges = sum(s * (s - 1) // 2 for s in new.sizes())
     acc.edges(formed=clique_edges + len(new.edges))
     profile.add(acc)
     profile.pad_to(agree_rounds + rounds + 1)

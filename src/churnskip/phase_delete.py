@@ -10,12 +10,11 @@ tree on the level chain (see bridge_chain).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import MESSAGE_SHAPE_VIOLATION, ChurnSkipError
 from .skiplist import LS, RS, SkipNet
-from .work import RoundAcc, WorkProfile
+from .work import RoundAcc, RoundWork, WorkProfile
 
 
 class MessageShapeViolation(ChurnSkipError):
@@ -112,124 +111,106 @@ class LevelTree:
     parents: dict[tuple[int, int], tuple[int, int]]
     leaves: list[int]
     depth: int
-    right_of: dict[int, int]                 # level-lvl successor, sentinels included
-    depth_map: dict[tuple[int, int], int]    # tree depth of every node
-
-    def nodes(self):
-        seen = set(self.parents)
-        seen.add(self.root)
-        return seen
+    layers: list[list[tuple[int, int]]]   # tree nodes by depth, in formation order
 
 
 def tree_formation(net: SkipNet, lvl: int, red: set[int]) -> LevelTree:
     """Shortest-path tree rooted at the left-topmost sentinel.
 
     Backtracking rule: at (v, l) go up if v reaches above l, else one hop
-    left. Leaves are the level-l blacks with at least one red neighbor;
-    sentinels count as permanent blacks.
+    left. Leaves are the level-l blacks with at least one red neighbor,
+    found from the reds themselves; sentinels count as permanent blacks.
     """
     top = net.height
     root = (LS, top)
-    chain = [LS, *net.iter_level(lvl), RS]
-    right_of = dict(zip(chain, chain[1:]))
-    leaves = []
-    for i, key in enumerate(chain):
-        if key in red:
-            continue
-        if (i > 0 and chain[i - 1] in red) or (i + 1 < len(chain) and chain[i + 1] in red):
-            leaves.append(key)
+    links = net.links
+    leaves = set()
+    for key in red:
+        left, right = links[key][lvl]
+        if left not in red:
+            leaves.add(left)
+        if right not in red:
+            leaves.add(right)
+    leaves = sorted(leaves)
     parents: dict[tuple[int, int], tuple[int, int]] = {}
+    depth_of = {root: 0}
+    layers: list[list[tuple[int, int]]] = [[root]]
     limit = 2 * (len(net.heights) + top + 4)
     for leaf in leaves:
         cur = (leaf, lvl)
-        hops = 0
-        while cur != root and cur not in parents:
+        trail = []
+        while cur not in depth_of:
             key, l = cur
             if key == LS or net.height_of(key) > l:
                 parent = (key, l + 1)
             else:
-                parent = (net.left(key, l), l)
+                parent = (links[key][l][0], l)
             parents[cur] = parent
+            trail.append(cur)
             cur = parent
-            hops += 1
-            if hops > limit:
+            if len(trail) > limit:
                 raise OrphanLeaf(f"leaf {leaf} lost at level {lvl}")
-    depth = {root: 0}
-
-    def depth_of(node):
-        trail = []
-        while node not in depth:
-            trail.append(node)
-            node = parents[node]
-        d = depth[node]
-        for t in reversed(trail):
-            d += 1
-            depth[t] = d
-        return d
-
-    max_depth = max((depth_of((leaf, lvl)) for leaf in leaves), default=0)
-    return LevelTree(lvl, root, parents, leaves, max_depth, right_of, depth)
+        d = depth_of[cur] + len(trail)
+        layers.extend([] for _ in range(d + 1 - len(layers)))
+        for node in trail:
+            depth_of[node] = d
+            layers[d].append(node)
+            d -= 1
+    return LevelTree(lvl, root, parents, leaves, len(layers) - 1, layers)
 
 
 def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
-                         ) -> tuple[list[tuple[int, int]], WorkProfile]:
-    """Flow boundary pairs leaves-to-root, forming one edge per red run."""
+                         ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """Flow boundary pairs leaves-to-root, forming one edge per red run.
+
+    Returns the bridges and, per round, the keys that send in it. A node
+    sends one round after the later of its inputs; a leaf's own pair is
+    ready at once.
+    """
     lvl = tree.level
-    right_of = tree.right_of
-    children: dict[tuple[int, int], dict[str, tuple[int, int]]] = {}
+    links = net.links
+    below: dict[tuple[int, int], tuple[int, int]] = {}
+    right: dict[tuple[int, int], tuple[int, int]] = {}
     for node, parent in tree.parents.items():
-        kind = "below" if parent[0] == node[0] else "right"
-        children.setdefault(parent, {})[kind] = node
+        if parent[0] == node[0]:
+            below[parent] = node
+        else:
+            right[parent] = node
     leaf_set = set(tree.leaves)
     pair_at: dict[tuple[int, int], Pair] = {}
+    fire: dict[tuple[int, int], int] = {}
+    senders: list[list[int]] = []
     bridges: list[tuple[int, int]] = []
 
-    # fire(u): round at which u sends upward; leaves fire once their own
-    # message exists, passthrough/merge nodes one round after their inputs.
-    order = sorted(tree.parents, key=lambda n: -tree.depth_map[n])
-    fire: dict[tuple[int, int], int] = {}
-    rounds: defaultdict[int, RoundAcc] = defaultdict(RoundAcc)
-
-    for node in order:
+    def fold(node) -> tuple[Pair | None, int]:
         key, l = node
-        inputs: list[Pair] = []
-        if l == lvl and key in leaf_set:
-            nxt = right_of.get(key)
-            prev = net.left(key, lvl) if key != LS else None
-            inputs.append(_leaf_pair(key, prev in red, nxt in red))
-        kids = children.get(node, {})
+        pair = None
         when = 0
-        if "below" in kids:
-            inputs.append(pair_at[kids["below"]])
-            when = max(when, fire[kids["below"]])
-        if "right" in kids:
-            inputs.append(pair_at[kids["right"]])
-            when = max(when, fire[kids["right"]])
-        pair = inputs[0]
-        for other in inputs[1:]:
-            pair = _merge_pairs(pair, other, bridges, lvl)
-        pair_at[node] = pair
-        fire[node] = when + 1
-        rounds[when + 1].msg(key)
+        if l == lvl and key in leaf_set:
+            left, nxt = links[key][lvl]
+            pair = _leaf_pair(key, left in red, nxt in red)
+        for kids in (below, right):
+            kid = kids.get(node)
+            if kid is not None:
+                other = pair_at[kid]
+                pair = other if pair is None else _merge_pairs(pair, other, bridges, lvl)
+                when = max(when, fire[kid])
+        return pair, when
+
+    for layer in reversed(tree.layers[1:]):
+        for node in layer:
+            pair_at[node], when = fold(node)
+            fire[node] = when + 1
+            if when == len(senders):
+                senders.append([])
+            senders[when].append(node[0])
 
     # Root folds its inputs but sends nothing further. When the deletion
     # level is the top level, the root sentinel may itself be a leaf.
-    kids = children.get(tree.root, {})
-    inputs = []
-    if tree.root[1] == lvl and tree.root[0] in leaf_set:
-        inputs.append(_leaf_pair(LS, False, right_of.get(LS) in red))
-    inputs += [pair_at[k] for k in (kids.get("below"), kids.get("right")) if k is not None]
-    if inputs:
-        pair = inputs[0]
-        for other in inputs[1:]:
-            pair = _merge_pairs(pair, other, bridges, lvl)
-        if pair[1] or pair[3]:
-            raise MessageShapeViolation(f"unmatched dot at root, level {lvl}")
-
-    profile = WorkProfile()
-    for rnd in range(1, max(rounds, default=0) + 1):
-        profile.add(rounds.get(rnd, RoundAcc()))
-    return sorted(bridges), profile
+    pair, _ = fold(tree.root)
+    if pair is not None and (pair[1] or pair[3]):
+        raise MessageShapeViolation(f"unmatched dot at root, level {lvl}")
+    return sorted(bridges), senders
 
 
 @dataclass
@@ -241,7 +222,11 @@ class DeleteSummary:
 
 
 def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
-    """Remove every red key from net at all levels in parallel."""
+    """Remove every red key from net at all levels in parallel.
+
+    Work scales with the reds: each level tree is found from the reds at
+    that level, and no level is walked.
+    """
     reds_in = sorted(k for k in reds if k in net.heights)
     summary = DeleteSummary()
     profile = WorkProfile()
@@ -249,51 +234,50 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         return summary, profile
 
     red_set = set(reds_in)
-    per_level_bridges: dict[int, list[tuple[int, int]]] = {}
+    # per round, the keys that send in it, level trees in level order
+    senders: list[list[int]] = []
+    per_level: list[tuple[int, list[tuple[int, int]]]] = []
+    at_level = reds_in
     for lvl in range(net.height + 1):
-        at_level = {k for k in red_set if net.heights[k] >= lvl}
+        at_level = [k for k in at_level if net.heights[k] >= lvl]
         if not at_level:
-            continue
-        tree = tree_formation(net, lvl, at_level)
-        # formation backtracks one hop per round, in parallel from all leaves
-        formation = WorkProfile()
-        depth_map = tree.depth_map
-        by_round: defaultdict[int, RoundAcc] = defaultdict(RoundAcc)
-        for (key, _l), parent in tree.parents.items():
-            by_round[tree.depth - depth_map[(key, _l)] + 1].msg(key)
-        for rnd in range(1, max(by_round, default=0) + 1):
-            formation.add(by_round.get(rnd, RoundAcc()))
-        bridges, prop = propagate_and_bridge(net, tree, at_level)
-        formation.append(prop)
-        profile.merge(formation)
-        per_level_bridges[lvl] = bridges
+            break
+        level_red = set(at_level)
+        tree = tree_formation(net, lvl, level_red)
+        bridges, prop = propagate_and_bridge(net, tree, level_red)
+        # formation backtracks one hop per round, in parallel from all
+        # leaves: the deepest nodes send first
+        formation = [[key for key, _ in layer] for layer in reversed(tree.layers[1:])]
+        for i, keys in enumerate(formation + prop):
+            if i == len(senders):
+                senders.append([])
+            senders[i].append(keys)
+        per_level.append((len(at_level), bridges))
+    # a key's nodes in one level tree form a vertical chain, so no key
+    # sends twice in a round of one tree
+    for per_tree in senders:
+        first = per_tree[0][0]
+        profile.rows.append(RoundWork(sum(map(len, per_tree)), 0, 0, 1, first))
 
     # apply: bridge each red run, then drop the red towers
-    acc = RoundAcc()
-    for lvl, bridges in per_level_bridges.items():
-        chain = [LS, *net.iter_level(lvl), RS]
-        deleted = 0
-        run = 0
-        for key in chain:
-            if key in red_set:
-                run += 1
-            elif run:
-                deleted += run + 1
-                run = 0
+    formed = deleted = 0
+    for lvl, (reds_here, bridges) in enumerate(per_level):
         for a, b in bridges:
             net._drop_pending(a, net.right(a, lvl), lvl)
             net.set_link(a, b, lvl)  # bridge repairs both clean and live
-        acc.edges(formed=len(bridges), deleted=deleted)
-        summary.bridge_edges_created += len(bridges)
+        formed += len(bridges)
+        # one edge per red plus the one closing each run
+        deleted += reds_here + len(bridges)
     for key in reds_in:
         del net.links[key]
         del net.heights[key]
         net.live.discard(key)
     net.pending = {(l, a, b) for (l, a, b) in net.pending
                    if a not in red_set and b not in red_set}
-    profile.rows.append(acc.seal())
+    profile.rows.append(RoundWork(0, formed, deleted))
 
     summary.reds_removed = len(reds_in)
+    summary.bridge_edges_created = formed
     summary.rounds_used = profile.rounds
     summary.messages_used = profile.messages
     return summary, profile

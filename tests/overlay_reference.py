@@ -1,0 +1,86 @@
+"""The eager committee membership, kept as the reference.
+
+``churnskip.overlay.CommitteeOverlay`` keeps the last reassignment draw as
+the membership and tracks the nodes placed and removed since as deltas.
+This is the membership it replaced: one set per committee, cleared and
+refilled node by node on every tick, with the speaker taken as the minimum
+of the set. Both must agree on assignments, members, sizes, speakers,
+censuses and the random draws they make.
+"""
+
+from __future__ import annotations
+
+from churnskip.overlay import Census, CommitteeOverlay
+
+
+class EagerOverlay:
+    def __init__(self, k: int):
+        self.k = k
+        self.addrs = CommitteeOverlay.addresses(k)
+        self.members: dict = {addr: set() for addr in self.addrs}
+        self.assignment: dict = {}
+        self.covered_index: dict = {}
+        self.census_log: list[Census] = []
+
+    def place(self, node, addr) -> None:
+        self.assignment[node] = addr
+        self.members[addr].add(node)
+
+    def remove_member(self, node):
+        addr = self.assignment.pop(node, None)
+        if addr is not None:
+            self.members[addr].discard(node)
+        return addr
+
+    def speaker(self, addr):
+        return min(self.members[addr]) if self.members[addr] else None
+
+    def sizes(self) -> list[int]:
+        return [len(self.members[addr]) for addr in self.addrs]
+
+    def cover_node(self, node, neighbors):
+        """Returns (committee, speaker, edges), or None when the committee
+        is empty or the node had none."""
+        addr = self.remove_member(node)
+        if addr is None or not self.members[addr]:
+            return None
+        self.covered_index[node] = addr
+        return addr, self.speaker(addr), len(self.members[addr]) * max(1, len(neighbors))
+
+    def uncover(self, node) -> None:
+        self.covered_index.pop(node, None)
+
+    def covering_speaker(self, node):
+        addr = self.covered_index.get(node)
+        return None if addr is None else self.speaker(addr)
+
+    def maintenance_tick(self, alive, rng, round_no) -> Census:
+        for members in self.members.values():
+            members.clear()
+        self.assignment.clear()
+        nodes = sorted(alive)
+        picks = rng.choices(self.addrs, k=len(nodes))
+        for node, addr in zip(nodes, picks):
+            self.place(node, addr)
+        sizes = self.sizes()
+        census = Census(round_no, self.k, len(self.addrs),
+                        min(sizes), max(sizes), sum(sizes) / len(self.addrs))
+        self.census_log.append(census)
+        return census
+
+
+def eager_bootstrap(nodes, k: int, rng) -> EagerOverlay:
+    """What ``bootstrap_overlay`` placed: one leader per committee, the
+    rest at random (everyone in (0, 0) when k = 0)."""
+    nodes = sorted(nodes)
+    state = EagerOverlay(k)
+    if k < 1:
+        for node in nodes:
+            state.place(node, (0, 0))
+        return state
+    addrs = state.addrs
+    for node, addr in zip(nodes, addrs):
+        state.place(node, addr)
+    for node in nodes[len(addrs):]:
+        state.place(node, addrs[rng.randrange(len(addrs))])
+    return state

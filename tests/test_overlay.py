@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import chi2
 
 from churnskip.errors import NoAgreement, TooFewNodes
@@ -14,6 +15,7 @@ from churnskip.overlay import (
     reshape,
     route_hops,
 )
+from overlay_reference import eager_bootstrap
 
 
 def test_k_derivation_examples():
@@ -216,3 +218,75 @@ def test_opinions_thresholds():
     assert set(ops.values()) <= {"grow", "shrink", "stay"}
     # mean size 32 vs grow threshold 1.5*2*8 = 24: everyone says grow
     assert set(ops.values()) == {"grow"}
+
+
+def _assert_same_membership(state, ref, speakers):
+    assert state.assignment == ref.assignment
+    assert state.sizes() == ref.sizes()
+    for addr in ref.addrs:
+        committee = state.committees[addr]
+        assert committee.members == ref.members[addr], addr
+        assert committee.size == len(ref.members[addr])
+    for addr in speakers:
+        assert state.committees[addr].speaker() == ref.speaker(addr), addr
+    assert state.covered_index == ref.covered_index
+    assert state.census_log == ref.census_log
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.sampled_from([8, 16, 40, 130]), st.integers(0, 2 ** 16), st.data())
+def test_membership_matches_eager_reference(n, seed, data):
+    # ticks interleaved with placements, removals, covers and uncovers;
+    # after every step the draw-plus-deltas membership equals the eager one
+    boot, ref_boot = random.Random(seed), random.Random(seed)
+    state, _ = bootstrap_overlay(range(n), SimParams(n=n), boot, allow_degenerate=True)
+    ref = eager_bootstrap(range(n), state.k, ref_boot)
+    assert boot.getstate() == ref_boot.getstate()
+    rng, ref_rng = random.Random(seed + 1), random.Random(seed + 1)
+    addrs = ref.addrs
+    _assert_same_membership(state, ref, addrs)
+    pool = range(3 * n)
+    for step in range(data.draw(st.integers(1, 40), label="steps")):
+        op = data.draw(st.sampled_from(["tick", "place", "remove", "cover", "uncover"]))
+        assigned = sorted(ref.assignment)
+        if op == "tick":
+            got = state.maintenance_tick(set(ref.assignment), rng, step)
+            assert got == ref.maintenance_tick(set(ref.assignment), ref_rng, step)
+        elif op == "place":
+            free = [v for v in pool if v not in ref.assignment]
+            node = data.draw(st.sampled_from(free))
+            addr = data.draw(st.sampled_from(addrs))
+            state.place(node, addr)
+            ref.place(node, addr)
+        elif op in ("remove", "cover"):
+            # a committee's speaker, any assigned node, or one that has none
+            how = data.draw(st.integers(0, 5)) if assigned else 0
+            if how >= 3:
+                speaker = ref.speaker(data.draw(st.sampled_from(addrs)))
+                node = assigned[0] if speaker is None else speaker
+            else:
+                node = data.draw(st.sampled_from(assigned if how else pool))
+            if op == "remove":
+                got = state.remove_member(node)
+                assert (got and got.address) == ref.remove_member(node)
+            else:
+                neighbors = [("C", 0, 1, 2)] * data.draw(st.integers(0, 3))
+                record, edges = state.cover_node(node, neighbors, step)
+                expect = ref.cover_node(node, neighbors)
+                if expect is None:
+                    assert (record, edges) == (None, 0)
+                else:
+                    assert (record.committee, record.speaker, edges) == expect
+        else:
+            covered = sorted(ref.covered_index)
+            if covered:
+                node = data.draw(st.sampled_from(covered))
+                state.uncover(node)
+                ref.uncover(node)
+        speakers = data.draw(st.lists(st.sampled_from(addrs), max_size=4))
+        _assert_same_membership(state, ref, speakers)
+        for node in ref.covered_index:
+            assert state.covering_speaker(node) == ref.covering_speaker(node)
+        assert state.validate_cliques() == "OK"
+        assert rng.getstate() == ref_rng.getstate()

@@ -10,9 +10,11 @@ from churnskip.phase_delete import (
     bridge_chain,
     delete_phase,
     expected_bridges,
+    propagate_and_bridge,
     tree_formation,
 )
 from churnskip.skiplist import LS, RS, oracle_build, oracle_delete, sample_height
+import delete_reference as reference
 
 
 def build_random(n, seed):
@@ -176,3 +178,67 @@ def test_delete_everything_leaves_sentinel_pair():
     delete_phase(net, {1, 2, 3, 4})
     assert net.level_list(0) == []
     assert net.validate().ok
+
+
+def _same_delete_as_reference(keys, heights, reds, pending=()):
+    """Run the delete and the level-walking reference on equal nets and
+    compare the trees, the bridges, every row field, the structure and
+    the pending edges."""
+    net = oracle_build(keys, heights)
+    ref = oracle_build(keys, heights)
+    for lvl in range(net.height + 1):
+        chain = [LS, *net.iter_level(lvl), RS]
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            if i in pending:
+                net.set_link(a, b, lvl, pending=True)
+                ref.set_link(a, b, lvl, pending=True)
+    level_red = {k for k in reds if k in net.heights}
+    for lvl in range(net.height + 1):
+        level_red = {k for k in level_red if net.heights[k] >= lvl}
+        if not level_red:
+            break
+        tree = tree_formation(net, lvl, level_red)
+        expect = reference.tree_formation(ref, lvl, level_red)
+        assert (tree.parents, tree.leaves, tree.depth, tree.root) == \
+            (expect.parents, expect.leaves, expect.depth, expect.root)
+        assert {node: d for d, layer in enumerate(tree.layers) for node in layer} \
+            == expect.depth_map
+        bridges, _ = propagate_and_bridge(net, tree, level_red)
+        assert bridges == reference.propagate_and_bridge(ref, expect, level_red)[0]
+    summary, profile = delete_phase(net, reds)
+    ref_summary, ref_profile, _ = reference.delete_phase(ref, reds)
+    assert summary == ref_summary
+    assert profile.rows == ref_profile.rows
+    assert net.same_structure(ref)
+    assert net.pending == ref.pending
+    assert net.live == ref.live
+    return summary
+
+
+@pytest.mark.parametrize("keys,heights,reds", [
+    ([10, 20], [2, 0], {10}),                    # LS is a leaf at the top level
+    ([10, 20, 30], [0, 1, 2], {30}),             # RS is a leaf
+    ([10, 20, 30, 40], [1, 0, 3, 2], {10, 20, 30, 40}),   # every key red
+    ([10], [0], {10}),                           # a single key
+    ([10], [3], set()),
+    ([10, 20, 30, 40, 50], [0, 2, 1, 2, 0], {20, 40}),    # reds only at the top
+    ([10, 20, 30, 40, 50], [0, 2, 1, 2, 0], {20}),
+])
+def test_delete_matches_reference_edge_cases(keys, heights, reds):
+    summary = _same_delete_as_reference(keys, heights, reds, pending={0, 2})
+    assert summary.reds_removed == len(reds)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(
+    st.sets(st.integers(0, 3000), min_size=1, max_size=120),
+    st.floats(0.0, 1.0),
+    st.sets(st.integers(0, 40)),
+    st.randoms(use_true_random=False),
+)
+def test_delete_matches_reference_property(keyset, red_share, pending, rnd):
+    keys = sorted(keyset)
+    heights = [sample_height(rnd) for _ in keys]
+    reds = {k for k in keys if rnd.random() < red_share}
+    _same_delete_as_reference(keys, heights, reds, pending)
