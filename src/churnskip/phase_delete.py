@@ -10,7 +10,9 @@ tree on the level chain (see bridge_chain).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import MESSAGE_SHAPE_VIOLATION, ChurnSkipError
 from .skiplist import LS, RS, SkipNet
@@ -234,8 +236,8 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         return summary, profile
 
     red_set = set(reds_in)
-    # per round, the keys that send in it, level trees in level order
-    senders: list[list[int]] = []
+    # per round, how many messages each key sends in it over all levels
+    sent: list[Counter] = []
     per_level: list[tuple[int, list[tuple[int, int]]]] = []
     at_level = reds_in
     for lvl in range(net.height + 1):
@@ -247,17 +249,17 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         bridges, prop = propagate_and_bridge(net, tree, level_red)
         # formation backtracks one hop per round, in parallel from all
         # leaves: the deepest nodes send first
-        formation = [[key for key, _ in layer] for layer in reversed(tree.layers[1:])]
+        formation = [map(itemgetter(0), layer) for layer in reversed(tree.layers[1:])]
         for i, keys in enumerate(formation + prop):
-            if i == len(senders):
-                senders.append([])
-            senders[i].append(keys)
+            if i == len(sent):
+                sent.append(Counter())
+            sent[i].update(keys)
         per_level.append((len(at_level), bridges))
-    # a key's nodes in one level tree form a vertical chain, so no key
-    # sends twice in a round of one tree
-    for per_tree in senders:
-        first = per_tree[0][0]
-        profile.rows.append(RoundWork(sum(map(len, per_tree)), 0, 0, 1, first))
+    # a key sends at most once per round in one level tree (its tree nodes
+    # form a vertical chain), but in several trees at once
+    for counts in sent:
+        busiest, peak = max(counts.items(), key=itemgetter(1))
+        profile.rows.append(RoundWork(counts.total(), 0, 0, peak, busiest))
 
     # apply: bridge each red run, then drop the red towers
     formed = deleted = 0

@@ -9,7 +9,7 @@ Both must give the same bridges, the same structure and the same rows.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from churnskip.phase_delete import (DeleteSummary, MessageShapeViolation, OrphanLeaf,
@@ -183,3 +183,33 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile, dict]:
     summary.rounds_used = profile.rounds
     summary.messages_used = profile.messages
     return summary, profile, per_level_bridges
+
+
+def sender_counts(net: SkipNet, reds) -> list[Counter]:
+    """Per round of the formation and propagation rows, how many messages
+    each key sends over all level trees, recounted node by node. A tree
+    node at depth d sends in formation round depth - d; in propagation it
+    sends one round after the later of its children (first if it has none)."""
+    counts: list[Counter] = []
+    red_set = {k for k in reds if k in net.heights}
+    for lvl in range(net.height + 1):
+        at_level = {k for k in red_set if net.heights[k] >= lvl}
+        if not at_level:
+            break
+        tree = tree_formation(net, lvl, at_level)
+        kids = defaultdict(list)
+        for node, parent in tree.parents.items():
+            kids[parent].append(node)
+        fire: dict = {}
+
+        def fire_of(node):
+            if node not in fire:
+                fire[node] = 1 + max(map(fire_of, kids[node]), default=0)
+            return fire[node]
+
+        for node in tree.parents:
+            for i in (tree.depth - tree.depth_map[node], tree.depth + fire_of(node) - 1):
+                while len(counts) <= i:
+                    counts.append(Counter())
+                counts[i][node[0]] += 1
+    return counts

@@ -180,6 +180,18 @@ def test_delete_everything_leaves_sentinel_pair():
     assert net.validate().ok
 
 
+def _assert_true_peaks(profile, recount):
+    # every row but the last (the apply row) is a message round whose
+    # busiest key is the one that sends the most over all level trees
+    assert len(profile.rows) == len(recount) + (1 if profile.rows else 0)
+    for row, counts in zip(profile.rows, recount):
+        assert row.messages == counts.total()
+        assert row.max_node_messages == max(counts.values())
+        assert counts[row.busiest] == row.max_node_messages
+    if profile.rows:
+        assert profile.rows[-1].messages == 0
+
+
 def _same_delete_as_reference(keys, heights, reds, pending=()):
     """Run the delete and the level-walking reference on equal nets and
     compare the trees, the bridges, every row field, the structure and
@@ -205,10 +217,13 @@ def _same_delete_as_reference(keys, heights, reds, pending=()):
             == expect.depth_map
         bridges, _ = propagate_and_bridge(net, tree, level_red)
         assert bridges == reference.propagate_and_bridge(ref, expect, level_red)[0]
+    recount = reference.sender_counts(ref, reds)
     summary, profile = delete_phase(net, reds)
     ref_summary, ref_profile, _ = reference.delete_phase(ref, reds)
     assert summary == ref_summary
-    assert profile.rows == ref_profile.rows
+    assert [(r.messages, r.edges_formed, r.edges_deleted) for r in profile.rows] == \
+        [(r.messages, r.edges_formed, r.edges_deleted) for r in ref_profile.rows]
+    _assert_true_peaks(profile, recount)
     assert net.same_structure(ref)
     assert net.pending == ref.pending
     assert net.live == ref.live
@@ -242,3 +257,14 @@ def test_delete_matches_reference_property(keyset, red_share, pending, rnd):
     heights = [sample_height(rnd) for _ in keys]
     reds = {k for k in keys if rnd.random() < red_share}
     _same_delete_as_reference(keys, heights, reds, pending)
+
+
+def test_delete_rows_report_true_per_key_peak():
+    # one key sends in several level trees in the same round; the row
+    # reports what it sends over all of them, not the peak of one tree
+    net, keys, heights, rng = build_random(512, 9)
+    reds = set(rng.sample(keys, 100))
+    recount = reference.sender_counts(net, reds)
+    _, profile = delete_phase(net, reds)
+    _assert_true_peaks(profile, recount)
+    assert max(row.max_node_messages for row in profile.rows) > 1
