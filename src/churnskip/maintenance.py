@@ -101,7 +101,8 @@ class Simulation:
         self.phase_records: list[dict] = []
         self.merge_events: list[dict] = []
         self._pending_audits: list[CoveringAudit] = []
-        # departed nodes whose cover failed: the only keys a relay can stall on
+        # departed nodes whose cover failed, until the delete phase removes
+        # them: the only keys a relay can stall on
         self.uncovered: set[int] = set()
         self.world.on_depart = self._on_depart
         self.world.on_join = self._on_join
@@ -199,13 +200,17 @@ class Simulation:
         work_mark = dict(world.ledger.category_totals)
         phase_rounds = []
 
-        # Phase 1: deletion of covered keys present in the clean structure
-        reds = sorted(k for k in self.overlay.covered_index if k in self.clean.heights)
+        # Phase 1: deletion of the departed keys present in the clean
+        # structure, those whose cover failed included
+        reds = sorted(k for k in chain(self.overlay.covered_index, self.uncovered)
+                      if k in self.clean.heights)
         dsummary, profile = delete_phase(self.clean, reds)
         phase_rounds.append(self._play(profile.rows, "delete", "Delete"))
         for key in reds:
             self.overlay.uncover(key)
             self.removed_clean[key] = world.round
+        # a deleted key can no longer stall a relay
+        self.uncovered.difference_update(reds)
         self.phase_records.append({"phase": "delete", "cycle": cycle_no, **asdict(dsummary)})
 
         # Phase 2: buffer creation from the joiner backlog (cutoff now)

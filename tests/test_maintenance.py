@@ -312,29 +312,58 @@ def test_clean_keys_stay_answerable_every_round(monkeypatch, strategy, seed):
     assert rounds and sim.world.departed_round
 
 
-def test_failed_cover_takes_checking_path_and_stalls_like_reference(monkeypatch):
-    sim = small_sim(n=128, rate=3, cycles=5, density=0.05, seed=3)
+def _fail_one_merged_cover(sim, monkeypatch) -> list[int]:
+    """Make cover_node fail for the first merged joiner that departs while
+    a buffer is built, so that queries reach it before the next delete."""
     cover_node = CommitteeOverlay.cover_node
     victim = []
 
     def failing_cover(overlay, node, neighbors, round_no):
-        if not victim and node >= sim.params.n and node in sim.clean.live:
+        if not victim and node >= sim.params.n and node in sim.clean.live \
+                and sim.world.cycle_phase == "BufferCreate":
             victim.append(node)          # a merged joiner: its cover fails
             overlay.remove_member(node)
             return None, 0
         return cover_node(overlay, node, neighbors, round_no)
 
     monkeypatch.setattr(CommitteeOverlay, "cover_node", failing_cover)
+    return victim
+
+
+def test_failed_cover_takes_checking_path_and_stalls_like_reference(monkeypatch):
+    sim = small_sim(n=128, rate=3, cycles=5, density=0.05, seed=3)
+    victim = _fail_one_merged_cover(sim, monkeypatch)
     served = _serve_both_ways(sim, monkeypatch)
     sim.run()
-    assert victim and sim.uncovered == set(victim)
+    # the next delete phase removed the key, and with it the need to check
+    assert victim and not sim.uncovered and victim[0] in sim.removed_clean
     kinds = [f.kind for f in sim.world.failures]
     assert kinds.count(COMMITTEE_DESTROYED) == 1
     first = kinds.index(COMMITTEE_DESTROYED)
-    # before the failure no query checks; from it on every query does
+    # no query checks before the failure or after the deletion; every
+    # query in between does
     checks = [checked for checked, _, _ in served]
-    assert not checks[0] and checks[-1] and checks == sorted(checks)
+    start = checks.index(True)
+    end = len(checks) - checks[::-1].index(True)
+    assert not any(checks[:start]) and all(checks[start:end]) and not any(checks[end:])
+    assert end < len(checks)
     stalls = sum(stalled for _, _, stalled in served)
     assert stalls > 0
     assert kinds.count(STALLED) == stalls
     assert STALLED not in kinds[:first]
+
+
+def test_key_whose_cover_failed_is_deleted_at_next_delete_phase(monkeypatch):
+    sim = small_sim(n=128, rate=3, cycles=5, density=0.05, seed=3)
+    victim = _fail_one_merged_cover(sim, monkeypatch)
+    sim.run()
+    assert victim
+    key = victim[0]
+    departed = sim.world.departed_round[key]
+    cycle = next(c for c in sim.cycles if c.start_round > departed)
+    assert sim.removed_clean[key] == cycle.start_round + cycle.phase_rounds[0]
+    assert key not in sim.clean.heights and key not in sim.clean.live
+    assert not sim.uncovered
+    assert sim.clean.validate().ok and live_equals_clean(sim.clean)
+    stalls = [f.round for f in sim.world.failures if f.kind == STALLED]
+    assert stalls and max(stalls) < sim.removed_clean[key]
