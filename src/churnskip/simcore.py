@@ -168,7 +168,7 @@ class World:
     # -- the round loop --------------------------------------------------------------
 
     def validate_world(self) -> None:
-        if self.alive & set(self.departed_round):
+        if not self.alive.isdisjoint(self.departed_round):
             raise InconsistentWorld("departed node still alive")
         for node in self.alive:
             if node not in self.joined_round:
