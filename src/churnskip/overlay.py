@@ -13,7 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, filterfalse, islice
 
 from .errors import NoAgreement, TooFewNodes
 from .params import SimParams, butterfly_k, ceil_log2, log2n
@@ -141,40 +141,22 @@ class CommitteeOverlay:
         self._size = [counts[slot] for slot in self._slots]
         self._gone: set[int] = set()
         self._added: dict[int, set[int]] = {}
-        self._head = [-1] * len(self._slots)   # snapshot index of each speaker
         self._speakers: dict[int, int | None] = {}
 
-    def _members(self, slot: int) -> set[int]:
+    def _drawn(self, slot: int):
+        """The slot's snapshot members that have not left, smallest first."""
         drawn = compress(self._nodes, map(slot.__eq__, self._picks))
-        return set(drawn).difference(self._gone).union(self._added.get(slot, ()))
+        return filterfalse(self._gone.__contains__, drawn)
+
+    def _members(self, slot: int) -> set[int]:
+        return set(self._drawn(slot)).union(self._added.get(slot, ()))
 
     def _speaker(self, slot: int) -> int | None:
-        if slot in self._speakers:
-            return self._speakers[slot]
-        nodes, picks, gone = self._nodes, self._picks, self._gone
-        end = len(nodes)
-
-        def drawn_from(i: int) -> int:
-            try:
-                return picks.index(slot, i)
-            except ValueError:
-                return end
-
-        # snapshot members only leave, so the head only moves right
-        i = self._head[slot]
-        if i < 0:
-            i = drawn_from(0)
-        while i < end and nodes[i] in gone:
-            i = drawn_from(i + 1)
-        self._head[slot] = i
-        best = nodes[i] if i < end else None
-        placed = self._added.get(slot)
-        if placed:
-            low = min(placed)
-            if best is None or low < best:
-                best = low
-        self._speakers[slot] = best
-        return best
+        if slot not in self._speakers:
+            first = islice(self._drawn(slot), 1)
+            self._speakers[slot] = min(chain(first, self._added.get(slot, ())),
+                                       default=None)
+        return self._speakers[slot]
 
     def place(self, node: int, addr: Address) -> None:
         slot = self.committees[addr].slot
