@@ -5,6 +5,13 @@ every few rounds, and can grow or shrink its dimensionality.
 Committee addresses are (row, level) with level' = level+1 (mod k) edges;
 (r, k) is the same committee as (r, 0). k = 0 is the degenerate
 single-committee overlay used below the smallest viable network size.
+
+Membership is the last tick's draw plus deltas: the sorted alive nodes and
+the committee slot drawn for each, the drawn nodes that left since and the
+nodes placed since. Sizes are counts and a committee's speaker is found in
+the draw, so the tick and covering never build a member set;
+``Committee.members`` builds one on demand for reshaping, validators and
+tests.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, compress
 
 from .errors import NoAgreement, TooFewNodes
 from .params import SimParams, butterfly_k, ceil_log2, log2n
@@ -143,17 +150,23 @@ class CommitteeOverlay:
         self._added: dict[int, set[int]] = {}
         self._speakers: dict[int, int | None] = {}
 
-    def _drawn(self, slot: int):
-        """The slot's snapshot members that have not left, smallest first."""
-        drawn = compress(self._nodes, map(slot.__eq__, self._picks))
-        return filterfalse(self._gone.__contains__, drawn)
-
     def _members(self, slot: int) -> set[int]:
-        return set(self._drawn(slot)).union(self._added.get(slot, ()))
+        drawn = compress(self._nodes, map(slot.__eq__, self._picks))
+        return set(drawn).difference(self._gone).union(self._added.get(slot, ()))
 
     def _speaker(self, slot: int) -> int | None:
         if slot not in self._speakers:
-            first = islice(self._drawn(slot), 1)
+            # the first drawn member that has not left, or a smaller node
+            # placed since
+            nodes, picks, gone = self._nodes, self._picks, self._gone
+            first = []
+            try:
+                i = picks.index(slot)
+                while nodes[i] in gone:
+                    i = picks.index(slot, i + 1)
+                first.append(nodes[i])
+            except ValueError:
+                pass
             self._speakers[slot] = min(chain(first, self._added.get(slot, ())),
                                        default=None)
         return self._speakers[slot]
