@@ -110,12 +110,11 @@ class Census:
 
 
 class CommitteeOverlay:
-    """Membership is the last draw plus deltas: ``_nodes`` (sorted) and
-    ``_picks`` (their committee slots) as drawn or bootstrapped, the
-    snapshot nodes that left since (``_gone``) and the nodes placed since
-    (``_added``, per slot). Sizes are kept as counts, and each committee's
-    speaker (its smallest member) is cached until it leaves or a smaller
-    node arrives, so no per-committee set is ever rebuilt."""
+    """Membership: ``_nodes`` (sorted) drew the slots ``_picks`` at the last
+    tick or at bootstrap; ``_gone`` holds the drawn nodes that left since
+    and ``_added`` the nodes placed since, per slot. ``_size`` counts each
+    slot's members, and ``_speakers`` caches a slot's smallest member until
+    it leaves or a smaller node arrives."""
 
     def __init__(self, k: int):
         self.k = k
@@ -293,12 +292,12 @@ def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
     state = CommitteeOverlay(k)
     m = len(state.committees)
     # the first m nodes lead one committee each, the rest fill at random
-    state._load(nodes, list(range(min(m, n))) + [rng.randrange(m) for _ in nodes[m:]])
+    state._load(nodes, list(range(m)) + [rng.randrange(m) for _ in nodes[m:]])
 
     lg = ceil_log2(n)
     # leader election + tree construction
     profile = WorkProfile([uniform_round(nodes) for _ in range(2 * lg)])
-    clique_edges = sum(s * (s - 1) // 2 for s in state._size)
+    clique_edges = sum(s * (s - 1) // 2 for s in state.sizes())
     bip_edges = 0
     for edge in state.edges:
         a, b = tuple(edge)

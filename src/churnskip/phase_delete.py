@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import MESSAGE_SHAPE_VIOLATION, ChurnSkipError
-from .skiplist import LS, RS, SkipNet
+from .skiplist import LS, SkipNet
 from .work import RoundAcc, RoundWork, WorkProfile
 
 
@@ -126,14 +126,7 @@ def tree_formation(net: SkipNet, lvl: int, red: set[int]) -> LevelTree:
     top = net.height
     root = (LS, top)
     links = net.links
-    leaves = set()
-    for key in red:
-        left, right = links[key][lvl]
-        if left not in red:
-            leaves.add(left)
-        if right not in red:
-            leaves.add(right)
-    leaves = sorted(leaves)
+    leaves = sorted({side for key in red for side in links[key][lvl] if side not in red})
     parents: dict[tuple[int, int], tuple[int, int]] = {}
     depth_of = {root: 0}
     layers: list[list[tuple[int, int]]] = [[root]]
