@@ -85,7 +85,7 @@ def test_tick_reassignment_uniformity_chi_square():
     for t in range(ticks):
         state.maintenance_tick(alive, rng, t)
         for addr, c in state.committees.items():
-            counts[addr] += len(c.members)
+            counts[addr] += c.size
     n_cells = len(counts)
     expected = 1024 * ticks / n_cells
     stat = sum((obs - expected) ** 2 / expected for obs in counts.values())
@@ -142,7 +142,7 @@ def test_targeted_churn_never_empties_committee():
             for node in leaves:
                 alive.discard(node)
                 committee = state.remove_member(node)
-                if committee is not None and not committee.members:
+                if committee is not None and not committee.size:
                     failures += 1
             joins = [next_id + i for i in range(rate)]
             next_id += rate
