@@ -126,7 +126,7 @@ class Simulation:
 
     def _on_join(self, node: int, host: int) -> None:
         # provisional committee (the host's) until the next reassignment tick
-        addr = self.overlay.assignment.get(host)
+        addr = self.overlay.address_of(host)
         if addr is None:
             addrs = self.overlay.addresses(self.overlay.k)
             addr = addrs[self.world.rng_alg.randrange(len(addrs))]
@@ -280,7 +280,7 @@ class Simulation:
 
     def _serve_query(self, q: Query) -> QueryOutcome:
         world = self.world
-        addr = self.overlay.assignment.get(q.s, (0, 0))
+        addr = self.overlay.address_of(q.s) or (0, 0)
         hops = route_hops(addr, (0, 0), self.overlay.k) + 1
         # every departure is covered until a cover fails, so until then
         # every key is representable and the search need not check
@@ -313,9 +313,9 @@ class Simulation:
                       default=0)
         return max(longest, self.params.cycle_budget)
 
-    def classify_query(self, q: QueryOutcome | Query) -> str:
-        """present / absent / mixed over [r, r+Q], from effective lifetimes."""
-        budget = self.q_budget()
+    def classify_query(self, q: QueryOutcome | Query, budget: int) -> str:
+        """present / absent / mixed over [r, r+Q], from effective lifetimes,
+        where Q is budget (``q_budget()``)."""
         window_end = q.r + budget
         start, end = self.schedule.lifetime(q.x)
         if not self.schedule.ever_known(q.x):
@@ -335,7 +335,7 @@ class Simulation:
         bad = []
         budget = self.q_budget()
         for out in self.query_log:
-            cls = self.classify_query(out)
+            cls = self.classify_query(out, budget)
             if out.latency > budget:
                 bad.append(out)
             elif cls == "present" and not out.answer:

@@ -8,16 +8,19 @@ single-committee overlay used below the smallest viable network size.
 
 Membership is the last tick's draw plus deltas: the sorted alive nodes and
 the committee slot drawn for each, the drawn nodes that left since and the
-nodes placed since. Sizes are counts and a committee's speaker is found in
-the draw, so the tick and covering never build a member set;
-``Committee.members`` builds one on demand for reshaping, validators and
-tests.
+nodes placed since. A node's committee is looked up in the nodes placed
+since, else by bisection into the draw; sizes are counts and a committee's
+speaker is found in the draw. So the tick does nothing per node beyond the
+draw and its size count, and neither it nor covering builds a per-node map
+or a member set: ``Committee.members`` and ``CommitteeOverlay.assignment``
+are copies built on demand for reshaping, validators and tests.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -112,9 +115,9 @@ class Census:
 class CommitteeOverlay:
     """Membership: ``_nodes`` (sorted) drew the slots ``_picks`` at the last
     tick or at bootstrap; ``_gone`` holds the drawn nodes that left since
-    and ``_added`` the nodes placed since, per slot. ``_size`` counts each
-    slot's members, and ``_speakers`` caches a slot's smallest member until
-    it leaves or a smaller node arrives."""
+    and ``_placed`` the slot of each node placed since. ``_size`` counts
+    each slot's members, and ``_speakers`` caches a slot's smallest member
+    until it leaves or a smaller node arrives."""
 
     def __init__(self, k: int):
         self.k = k
@@ -122,7 +125,6 @@ class CommitteeOverlay:
         self.committees: dict[Address, Committee] = {
             addr: Committee(addr, slot, self) for slot, addr in enumerate(addrs)
         }
-        self.assignment: dict[int, Address] = {}
         self.edges: set[frozenset] = butterfly_edge_set(k)
         self.covered_index: dict[int, Address] = {}
         self.census_log: list[Census] = []
@@ -142,16 +144,42 @@ class CommitteeOverlay:
         """Make sorted nodes, node i in slot picks[i], the whole membership."""
         self._nodes = nodes
         self._picks = picks
-        self.assignment = dict(zip(nodes, map(self._addrs.__getitem__, picks)))
         counts = Counter(picks)
         self._size = [counts[slot] for slot in self._slots]
         self._gone: set[int] = set()
-        self._added: dict[int, set[int]] = {}
+        self._placed: dict[int, int] = {}
         self._speakers: dict[int, int | None] = {}
+
+    def _drawn_slot(self, node: int) -> int | None:
+        """The slot the draw gave node, unless it was not drawn or left."""
+        nodes = self._nodes
+        i = bisect_left(nodes, node)
+        if i < len(nodes) and nodes[i] == node and node not in self._gone:
+            return self._picks[i]
+        return None
+
+    def _placed_in(self, slot: int) -> list[int]:
+        return [node for node, s in self._placed.items() if s == slot]
+
+    def address_of(self, node: int) -> Address | None:
+        """The committee node is a member of, or None."""
+        slot = self._placed.get(node)
+        if slot is None:
+            slot = self._drawn_slot(node)
+        return None if slot is None else self._addrs[slot]
+
+    @property
+    def assignment(self) -> dict[int, Address]:
+        """Every member and its committee: a copy built on demand."""
+        addrs = self._addrs
+        out = {node: addrs[slot] for node, slot in zip(self._nodes, self._picks)
+               if node not in self._gone}
+        out.update((node, addrs[slot]) for node, slot in self._placed.items())
+        return out
 
     def _members(self, slot: int) -> set[int]:
         drawn = compress(self._nodes, map(slot.__eq__, self._picks))
-        return set(drawn).difference(self._gone).union(self._added.get(slot, ()))
+        return set(drawn).difference(self._gone).union(self._placed_in(slot))
 
     def _speaker(self, slot: int) -> int | None:
         if slot not in self._speakers:
@@ -166,14 +194,13 @@ class CommitteeOverlay:
                 first.append(nodes[i])
             except ValueError:
                 pass
-            self._speakers[slot] = min(chain(first, self._added.get(slot, ())),
+            self._speakers[slot] = min(chain(first, self._placed_in(slot)),
                                        default=None)
         return self._speakers[slot]
 
     def place(self, node: int, addr: Address) -> None:
         slot = self.committees[addr].slot
-        self.assignment[node] = addr
-        self._added.setdefault(slot, set()).add(node)
+        self._placed[node] = slot
         self._size[slot] += 1
         if slot in self._speakers:
             speaker = self._speakers[slot]
@@ -181,20 +208,16 @@ class CommitteeOverlay:
                 self._speakers[slot] = node
 
     def remove_member(self, node: int) -> Committee | None:
-        addr = self.assignment.pop(node, None)
-        if addr is None:
-            return None
-        committee = self.committees[addr]
-        slot = committee.slot
-        placed = self._added.get(slot)
-        if placed and node in placed:
-            placed.discard(node)
-        else:
+        slot = self._placed.pop(node, None)
+        if slot is None:
+            slot = self._drawn_slot(node)
+            if slot is None:
+                return None
             self._gone.add(node)
         self._size[slot] -= 1
         if self._speakers.get(slot) == node:
             del self._speakers[slot]
-        return committee
+        return self.committees[self._addrs[slot]]
 
     def sizes(self) -> list[int]:
         return list(self._size)
@@ -261,7 +284,7 @@ class CommitteeOverlay:
         for addr, committee in self.committees.items():
             members = committee.members
             for node in members:
-                if self.assignment.get(node) != addr:
+                if self.address_of(node) != addr:
                     return f"clique: stale assignment for node {node}"
             if len(members) != committee.size:
                 return f"clique: size count off at {addr}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import ConfigError
 
@@ -68,60 +69,62 @@ class SimParams:
             raise ConfigError("query_density", "must be in [0, 1]")
 
     # -- derived quantities -------------------------------------------------
+    # computed once per instance; a frozen instance never changes, and
+    # with_overrides builds a new one
 
-    @property
+    @cached_property
     def message_cap(self) -> int:
         """Per-node per-round send cap."""
         return max(16, int(self.c_msg * log2n(self.n) ** 2))
 
-    @property
+    @cached_property
     def churn_cap(self) -> int:
         return math.floor(self.c_churn * self.n / log2n(self.n))
 
-    @property
+    @cached_property
     def bootstrap_rounds(self) -> int:
         return math.ceil(self.beta_bootstrap * log2n(self.n))
 
-    @property
+    @cached_property
     def k(self) -> int:
         return butterfly_k(self.n, self.c_comm)
 
-    @property
+    @cached_property
     def committee_count(self) -> int:
         k = self.k
         return k * 2 ** k if k >= 1 else 1
 
-    @property
+    @cached_property
     def committee_mean(self) -> float:
         return self.n / self.committee_count
 
-    @property
+    @cached_property
     def committee_lo(self) -> int:
         return max(1, math.floor(self.c_lo * log2n(self.n)))
 
-    @property
+    @cached_property
     def committee_hi(self) -> int:
         return math.ceil(self.c_hi_mean * self.committee_mean)
 
-    @property
+    @cached_property
     def tick_period(self) -> int:
         return max(1, math.ceil(2 * math.log2(max(2.0, log2n(self.n)))))
 
-    @property
+    @cached_property
     def id_space(self) -> int:
         return max(64, self.n ** 3)
 
-    @property
+    @cached_property
     def alpha_window(self) -> int:
         """Back-shift of the competitiveness window, alpha = 2 log2 n."""
         return 2 * ceil_log2(self.n)
 
-    @property
+    @cached_property
     def beta_bound(self) -> float:
         """Competitiveness ratio bound, log2(n)^3."""
         return log2n(self.n) ** 3
 
-    @property
+    @cached_property
     def cycle_budget(self) -> int:
         return math.ceil(self.c_cycle * log2n(self.n) ** 2)
 

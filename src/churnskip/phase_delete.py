@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .errors import MESSAGE_SHAPE_VIOLATION, ChurnSkipError
 from .skiplist import LS, SkipNet
-from .work import RoundAcc, RoundWork, WorkProfile
+from .work import RoundWork, WorkProfile
 
 
 class MessageShapeViolation(ChurnSkipError):
@@ -64,12 +64,13 @@ def expected_bridges(chain: list[int], red: set[int]) -> list[tuple[int, int]]:
 
 
 def bridge_chain(chain: list[int], red: set[int], lvl: int = 0
-                 ) -> tuple[list[tuple[int, int]], WorkProfile]:
+                 ) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """Run the boundary-message protocol over a balanced tree on a chain.
 
     chain includes both sentinels (permanent blacks). Used by buffer-level
     rewiring, where every position is still present so the chain itself is
     the communication structure; pairwise merging halves it each round.
+    Returns the bridges and, per round, the keys that send in it.
     """
     leaves: list[Pair] = []
     for i, key in enumerate(chain):
@@ -80,27 +81,18 @@ def bridge_chain(chain: list[int], red: set[int], lvl: int = 0
         if lred or rred:
             leaves.append(_leaf_pair(key, lred, rred))
     bridges: list[tuple[int, int]] = []
-    profile = WorkProfile()
     if not leaves:
-        return bridges, profile
-    acc = RoundAcc()
-    for w, _, _, _ in leaves:
-        acc.msg(w)
-    profile.add(acc)
+        return bridges, []
+    senders = [[pair[0] for pair in leaves]]
     frontier = leaves
     while len(frontier) > 1:
-        acc = RoundAcc()
-        nxt = []
-        for i in range(0, len(frontier) - 1, 2):
-            merged = _merge_pairs(frontier[i], frontier[i + 1], bridges, lvl)
-            nxt.append(merged)
-            acc.msg(merged[0])
+        nxt = [_merge_pairs(frontier[i], frontier[i + 1], bridges, lvl)
+               for i in range(0, len(frontier) - 1, 2)]
         if len(frontier) % 2:
             nxt.append(frontier[-1])
-            acc.msg(frontier[-1][0])
         frontier = nxt
-        profile.add(acc)
-    return sorted(bridges), profile
+        senders.append([pair[0] for pair in frontier])
+    return sorted(bridges), senders
 
 
 # -- the skip-list backtracking tree (deletion proper) -----------------------

@@ -96,8 +96,12 @@ class World:
     # -- population -------------------------------------------------------------
 
     def spawn(self, node: int, height: int | None = None) -> None:
+        """The only way into ``alive``: a node joins once, and an id that
+        departed never comes back."""
         if node in self.alive:
             raise InconsistentWorld(f"node {node} already alive")
+        if node in self.departed_round:
+            raise InconsistentWorld(f"departed node {node} rejoins")
         self.alive.add(node)
         self.joined_round[node] = self.round
         if height is None:
@@ -168,6 +172,7 @@ class World:
     # -- the round loop --------------------------------------------------------------
 
     def validate_world(self) -> None:
+        """O(n) sweep of what spawn guarantees, for tests."""
         if not self.alive.isdisjoint(self.departed_round):
             raise InconsistentWorld("departed node still alive")
         for node in self.alive:
@@ -175,11 +180,6 @@ class World:
                 raise InconsistentWorld(f"alive node {node} never joined")
 
     def run_round(self, adversary=None) -> "World":
-        # the full O(n) sweep is periodic; churn plumbing cannot break it
-        # between audits without also tripping one of them
-        if self.round % 64 == 0 or self.round < 4:
-            self.validate_world()
-
         # (1) churn
         leaves, joins = ((), ())
         if adversary is not None:

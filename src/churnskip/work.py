@@ -92,16 +92,5 @@ class WorkProfile:
         while len(self.rows) < rounds:
             self.rows.append(RoundWork())
 
-    def merge(self, other: "WorkProfile") -> None:
-        """Overlay another profile round-for-round (parallel execution)."""
-        self.pad_to(other.rounds)
-        for mine, theirs in zip(self.rows, other.rows):
-            mine.messages += theirs.messages
-            mine.edges_formed += theirs.edges_formed
-            mine.edges_deleted += theirs.edges_deleted
-            if theirs.max_node_messages > mine.max_node_messages:
-                mine.max_node_messages = theirs.max_node_messages
-                mine.busiest = theirs.busiest
-
     def append(self, other: "WorkProfile") -> None:
         self.rows.extend(other.rows)

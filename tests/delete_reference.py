@@ -128,6 +128,19 @@ def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
     return sorted(bridges), profile
 
 
+def _overlay(profile: WorkProfile, other: WorkProfile) -> None:
+    """Add another level's rows round for round, keeping the larger of
+    the two per-level peaks (the accounting the closed form replaced)."""
+    profile.pad_to(other.rounds)
+    for mine, theirs in zip(profile.rows, other.rows):
+        mine.messages += theirs.messages
+        mine.edges_formed += theirs.edges_formed
+        mine.edges_deleted += theirs.edges_deleted
+        if theirs.max_node_messages > mine.max_node_messages:
+            mine.max_node_messages = theirs.max_node_messages
+            mine.busiest = theirs.busiest
+
+
 def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile, dict]:
     """Returns the summary, the profile and each level's bridges."""
     reds_in = sorted(k for k in reds if k in net.heights)
@@ -152,7 +165,7 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile, dict]:
             formation.add(by_round.get(rnd, RoundAcc()))
         bridges, prop = propagate_and_bridge(net, tree, at_level)
         formation.append(prop)
-        profile.merge(formation)
+        _overlay(profile, formation)
         per_level_bridges[lvl] = bridges
 
     acc = RoundAcc()

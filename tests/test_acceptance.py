@@ -206,7 +206,8 @@ def test_criterion_5_end_to_end_churn(churn_corpus):
     queries = sum(len(s.query_log) for s in sims)
     assert queries >= 10_000
     # the correctness claim is not vacuous: both checked classes occur often
-    classes = [sims[0].classify_query(q) for q in sims[0].query_log]
+    budget = sims[0].q_budget()
+    classes = [sims[0].classify_query(q, budget) for q in sims[0].query_log]
     assert classes.count("present") > 100 and classes.count("absent") > 100
     verdict(5, failures == 0 and stalled == 0 and violations == 0
             and elapsed < 300.0,

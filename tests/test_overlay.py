@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import chi2
 
 from churnskip.errors import NoAgreement, TooFewNodes
+from churnskip.maintenance import Simulation
 from churnskip.params import SimParams, butterfly_k
 from churnskip.overlay import (
     CommitteeOverlay,
@@ -178,6 +179,13 @@ def test_reshape_stay_and_mixed():
         reshape(state, opinions, params, random.Random(1), 512)
 
 
+def _assert_addresses(state, nodes):
+    # the lookup agrees with the member sets, None for a node in none
+    where = {v: addr for addr, c in state.committees.items() for v in c.members}
+    for node in nodes:
+        assert state.address_of(node) == where.get(node), node
+
+
 def test_reshape_grow_then_shrink_roundtrip():
     params = SimParams(n=256)
     state, _ = bootstrap_overlay(range(256), params, random.Random(0))
@@ -197,17 +205,20 @@ def test_reshape_grow_then_shrink_roundtrip():
     lo = math.ceil(0.75 * math.log2(512)) - 1
     assert min(grown.sizes()) >= max(2, lo - 1)
     assert set(grown.assignment) == set(alive)
+    _assert_addresses(grown, range(600))
 
     # halve it again
     opinions = {addr: "shrink" for addr in grown.committees}
     for node in range(256, 512):
         grown.remove_member(node)
+    _assert_addresses(grown, range(600))
     shrunk, rounds, _ = reshape(grown, opinions, params, rng, 256)
     assert shrunk.k == k0
     assert shrunk.validate_shape() == "OK"
     assert shrunk.validate_cliques() == "OK"
     assert rounds <= 8 * math.log2(256)
     assert set(shrunk.assignment) == set(range(256))
+    _assert_addresses(shrunk, range(600))
     assert min(shrunk.sizes()) >= 2
 
 
@@ -220,8 +231,11 @@ def test_opinions_thresholds():
     assert set(ops.values()) == {"grow"}
 
 
-def _assert_same_membership(state, ref, speakers):
+def _assert_same_membership(state, ref, speakers, pool):
     assert state.assignment == ref.assignment
+    # never placed, departed, placed since the tick, placed then removed
+    for node in pool:
+        assert state.address_of(node) == ref.assignment.get(node), node
     assert state.sizes() == ref.sizes()
     for addr in ref.addrs:
         committee = state.committees[addr]
@@ -245,8 +259,8 @@ def test_membership_matches_eager_reference(n, seed, data):
     assert boot.getstate() == ref_boot.getstate()
     rng, ref_rng = random.Random(seed + 1), random.Random(seed + 1)
     addrs = ref.addrs
-    _assert_same_membership(state, ref, addrs)
     pool = range(3 * n)
+    _assert_same_membership(state, ref, addrs, pool)
     for step in range(data.draw(st.integers(1, 40), label="steps")):
         op = data.draw(st.sampled_from(["tick", "place", "remove", "cover", "uncover"]))
         assigned = sorted(ref.assignment)
@@ -285,8 +299,33 @@ def test_membership_matches_eager_reference(n, seed, data):
                 state.uncover(node)
                 ref.uncover(node)
         speakers = data.draw(st.lists(st.sampled_from(addrs), max_size=4))
-        _assert_same_membership(state, ref, speakers)
+        _assert_same_membership(state, ref, speakers, pool)
         for node in ref.covered_index:
             assert state.covering_speaker(node) == ref.covering_speaker(node)
         assert state.validate_cliques() == "OK"
         assert rng.getstate() == ref_rng.getstate()
+
+
+def test_hot_path_builds_no_assignment_map(monkeypatch):
+    # joins, departures and queries look nodes up one at a time; no code
+    # path of a run builds the per-node map
+    def forbidden(self):
+        raise AssertionError("a run must not build the per-node assignment map")
+
+    lookups = {"placed since the tick": 0, "not placed": 0}
+    address_of = CommitteeOverlay.address_of
+
+    def checked(self, node):
+        got = address_of(self, node)
+        where = [addr for addr, c in self.committees.items() if node in c.members]
+        assert got == (where[0] if where else None), node
+        lookups["placed since the tick" if node in self._placed else "not placed"] += 1
+        return got
+
+    monkeypatch.setattr(CommitteeOverlay, "assignment", property(forbidden))
+    monkeypatch.setattr(CommitteeOverlay, "address_of", checked)
+    sim = Simulation(SimParams(n=128, seed_adv=1, seed_alg=2, churn_rate=2,
+                               horizon_cycles=3, query_density=0.05))
+    sim.run()
+    assert len(sim.query_log) > 100 and not sim.world.failures
+    assert all(lookups.values())

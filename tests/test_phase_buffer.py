@@ -16,6 +16,7 @@ from churnskip.phase_buffer import (
     run_network_sort,
 )
 from churnskip.skiplist import BUF_LS, BUF_RS, oracle_build, sample_height
+from work_reference import rewire_recount
 
 
 def test_width_four_matches_reference_shape():
@@ -99,6 +100,26 @@ def test_raise_levels_marking_fixture():
     assert buf.level_list(1) == [BUF_LS, 20, 30, 50, BUF_RS]
     assert buf.level_list(2) == [BUF_LS, 20, 50, BUF_RS]
     assert buf.validate().ok
+
+
+@pytest.mark.parametrize("count,seed", [(3000, 4), (1, 0), (2, 1), (37, 2), (256, 3)])
+def test_rewire_rows_report_true_per_key_peak(count, seed):
+    # a key black at several levels sends in several chains in the same
+    # round; the row reports what it sends over all of them
+    rng = random.Random(seed)
+    keys = sorted(rng.sample(range(100 * count), count))
+    heights = {k: sample_height(rng) for k in keys}
+    _, profile = raise_levels(keys, heights)
+    rewire = profile.rows[1:]
+    recount = rewire_recount(keys, heights)
+    assert len(rewire) == len(recount)
+    for row, (counts, deleted) in zip(rewire, recount):
+        assert (row.messages, row.edges_formed, row.edges_deleted) == \
+            (counts.total(), 0, deleted)
+        assert row.max_node_messages == max(counts.values())
+        assert counts[row.busiest] == row.max_node_messages
+    if count == 3000:
+        assert sum(row.max_node_messages > 1 for row in rewire) > len(rewire) // 2
 
 
 def test_seeded_builds_match_oracle():

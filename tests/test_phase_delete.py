@@ -125,10 +125,10 @@ def test_bridge_chain_matches_scan():
         keys = sorted(rng.sample(range(1000), rng.randint(2, 60)))
         reds = {k for k in keys if rng.random() < 0.4}
         chain = [LS, *keys, RS]
-        bridges, profile = bridge_chain(chain, reds)
+        bridges, senders = bridge_chain(chain, reds)
         assert bridges == expected_bridges(chain, reds)
         if bridges:
-            assert profile.rounds <= math.ceil(math.log2(len(chain))) + 2
+            assert len(senders) <= math.ceil(math.log2(len(chain))) + 2
 
 
 @settings(max_examples=60, deadline=None,

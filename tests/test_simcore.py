@@ -1,6 +1,6 @@
 import pytest
 
-from churnskip.errors import MessageBudgetExceeded, PeerDeparted
+from churnskip.errors import InconsistentWorld, MessageBudgetExceeded, PeerDeparted
 from churnskip.params import SimParams
 from churnskip.simcore import World
 from churnskip.work import RoundWork
@@ -31,6 +31,34 @@ def test_empty_round_all_zero():
     assert (row.messages_sent, row.edges_formed, row.edges_deleted,
             row.churn_in, row.churn_out) == (0, 0, 0, 0, 0)
     assert world.round == 1
+
+
+def test_derived_constants_follow_overrides():
+    small = SimParams(n=1024)
+    names = ("message_cap", "cycle_budget", "bootstrap_rounds", "tick_period",
+             "churn_cap", "committee_count")
+    before = {name: getattr(small, name) for name in names}
+    assert before == {"message_cap": 400, "cycle_budget": 400, "bootstrap_rounds": 160,
+                      "tick_period": 7, "churn_cap": 102, "committee_count": 24}
+    big = small.with_overrides(n=16384)
+    assert {name: getattr(big, name) for name in names} == {
+        "message_cap": 784, "cycle_budget": 784, "bootstrap_rounds": 224,
+        "tick_period": 8, "churn_cap": 1170, "committee_count": 384}
+    assert {name: getattr(small, name) for name in names} == before
+    assert big == SimParams(n=16384)
+
+
+def test_rejoin_of_departed_id_raises_in_its_round():
+    world = fresh_world(16)
+    quiet = ((), ())
+    adv = StaticChurn([quiet] * 3 + [((5,), ((100, 0),))] + [quiet] * 6 +
+                      [((), ((5, 1),))])
+    for _ in range(10):
+        world.run_round(adv)
+    world.validate_world()
+    with pytest.raises(InconsistentWorld, match="departed node 5"):
+        world.run_round(adv)
+    assert world.round == 10 and 5 not in world.alive
 
 
 def test_budget_arithmetic_allows_small_payload():

@@ -4,14 +4,17 @@ The buffer phase, `bootstrap_overlay` and `preprocess` build their uniform
 rounds with `work.uniform_round`. These are the loops that charged every
 message one node at a time, the per-comparator sort included. Kept as the
 reference the closed-form profiles are compared against, row for row.
+`rewire_recount` recounts the buffer's rewire rounds sender by sender.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from churnskip.params import ceil_log2
 from churnskip.phase_buffer import PAD, build_bitonic
+from churnskip.skiplist import BUF_LS, BUF_RS
 from churnskip.work import RoundAcc, WorkProfile
 
 
@@ -104,3 +107,35 @@ def preprocess_replay(pre) -> WorkProfile:
         init.msg(member)
     profile.add(init)
     return profile
+
+
+def rewire_recount(sorted_keys: list[int], heights: dict[int, int]
+                   ) -> list[tuple[Counter, int]]:
+    """Per rewire round of `raise_levels`, the messages each key sends over
+    all levels and the edges deleted in it. At each level the blacks next
+    to a fill-in are the leaves of a balanced tree; in round r the subtree
+    over leaves [j * 2^r, (j + 1) * 2^r) sends from its leftmost leaf. A
+    level's dropped edges land in the last round of the deepest tree so
+    far."""
+    chain = [BUF_LS, *sorted_keys, BUF_RS]
+    rounds: list[tuple[Counter, int]] = []
+    for lvl in range(1, max((heights[k] for k in sorted_keys), default=0) + 1):
+        fill = [k in heights and heights[k] < lvl for k in chain]
+        leaves = [key for i, key in enumerate(chain) if not fill[i] and
+                  ((i > 0 and fill[i - 1]) or (i + 1 < len(chain) and fill[i + 1]))]
+        if leaves:
+            for r in range((len(leaves) - 1).bit_length() + 1):
+                while len(rounds) <= r:
+                    rounds.append((Counter(), 0))
+                for j in range(0, len(leaves), 2 ** r):
+                    rounds[r][0][leaves[j]] += 1
+        deleted = 0
+        for i, key in enumerate(chain):
+            if fill[i]:
+                # a fill-in drops its left port, and the run's last one
+                # also its right port
+                deleted += 1 + (not fill[i + 1])
+        if rounds:
+            counts, before = rounds[-1]
+            rounds[-1] = (counts, before + deleted)
+    return rounds
