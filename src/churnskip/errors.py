@@ -69,15 +69,19 @@ class ConfigError(ChurnSkipError):
         self.field = field
 
 
-# Failure kinds recorded (not raised) during a run; the resilience audit
-# counts them and the CLI exit code reflects them.
+# Failure kinds recorded (not raised) during a run by World.fail; the
+# resilience audit counts them and the CLI exit code reflects them.
 COMMITTEE_DESTROYED = "CommitteeDestroyed"
 STALLED = "Stalled"
+QUERY_TIMEOUT = "QueryTimeout"
+LIVE_MISMATCH = "LiveMismatch"
+
+# Kinds of the delete and merge errors of these names. They are raised out
+# of run_cycle and nothing in the package catches them, so such a run stops
+# with the exception instead of recording a failure.
 ORPHAN_LEAF = "OrphanLeaf"
 MESSAGE_SHAPE_VIOLATION = "MessageShapeViolation"
 SPLICE_CONFLICT = "SpliceConflict"
-QUERY_TIMEOUT = "QueryTimeout"
-LIVE_MISMATCH = "LiveMismatch"
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Every level runs independently: black nodes adjacent to reds become leaves
 of a tree rooted at the left-topmost sentinel, dotted boundary pairs flow
 upward, and an edge is formed between two boundary nodes exactly when their
-facing dots meet, bridging each maximal red run. The same message discipline
-is reused by buffer creation to rewire fill-in nodes, there over a balanced
-tree on the level chain (see bridge_chain).
+facing dots meet, bridging each maximal red run. A level tree is held
+level-major, one key -> depth map per skip-list level it spans, and folds
+from the bottom level up, right to left within a level. The same message
+discipline is reused by buffer creation to rewire fill-in nodes, there over
+a balanced tree on the level chain (see bridge_chain).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import MESSAGE_SHAPE_VIOLATION, ChurnSkipError
+from .errors import MESSAGE_SHAPE_VIOLATION, ORPHAN_LEAF, ChurnSkipError
 from .skiplist import LS, SkipNet
 from .work import RoundWork, WorkProfile
 
@@ -24,7 +26,7 @@ class MessageShapeViolation(ChurnSkipError):
 
 
 class OrphanLeaf(ChurnSkipError):
-    kind = "OrphanLeaf"
+    kind = ORPHAN_LEAF
 
 
 # A boundary message is (w, w_dotted, z, z_dotted): w/z are the leftmost and
@@ -45,22 +47,6 @@ def _merge_pairs(below: Pair, right: Pair, bridges: list, lvl: int) -> Pair:
     if xd:
         bridges.append((x, y))
     return (w, wd, z, zd)
-
-
-def expected_bridges(chain: list[int], red: set[int]) -> list[tuple[int, int]]:
-    """Scan oracle: one bridge per maximal red run between two blacks."""
-    out = []
-    last_black = None
-    pending_run = False
-    for key in chain:
-        if key in red:
-            pending_run = True
-        else:
-            if pending_run and last_black is not None:
-                out.append((last_black, key))
-            last_black = key
-            pending_run = False
-    return out
 
 
 def bridge_chain(chain: list[int], red: set[int], lvl: int = 0
@@ -96,105 +82,102 @@ def bridge_chain(chain: list[int], red: set[int], lvl: int = 0
 
 
 # -- the skip-list backtracking tree (deletion proper) -----------------------
+#
+# A level tree is held level-major: the tree node (key, l) is key in
+# depths[l], a map key -> tree depth, so no tree node is a tuple and no
+# parent is stored. A node climbs to (key, l+1) exactly when key is also in
+# depths[l+1]. Otherwise its parent is its left neighbour at level l, which
+# is in the tree, so it is the next smaller key of depths[l].
 
 
-@dataclass
-class LevelTree:
-    level: int
-    root: tuple[int, int]
-    parents: dict[tuple[int, int], tuple[int, int]]
-    leaves: list[int]
-    depth: int
-    layers: list[list[tuple[int, int]]]   # tree nodes by depth, in formation order
-
-
-def tree_formation(net: SkipNet, lvl: int, red: set[int]) -> LevelTree:
-    """Shortest-path tree rooted at the left-topmost sentinel.
+def form_tree(net: SkipNet, lvl: int, red: set[int]
+              ) -> tuple[list[int], list[dict[int, int]], list[list[int]]]:
+    """Shortest-path tree rooted at the left-topmost sentinel (LS, top).
 
     Backtracking rule: at (v, l) go up if v reaches above l, else one hop
-    left. Leaves are the level-l blacks with at least one red neighbor,
-    found from the reds themselves; sentinels count as permanent blacks.
+    left; the sentinels reach the top. Leaves are the level-lvl blacks with
+    at least one red neighbor, found from the reds themselves; sentinels
+    count as permanent blacks. Returns the leaves, depths[l] for every
+    level l, and the keys of the tree nodes by depth in formation order.
     """
     top = net.height
-    root = (LS, top)
     links = net.links
+    height = net.heights.get
     leaves = sorted({side for key in red for side in links[key][lvl] if side not in red})
-    parents: dict[tuple[int, int], tuple[int, int]] = {}
-    depth_of = {root: 0}
-    layers: list[list[tuple[int, int]]] = [[root]]
+    depths: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    depths[top][LS] = 0
+    layers: list[list[int]] = [[LS]]
     limit = 2 * (len(net.heights) + top + 4)
     for leaf in leaves:
-        cur = (leaf, lvl)
-        trail = []
-        while cur not in depth_of:
-            key, l = cur
-            if key == LS or net.height_of(key) > l:
-                parent = (key, l + 1)
-            else:
-                parent = (links[key][l][0], l)
-            parents[cur] = parent
-            trail.append(cur)
-            cur = parent
-            if len(trail) > limit:
+        key, l = leaf, lvl
+        keys: list[int] = []
+        levels: list[int] = []
+        while key not in depths[l]:
+            keys.append(key)
+            levels.append(l)
+            if len(keys) > limit:
                 raise OrphanLeaf(f"leaf {leaf} lost at level {lvl}")
-        d = depth_of[cur] + len(trail)
+            if height(key, top) > l:
+                l += 1
+            else:
+                key = links[key][l][0]
+        d = depths[l][key] + len(keys)
         layers.extend([] for _ in range(d + 1 - len(layers)))
-        for node in trail:
-            depth_of[node] = d
-            layers[d].append(node)
+        for key, l in zip(keys, levels):
+            depths[l][key] = d
+            layers[d].append(key)
             d -= 1
-    return LevelTree(lvl, root, parents, leaves, len(layers) - 1, layers)
+    return leaves, depths, layers
 
 
-def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
-                         ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+_NO_INPUT = (None, 0)
+
+
+def fold_tree(net: SkipNet, lvl: int, red: set[int], leaves: list[int],
+              depths: list[dict[int, int]]
+              ) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """Flow boundary pairs leaves-to-root, forming one edge per red run.
 
-    Returns the bridges and, per round, the keys that send in it. A node
-    sends one round after the later of its inputs; a leaf's own pair is
-    ready at once.
+    Levels fold bottom-up and keys right to left within a level, so every
+    node folds after both its inputs: the node below it, which climbed, and
+    the node folded just before it when that one did not climb. Returns the
+    bridges and, per round, the keys that send in it. A node sends one
+    round after the later of its inputs; a leaf's own pair is ready at once.
     """
-    lvl = tree.level
+    top = net.height
     links = net.links
-    below: dict[tuple[int, int], tuple[int, int]] = {}
-    right: dict[tuple[int, int], tuple[int, int]] = {}
-    for node, parent in tree.parents.items():
-        if parent[0] == node[0]:
-            below[parent] = node
-        else:
-            right[parent] = node
-    leaf_set = set(tree.leaves)
-    pair_at: dict[tuple[int, int], Pair] = {}
-    fire: dict[tuple[int, int], int] = {}
     senders: list[list[int]] = []
     bridges: list[tuple[int, int]] = []
-
-    def fold(node) -> tuple[Pair | None, int]:
-        key, l = node
-        pair = None
-        when = 0
-        if l == lvl and key in leaf_set:
-            left, nxt = links[key][lvl]
-            pair = _leaf_pair(key, left in red, nxt in red)
-        for kids in (below, right):
-            kid = kids.get(node)
-            if kid is not None:
-                other = pair_at[kid]
-                pair = other if pair is None else _merge_pairs(pair, other, bridges, lvl)
-                when = max(when, fire[kid])
-        return pair, when
-
-    for layer in reversed(tree.layers[1:]):
-        for node in layer:
-            pair_at[node], when = fold(node)
-            fire[node] = when + 1
+    # per key of the level being folded: the input from below, (pair, round
+    # it arrives); at the deletion level these are the leaves' own pairs
+    below: dict[int, tuple[Pair, int]] = {}
+    for leaf in leaves:
+        left, nxt = links[leaf][lvl]
+        below[leaf] = (_leaf_pair(leaf, left in red, nxt in red), 0)
+    pair = None
+    for l in range(lvl, top + 1):
+        upper = depths[l + 1] if l < top else ()
+        climbs: dict[int, tuple[Pair, int]] = {}
+        right = None   # pair of the node folded last, if it is a right child
+        for key in sorted(depths[l], reverse=True):
+            pair, when = below.get(key, _NO_INPUT)
+            if right is not None:
+                pair = right if pair is None else _merge_pairs(pair, right, bridges, lvl)
+                when = max(when, right_fire)
+            if key == LS and l == top:
+                break   # the root folds its inputs but sends nothing further
             if when == len(senders):
                 senders.append([])
-            senders[when].append(node[0])
+            senders[when].append(key)
+            if key in upper:
+                climbs[key] = (pair, when + 1)
+                right = None
+            else:
+                right, right_fire = pair, when + 1
+        below = climbs
 
-    # Root folds its inputs but sends nothing further. When the deletion
-    # level is the top level, the root sentinel may itself be a leaf.
-    pair, _ = fold(tree.root)
+    # When the deletion level is the top level, the root sentinel may itself
+    # be a leaf.
     if pair is not None and (pair[1] or pair[3]):
         raise MessageShapeViolation(f"unmatched dot at root, level {lvl}")
     return sorted(bridges), senders
@@ -230,12 +213,11 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         if not at_level:
             break
         level_red = set(at_level)
-        tree = tree_formation(net, lvl, level_red)
-        bridges, prop = propagate_and_bridge(net, tree, level_red)
+        leaves, depths, layers = form_tree(net, lvl, level_red)
+        bridges, prop = fold_tree(net, lvl, level_red, leaves, depths)
         # formation backtracks one hop per round, in parallel from all
         # leaves: the deepest nodes send first
-        formation = [map(itemgetter(0), layer) for layer in reversed(tree.layers[1:])]
-        for i, keys in enumerate(formation + prop):
+        for i, keys in enumerate(layers[:0:-1] + prop):
             if i == len(sent):
                 sent.append(Counter())
             sent[i].update(keys)

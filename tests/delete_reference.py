@@ -18,6 +18,22 @@ from churnskip.skiplist import LS, RS, SkipNet
 from churnskip.work import RoundAcc, WorkProfile
 
 
+def expected_bridges(chain: list[int], red: set[int]) -> list[tuple[int, int]]:
+    """Scan oracle: one bridge per maximal red run between two blacks."""
+    out = []
+    last_black = None
+    pending_run = False
+    for key in chain:
+        if key in red:
+            pending_run = True
+        else:
+            if pending_run and last_black is not None:
+                out.append((last_black, key))
+            last_black = key
+            pending_run = False
+    return out
+
+
 @dataclass
 class LevelTree:
     level: int

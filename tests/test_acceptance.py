@@ -21,7 +21,7 @@ from churnskip.fixtures import (
 from churnskip.maintenance import Simulation
 from churnskip.params import SimParams
 from churnskip.phase_buffer import build_bitonic, raise_levels
-from churnskip.phase_delete import delete_phase, expected_bridges
+from churnskip.phase_delete import delete_phase
 from churnskip.phase_merge import WaveEngine, wave_merge
 from churnskip.skiplist import (
     LS,
@@ -34,6 +34,7 @@ from churnskip.skiplist import (
     search,
 )
 from churnskip.overlay import bootstrap_overlay, committee_opinions, reshape
+from delete_reference import expected_bridges
 
 
 def verdict(num, ok, text):

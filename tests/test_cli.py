@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -54,19 +55,52 @@ def test_rate_too_high_rejected_before_simulation():
         params_from_config(cfg)
 
 
-def test_simulate_writes_outputs_and_is_deterministic(tmp_path):
-    cfg_path = tmp_path / "small.cfg"
-    cfg_path.write_text(CFG)
+# A small run that churns: every cycle deletes, builds a buffer and merges.
+CHURNING_CFG = """
+n = 128
+seed_adv = 3
+seed_alg = 4
+churn_rate_expr = 3
+strategy = uniform_random
+horizon_cycles = 3
+query_density = 0.01
+"""
+
+OUTPUTS = ("trace.jsonl", "schedule.txt", "cycles.jsonl", "dump.jsonl",
+           "competitiveness.jsonl", "summary.csv", "metrics.txt",
+           "merge_events.jsonl", "phases.jsonl", "census.jsonl")
+
+
+def _simulate_twice(tmp_path, cfg):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(cfg)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
-    for name in ("trace.jsonl", "schedule.txt", "cycles.jsonl", "dump.jsonl",
-                 "competitiveness.jsonl", "summary.csv", "metrics.txt"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    first = json.loads((out1 / "trace.jsonl").read_text().splitlines()[0])
+    assert sorted(p.name for p in out1.iterdir()) == sorted(OUTPUTS)
+    for name in OUTPUTS:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    return out1
+
+
+def test_simulate_writes_outputs_and_is_deterministic(tmp_path):
+    out = _simulate_twice(tmp_path, CFG)
+    first = json.loads((out / "trace.jsonl").read_text().splitlines()[0])
     assert set(first) == {"round", "churn_in", "churn_out", "messages_sent",
                           "edges_formed", "edges_deleted", "phase_tag",
                           "cycle_phase"}
+
+
+def test_simulate_churning_run_is_deterministic_and_pinned(tmp_path):
+    out = _simulate_twice(tmp_path, CHURNING_CFG)
+    trace = (out / "trace.jsonl").read_bytes()
+    events = (out / "merge_events.jsonl").read_bytes()
+    assert len(trace.splitlines()) == 413
+    assert len(events.splitlines()) == 1156
+    assert hashlib.sha256(trace).hexdigest() == \
+        "700c5a82ed877ce2ea8d77de73a4bd425288fd93729aeae9bc8b04b25d16cfe4"
+    assert hashlib.sha256(events).hexdigest() == \
+        "05aa0af627e7d32f30d39f2573ae86a06f0d189f788903d4aafb1b1997487069"
 
 
 def test_validate_dump_roundtrip_and_fault(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,12 +10,12 @@ from churnskip.phase_delete import (
     _merge_pairs,
     bridge_chain,
     delete_phase,
-    expected_bridges,
-    propagate_and_bridge,
-    tree_formation,
+    fold_tree,
+    form_tree,
 )
 from churnskip.skiplist import LS, RS, oracle_build, oracle_delete, sample_height
 import delete_reference as reference
+from delete_reference import expected_bridges
 
 
 def build_random(n, seed):
@@ -85,7 +86,7 @@ def test_tree_shape_and_leaves():
     net, keys, heights, rng = build_random(512, 5)
     reds = set(rng.sample(keys, 100))
     lvl = 0
-    tree = tree_formation(net, lvl, reds)
+    tree = reference.tree_formation(net, lvl, reds)
     chain = [LS, *net.iter_level(lvl), RS]
     leaves = set()
     for i, key in enumerate(chain):
@@ -103,6 +104,23 @@ def test_tree_shape_and_leaves():
             cur = tree.parents[cur]
             hops += 1
             assert hops < 10_000
+    leaves, depths, layers = form_tree(net, lvl, reds)
+    assert leaves == tree.leaves
+    assert len(layers) - 1 == tree.depth
+    assert _depth_map(depths) == tree.depth_map
+
+
+def _depth_map(depths):
+    """The per-level maps of form_tree as one (key, level) -> depth dict."""
+    return {(key, lvl): d for lvl, level in enumerate(depths) for key, d in level.items()}
+
+
+def _layer_keys(layers):
+    return Counter((key, d) for d, layer in enumerate(layers) for key in layer)
+
+
+def _layer_keys_of(depth_map):
+    return Counter((key, d) for (key, _lvl), d in depth_map.items())
 
 
 def test_work_proportional_to_reds():
@@ -156,7 +174,7 @@ def test_worked_instance_tree_shape():
     from churnskip.fixtures import delete_instance
 
     net, reds = delete_instance()
-    tree = tree_formation(net, 0, reds)
+    tree = reference.tree_formation(net, 0, reds)
     assert sorted(tree.leaves) == [LS, 13, 26, 50, 60, RS]
     expected = {
         (LS, 0): (LS, 1), (LS, 1): (LS, 2), (LS, 2): (LS, 3),
@@ -171,6 +189,12 @@ def test_worked_instance_tree_shape():
     }
     assert tree.parents == expected
     assert tree.root == (LS, 3)
+    # the level-major maps hold the same nodes at the same depths
+    leaves, depths, layers = form_tree(net, 0, reds)
+    assert leaves == tree.leaves
+    assert _depth_map(depths) == tree.depth_map
+    assert sorted(depths[3]) == [LS, 13, RS]
+    assert _layer_keys(layers) == _layer_keys_of(tree.depth_map)
 
 
 def test_delete_everything_leaves_sentinel_pair():
@@ -209,13 +233,12 @@ def _same_delete_as_reference(keys, heights, reds, pending=()):
         level_red = {k for k in level_red if net.heights[k] >= lvl}
         if not level_red:
             break
-        tree = tree_formation(net, lvl, level_red)
+        leaves, depths, layers = form_tree(net, lvl, level_red)
         expect = reference.tree_formation(ref, lvl, level_red)
-        assert (tree.parents, tree.leaves, tree.depth, tree.root) == \
-            (expect.parents, expect.leaves, expect.depth, expect.root)
-        assert {node: d for d, layer in enumerate(tree.layers) for node in layer} \
-            == expect.depth_map
-        bridges, _ = propagate_and_bridge(net, tree, level_red)
+        assert (leaves, len(layers) - 1) == (expect.leaves, expect.depth)
+        assert _depth_map(depths) == expect.depth_map
+        assert _layer_keys(layers) == _layer_keys_of(expect.depth_map)
+        bridges, _ = fold_tree(net, lvl, level_red, leaves, depths)
         assert bridges == reference.propagate_and_bridge(ref, expect, level_red)[0]
     recount = reference.sender_counts(ref, reds)
     summary, profile = delete_phase(net, reds)

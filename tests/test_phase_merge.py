@@ -1,7 +1,7 @@
 import math
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from churnskip.fixtures import MERGE_NARRATIVE, merge_instance
 from churnskip.phase_buffer import raise_levels
@@ -15,6 +15,7 @@ from churnskip.skiplist import (
     sample_height,
     search,
 )
+import merge_reference as reference
 
 
 def make_buffer(keys, heights):
@@ -94,27 +95,39 @@ def test_empty_levels_and_tall_buffer():
 
 
 def test_wave_monotone_activation():
+    # a walk activates only once each parent it still depends on has merged
+    # at or below the walk's height: every group is born no earlier than
+    # the round of the merged_at_level event in which that happened
     clean, buf, c_keys, b_keys, heights = random_pair(128, 128, 21)
     engine = WaveEngine(clean, buf)
-    parents = dict(engine.parents)
-    walks = engine.walks
-    engine.run()
-    merged_round: dict[tuple[int, int], int] = {}
-    activated_round: dict[int, int] = {}
-    for ev in engine.events:
-        if ev["event"] == "merged_at_level":
-            pass
-    # replay activation order from group spans: every group activated only
-    # after its members' parents merged at or below the member height, or
-    # with the independence flag set
+    top = set(engine.pre.top_members)
+    merged_at: dict[tuple[int, int], int] = {}   # (key, level) -> event round
+    seen = 0
+    while not engine.absorbed:
+        engine.step()
+        # a group keeps its leader for life, and no key leads two groups
+        groups = {g.leader: g for g in engine.active}
+        groups.update((g.leader, g) for g, _, _ in engine.group_spans)
+        for ev in engine.events[seen:]:
+            if ev["event"] == "merged_at_level":
+                for key in groups[ev["group_leader"]].members:
+                    merged_at.setdefault((key, ev["level"]), ev["round"])
+        seen = len(engine.events)
+    checked = 0
     for group, born, done in engine.group_spans:
         for m in group.members:
-            lp, rp = parents.get(m, (None, None))
-            walk = walks[m]
+            if m in top:
+                continue
+            walk = engine.walks[m]
+            lp, rp = engine.parents[m]
             for parent, indep in ((lp, walk.indep_lp), (rp, walk.indep_rp)):
                 if parent is None or indep:
                     continue
-                assert engine.merged_level.get(parent, 99) <= walk.height
+                when = min(r for (key, level), r in merged_at.items()
+                           if key == parent and level <= walk.height)
+                assert born >= when, (m, parent, born, when)
+                checked += 1
+    assert checked > 50
 
 
 def test_split_events_record_dichotomy():
@@ -220,3 +233,62 @@ def test_merge_into_empty_clean():
     buf = make_buffer([5, 9], {5: 1, 9: 0})
     wave_merge(clean, buf)
     assert clean.same_structure(oracle_build([5, 9], [1, 0]))
+
+
+GEOMETRIES = ("interleaved", "tail_append", "head_prepend", "tiny_buffer")
+
+
+def geometry_keys(kind, rnd, nc, nb):
+    """Clean and buffer keys: interleaved at random, the buffer wholly right
+    of the clean keys (the simulator's, as joiner ids only grow), wholly
+    left of them, or a buffer of 1-5 keys into a larger list."""
+    if kind == "tiny_buffer":
+        nb = 1 + nb % 5
+    pool = sorted(rnd.sample(range(10 * (nc + nb)), nc + nb))
+    if kind == "tail_append":
+        return pool[:nc], pool[nc:]
+    if kind == "head_prepend":
+        return pool[nb:], pool[:nb]
+    b_keys = sorted(rnd.sample(pool, nb))
+    return [k for k in pool if k not in set(b_keys)], b_keys
+
+
+def _walk_state(walks):
+    return {k: (w.height, w.lp, w.rp, w.vpos, w.vlevel, w.indep_lp, w.indep_rp,
+                w.activated) for k, w in walks.items()}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(
+    st.sampled_from(GEOMETRIES),
+    st.integers(0, 160),
+    st.integers(1, 90),
+    st.floats(0.0, 1.0),
+    st.randoms(use_true_random=False),
+)
+def test_wave_matches_reference_engine(kind, nc, nb, live_share, rnd):
+    c_keys, b_keys = geometry_keys(kind, rnd, nc, nb)
+    heights = {k: sample_height(rnd) for k in c_keys + b_keys}
+    live = {k for k in c_keys if rnd.random() < live_share}
+    runs = []
+    for engine_cls in (WaveEngine, reference.WaveEngine):
+        clean = oracle_build(c_keys, [heights[k] for k in c_keys])
+        clean.live = set(live)
+        buf = make_buffer(b_keys, {k: heights[k] for k in b_keys})
+        engine = engine_cls(clean, buf, cycle=3)
+        rows = list(engine.rounds())
+        runs.append((engine, clean, rows))
+    (new, clean, rows), (ref, ref_clean, ref_rows) = runs
+    assert new.events == ref.events
+    assert rows == ref_rows    # every field, peak and busiest included
+    assert new.pre.profile.rows == ref.pre.profile.rows
+    assert new.summary == ref.summary
+    assert new.group_spans == ref.group_spans
+    assert new.merged_level == ref.merged_level
+    assert _walk_state(new.walks) == _walk_state(ref.walks)
+    assert new.idle == 0
+    assert clean.same_structure(ref_clean)
+    assert clean.pending == ref_clean.pending
+    assert clean.displaced == ref_clean.displaced
+    assert clean.validate().ok
