@@ -23,7 +23,7 @@ from .params import SimParams
 from .phase_buffer import create_buffer
 from .phase_delete import delete_phase
 from .phase_merge import wave_merge
-from .skiplist import BUF_LS, BUF_RS, SkipNet, oracle_build
+from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, key_name, oracle_build
 
 _OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -115,7 +115,7 @@ def params_from_config(cfg: dict, seed_adv=None, seed_alg=None) -> SimParams:
 # -- dump load/validate -------------------------------------------------------
 
 
-_NAME_TO_KEY = {"-inf": -2, "b-inf": BUF_LS, "b+inf": BUF_RS, "+inf": 10 ** 18 + 1}
+_NAME_TO_KEY = {key_name(key): key for key in (LS, BUF_LS, BUF_RS, RS)}
 
 
 def _parse_key(name: str) -> int:
@@ -143,13 +143,13 @@ def load_dump(lines) -> SkipNet:
     # sentinel ports are not dumped per key; rebuild them from the edges
     for lvl in range(net.height + 1):
         firsts = [k for k in net.heights
-                  if net.heights[k] >= lvl and net.links[k][lvl][0] == -2]
+                  if net.heights[k] >= lvl and net.links[k][lvl][0] == LS]
         lasts = [k for k in net.heights
-                 if net.heights[k] >= lvl and net.links[k][lvl][1] == 10 ** 18 + 1]
+                 if net.heights[k] >= lvl and net.links[k][lvl][1] == RS]
         if firsts:
-            net.links[-2][lvl][1] = min(firsts)
+            net.links[LS][lvl][1] = min(firsts)
         if lasts:
-            net.links[10 ** 18 + 1][lvl][0] = max(lasts)
+            net.links[RS][lvl][0] = max(lasts)
     return net
 
 
@@ -245,7 +245,6 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     print(f"{'n':>6} {'merge_rounds':>12} {'rounds/log2n':>12} "
           f"{'del_work/red':>12} {'bound':>8}")
-    rows = []
     for n in sizes:
         rng = random.Random(args.seed)
         pool = rng.sample(range(20 * n), 2 * n)
@@ -263,7 +262,6 @@ def cmd_bench(args) -> int:
         print(f"{n:>6} {summary.rounds_used:>12} "
               f"{summary.rounds_used / math.log2(n):>12.2f} "
               f"{per_red:>12.1f} {bound:>8.0f}")
-        rows.append((n, summary.rounds_used, per_red))
     return 0
 
 

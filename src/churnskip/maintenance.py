@@ -68,7 +68,6 @@ class QueryOutcome:
 class CoveringAudit:
     round: int
     node: int
-    neighbor_count: int
     verified_round: int | None = None
     ok: bool | None = None
 
@@ -110,17 +109,13 @@ class Simulation:
     # -- churn hooks --------------------------------------------------------------
 
     def _on_depart(self, node: int) -> None:
-        neighbors = []
-        if node in self.clean.heights:
-            neighbors = [("C", lvl, l, r)
-                         for lvl, l, r in self.clean.neighbors_of(node)]
-        record, edges = self.overlay.cover_node(node, neighbors, self.world.round)
-        if record is None:
+        edges = self.overlay.cover_node(node, len(self.clean.links.get(node, ())))
+        if edges is None:
             self.uncovered.add(node)
             self.world.fail(COMMITTEE_DESTROYED, f"covering node {node}")
             return
         self.world.charge_edges(formed=edges, category="covering")
-        audit = CoveringAudit(self.world.round, node, len(neighbors))
+        audit = CoveringAudit(self.world.round, node)
         self.covering_log.append(audit)
         self._pending_audits.append(audit)
 
@@ -128,7 +123,7 @@ class Simulation:
         # provisional committee (the host's) until the next reassignment tick
         addr = self.overlay.address_of(host)
         if addr is None:
-            addrs = self.overlay.addresses(self.overlay.k)
+            addrs = self.overlay.addrs
             addr = addrs[self.world.rng_alg.randrange(len(addrs))]
         self.overlay.place(node, addr)
         self.world.charge_msgs(node, 1, category="covering")
@@ -145,12 +140,12 @@ class Simulation:
         if world.phase_tag == MAINTENANCE and \
                 world.round % self.params.tick_period == 0:
             self.overlay.maintenance_tick(world.alive, world.rng_alg, world.round)
+        # every pending audit was made during the round just run
         for audit in self._pending_audits:
-            if audit.round < world.round:
-                speaker = self.overlay.covering_speaker(audit.node)
-                audit.ok = speaker is not None and world.is_alive(speaker)
-                audit.verified_round = world.round
-        self._pending_audits = [a for a in self._pending_audits if a.ok is None]
+            speaker = self.overlay.covering_speaker(audit.node)
+            audit.ok = speaker is not None and world.is_alive(speaker)
+            audit.verified_round = world.round
+        self._pending_audits.clear()
 
     def _play(self, rows: Iterable[RoundWork], category: str, phase: str) -> int:
         """Charge one row per world round; returns the rounds played."""
@@ -276,7 +271,7 @@ class Simulation:
     # -- queries ------------------------------------------------------------------------
 
     def _representable(self, key: int) -> bool:
-        return self.world.is_alive(key) or self.overlay.is_covered(key)
+        return self.world.is_alive(key) or key in self.overlay.covered_index
 
     def _serve_query(self, q: Query) -> QueryOutcome:
         world = self.world

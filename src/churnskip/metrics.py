@@ -43,15 +43,15 @@ class CompetitivenessReport:
 
 def competitiveness(ledger: WorkLedger, t_s: int, t_e: int, alpha: int,
                     beta_bound: float) -> CompetitivenessReport:
-    if t_e <= t_s or t_s < 0:
-        raise EmptyWindow(f"bad window [{t_s}, {t_e}]")
+    if t_e <= t_s or t_s < 0 or alpha < 0:
+        raise EmptyWindow(f"bad window [{t_s}, {t_e}] with back-shift {alpha}")
     work = 0
     churn = 0
-    for row in ledger.rows:
-        if t_s <= row.round <= t_e:
+    # row r sits at index r
+    for row in ledger.rows[max(0, t_s - alpha):t_e + 1]:
+        if t_s <= row.round:
             work += row.messages_sent + row.edges_formed + row.edges_deleted
-        if t_s - alpha <= row.round <= t_e:
-            churn += row.churn_in + row.churn_out
+        churn += row.churn_in + row.churn_out
     return CompetitivenessReport(t_s, t_e, work, churn, alpha, beta_bound)
 
 

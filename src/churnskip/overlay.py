@@ -12,8 +12,8 @@ nodes placed since. A node's committee is looked up in the nodes placed
 since, else by bisection into the draw; sizes are counts and a committee's
 speaker is found in the draw. So the tick does nothing per node beyond the
 draw and its size count, and neither it nor covering builds a per-node map
-or a member set: ``Committee.members`` and ``CommitteeOverlay.assignment``
-are copies built on demand for reshaping, validators and tests.
+or a member set: ``CommitteeOverlay.members`` and ``assignment`` are
+copies built on demand for reshaping, validators and tests.
 """
 
 from __future__ import annotations
@@ -63,40 +63,6 @@ def route_hops(src: Address, dst: Address, k: int) -> int:
 
 
 @dataclass
-class CoverRecord:
-    key: int
-    committee: Address
-    neighbors: list[tuple[str, int, int, int]]  # (net, level, left, right)
-    since_round: int
-    speaker: int
-
-
-class Committee:
-    """One committee of an overlay. Its members are not stored here: they
-    are the overlay's tick draw for this slot plus the deltas since."""
-
-    __slots__ = ("address", "slot", "overlay", "covered")
-
-    def __init__(self, address: Address, slot: int, overlay: "CommitteeOverlay"):
-        self.address = address
-        self.slot = slot
-        self.overlay = overlay
-        self.covered: dict[int, CoverRecord] = {}
-
-    @property
-    def members(self) -> set[int]:
-        """A copy built on demand; change membership through the overlay."""
-        return self.overlay._members(self.slot)
-
-    @property
-    def size(self) -> int:
-        return self.overlay._size[self.slot]
-
-    def speaker(self) -> int | None:
-        return self.overlay._speaker(self.slot)
-
-
-@dataclass
 class Census:
     round: int
     k: int
@@ -113,23 +79,21 @@ class Census:
 
 
 class CommitteeOverlay:
-    """Membership: ``_nodes`` (sorted) drew the slots ``_picks`` at the last
-    tick or at bootstrap; ``_gone`` holds the drawn nodes that left since
-    and ``_placed`` the slot of each node placed since. ``_size`` counts
-    each slot's members, and ``_speakers`` caches a slot's smallest member
-    until it leaves or a smaller node arrives."""
+    """Committees are slots, ``addrs[slot]`` their addresses. Membership:
+    ``_nodes`` (sorted) drew the slots ``_picks`` at the last tick or at
+    bootstrap; ``_gone`` holds the drawn nodes that left since and ``_placed``
+    the slot of each node placed since. ``_size`` counts each slot's members,
+    and ``_speakers`` caches a slot's smallest member until it leaves or a
+    smaller node arrives. A cover is one ``covered_index`` entry."""
 
     def __init__(self, k: int):
         self.k = k
-        addrs = self.addresses(k)
-        self.committees: dict[Address, Committee] = {
-            addr: Committee(addr, slot, self) for slot, addr in enumerate(addrs)
-        }
+        self.addrs = self.addresses(k)
+        self._slot = {addr: slot for slot, addr in enumerate(self.addrs)}
         self.edges: set[frozenset] = butterfly_edge_set(k)
         self.covered_index: dict[int, Address] = {}
         self.census_log: list[Census] = []
-        self._addrs = addrs
-        self._slots = list(range(len(addrs)))
+        self._slots = list(range(len(self.addrs)))
         self._load([], [])
 
     @staticmethod
@@ -166,22 +130,28 @@ class CommitteeOverlay:
         slot = self._placed.get(node)
         if slot is None:
             slot = self._drawn_slot(node)
-        return None if slot is None else self._addrs[slot]
+        return None if slot is None else self.addrs[slot]
 
     @property
     def assignment(self) -> dict[int, Address]:
         """Every member and its committee: a copy built on demand."""
-        addrs = self._addrs
+        addrs = self.addrs
         out = {node: addrs[slot] for node, slot in zip(self._nodes, self._picks)
                if node not in self._gone}
         out.update((node, addrs[slot]) for node, slot in self._placed.items())
         return out
 
-    def _members(self, slot: int) -> set[int]:
+    def members(self, addr: Address) -> set[int]:
+        """A copy built on demand; change membership through the overlay."""
+        slot = self._slot[addr]
         drawn = compress(self._nodes, map(slot.__eq__, self._picks))
         return set(drawn).difference(self._gone).union(self._placed_in(slot))
 
-    def _speaker(self, slot: int) -> int | None:
+    def size(self, addr: Address) -> int:
+        return self._size[self._slot[addr]]
+
+    def speaker(self, addr: Address) -> int | None:
+        slot = self._slot[addr]
         if slot not in self._speakers:
             # the first drawn member that has not left, or a smaller node
             # placed since
@@ -199,7 +169,7 @@ class CommitteeOverlay:
         return self._speakers[slot]
 
     def place(self, node: int, addr: Address) -> None:
-        slot = self.committees[addr].slot
+        slot = self._slot[addr]
         self._placed[node] = slot
         self._size[slot] += 1
         if slot in self._speakers:
@@ -207,7 +177,8 @@ class CommitteeOverlay:
             if speaker is None or node < speaker:
                 self._speakers[slot] = node
 
-    def remove_member(self, node: int) -> Committee | None:
+    def remove_member(self, node: int) -> Address | None:
+        """Take node out of its committee; returns that committee, if any."""
         slot = self._placed.pop(node, None)
         if slot is None:
             slot = self._drawn_slot(node)
@@ -217,43 +188,32 @@ class CommitteeOverlay:
         self._size[slot] -= 1
         if self._speakers.get(slot) == node:
             del self._speakers[slot]
-        return self.committees[self._addrs[slot]]
+        return self.addrs[slot]
 
     def sizes(self) -> list[int]:
         return list(self._size)
 
     # -- covering -------------------------------------------------------------
 
-    def cover_node(self, node: int, neighbors, round_no: int
-                   ) -> tuple[CoverRecord | None, int]:
-        """Committee takes over a departed member's data-structure links.
+    def cover_node(self, node: int, links: int) -> int | None:
+        """Committee takes over a departed member's links, one per level of
+        its tower.
 
-        Returns (record, edges_formed); record is None when the committee
-        was wiped out (a counted protocol failure, not an exception).
+        Returns the edges formed, or None when the committee was wiped out
+        (a counted protocol failure, not an exception).
         """
-        committee = self.remove_member(node)
-        if committee is None or not committee.size:
-            return None, 0
-        record = CoverRecord(node, committee.address, list(neighbors),
-                             round_no, committee.speaker())
-        committee.covered[node] = record
-        self.covered_index[node] = committee.address
-        edges = committee.size * max(1, len(record.neighbors))
-        return record, edges
+        addr = self.remove_member(node)
+        if addr is None or not self.size(addr):
+            return None
+        self.covered_index[node] = addr
+        return self.size(addr) * max(1, links)
 
     def uncover(self, node: int) -> None:
-        addr = self.covered_index.pop(node, None)
-        if addr is not None:
-            self.committees[addr].covered.pop(node, None)
+        self.covered_index.pop(node, None)
 
     def covering_speaker(self, node: int) -> int | None:
         addr = self.covered_index.get(node)
-        if addr is None:
-            return None
-        return self.committees[addr].speaker()
-
-    def is_covered(self, node: int) -> bool:
-        return node in self.covered_index
+        return None if addr is None else self.speaker(addr)
 
     # -- periodic maintenance ----------------------------------------------------
 
@@ -276,26 +236,21 @@ class CommitteeOverlay:
             missing = expect - self.edges
             extra = self.edges - expect
             return f"butterfly-shape: missing={len(missing)} extra={len(extra)}"
-        if set(self.committees) != set(self.addresses(self.k)):
-            return "butterfly-shape: committee address set mismatch"
         return "OK"
 
     def validate_cliques(self) -> str:
-        for addr, committee in self.committees.items():
-            members = committee.members
+        for addr in self.addrs:
+            members = self.members(addr)
             for node in members:
                 if self.address_of(node) != addr:
                     return f"clique: stale assignment for node {node}"
-            if len(members) != committee.size:
+            if len(members) != self.size(addr):
                 return f"clique: size count off at {addr}"
         return "OK"
 
-    def size_band(self, params: SimParams) -> tuple[int, int]:
-        return params.committee_lo, params.committee_hi
-
     def sizes_within_band(self, params: SimParams) -> bool:
-        lo, hi = self.size_band(params)
-        return all(lo <= s <= hi for s in self.sizes())
+        lo, hi = params.committee_lo, params.committee_hi
+        return all(lo <= s <= hi for s in self._size)
 
 
 def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
@@ -313,7 +268,7 @@ def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
         state._load(nodes, [0] * n)
         return state, WorkProfile()
     state = CommitteeOverlay(k)
-    m = len(state.committees)
+    m = len(state.addrs)
     # the first m nodes lead one committee each, the rest fill at random
     state._load(nodes, list(range(m)) + [rng.randrange(m) for _ in nodes[m:]])
 
@@ -324,7 +279,7 @@ def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
     bip_edges = 0
     for edge in state.edges:
         a, b = tuple(edge)
-        bip_edges += state.committees[a].size * state.committees[b].size
+        bip_edges += state.size(a) * state.size(b)
     profile.rows.append(uniform_round(nodes, 2, formed=clique_edges + bip_edges))
     profile.pad_to(2 * lg + 4)
     return state, profile
@@ -338,10 +293,10 @@ def committee_opinions(state: CommitteeOverlay, params: SimParams, n_ref: int
     grow_at = params.alpha_reshape * params.c_comm * log2n(n_ref)
     shrink_at = params.beta_reshape * params.c_comm * log2n(n_ref)
     out = {}
-    for addr, c in state.committees.items():
-        if c.size > grow_at:
+    for addr in state.addrs:
+        if state.size(addr) > grow_at:
             out[addr] = "grow"
-        elif c.size < shrink_at:
+        elif state.size(addr) < shrink_at:
             out[addr] = "shrink"
         else:
             out[addr] = "stay"
@@ -354,34 +309,31 @@ def _recruit(state: CommitteeOverlay, needy: list[Address], pool: list[int],
     rounds = 0
     pool = list(pool)
     rng.shuffle(pool)
-    needy = [a for a in needy if state.committees[a].size < target]
+    needy = [a for a in needy if state.size(a) < target]
     while needy and pool:
         rounds += 1
         still = []
         for addr in needy:
-            committee = state.committees[addr]
-            if pool and committee.size < target:
+            if pool and state.size(addr) < target:
                 state.place(pool.pop(), addr)
-            if committee.size < target:
+            if state.size(addr) < target:
                 still.append(addr)
         needy = still
-    addrs = state.addresses(state.k)
+    addrs = state.addrs
     while pool:
         rounds += 1
         leftovers = []
         for node in pool:
             for _ in range(4):
                 addr = addrs[rng.randrange(len(addrs))]
-                if state.committees[addr].size < hi_cap:
+                if state.size(addr) < hi_cap:
                     state.place(node, addr)
                     break
             else:
                 leftovers.append(node)
         if len(leftovers) == len(pool):  # all probes bounced; force-balance
             for node in leftovers:
-                addr = min(state.committees,
-                           key=lambda a: state.committees[a].size)
-                state.place(node, addr)
+                state.place(node, min(addrs, key=state.size))
             leftovers = []
         pool = leftovers
     return rounds
@@ -397,10 +349,10 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
     """
     votes = set(opinions.values())
     profile = WorkProfile()
-    agree_rounds = ceil_log2(max(2, len(state.committees))) + 1
+    agree_rounds = ceil_log2(max(2, len(state.addrs))) + 1
     acc = RoundAcc()
-    for c in state.committees.values():
-        speaker = c.speaker()
+    for addr in state.addrs:
+        speaker = state.speaker(addr)
         if speaker is not None:
             acc.msg(speaker, 1)
     profile.add(acc)
@@ -414,52 +366,47 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
 
     if mode == "grow":
         new = CommitteeOverlay(max(1, state.k + 1))
+        dest = {(r, lvl): (r, lvl + 1) if state.k >= 1 else (0, 0)
+                for r, lvl in state.addrs}
         carried: set[Address] = set()
-        for (r, lvl), committee in state.committees.items():
-            dest = (r, lvl + 1) if state.k >= 1 else (0, 0)
-            for node in sorted(committee.members):
-                new.place(node, dest)
-            new.committees[dest].covered.update(committee.covered)
-            for key in committee.covered:
-                new.covered_index[key] = dest
-            carried.add(dest)
+        for addr in state.addrs:
+            for node in sorted(state.members(addr)):
+                new.place(node, dest[addr])
+            carried.add(dest[addr])
         # copy rows and the fresh level 0 start from promoted leaders
-        for addr in new.addresses(new.k):
+        for addr in new.addrs:
             if addr in carried:
                 continue
-            donor_addr = max(carried, key=lambda a: new.committees[a].size)
-            members = sorted(new.committees[donor_addr].members)
+            members = sorted(new.members(max(carried, key=new.size)))
             leader = members[rng.randrange(len(members))]
             new.remove_member(leader)
             new.place(leader, addr)
         pool: list[int] = []
         for addr in carried:
-            spare = sorted(new.committees[addr].members)[target:]
+            spare = sorted(new.members(addr))[target:]
             for node in spare:
                 new.remove_member(node)
                 pool.append(node)
-        needy = list(new.addresses(new.k))
     else:
         if state.k <= 1:
             raise NoAgreement("cannot shrink below k=1")
         new = CommitteeOverlay(state.k - 1)
         half = 2 ** (state.k - 1)
         pool = []
-        for (r, lvl), committee in state.committees.items():
+        dest = {(r, lvl): (r % half, max(0, lvl - 1)) for r, lvl in state.addrs}
+        for (r, lvl), to in dest.items():
             vacates = lvl == 0 or r >= half
-            dest = (r % half, max(0, lvl - 1))
             if vacates:
-                pool.extend(sorted(committee.members))
+                pool.extend(sorted(state.members((r, lvl))))
             else:
-                for node in sorted(committee.members):
-                    new.place(node, dest)
-            new.committees[dest].covered.update(committee.covered)
-            for key in committee.covered:
-                new.covered_index[key] = dest
-        needy = list(new.addresses(new.k))
+                for node in sorted(state.members((r, lvl))):
+                    new.place(node, to)
+    # a covered node stays with its committee, wherever that moved
+    new.covered_index = {key: dest[addr]
+                         for key, addr in state.covered_index.items()}
 
-    hi_cap = max(target + 1, math.ceil(2 * n_new / len(new.committees)))
-    rounds = _recruit(new, needy, pool, target, rng, hi_cap)
+    hi_cap = max(target + 1, math.ceil(2 * n_new / len(new.addrs)))
+    rounds = _recruit(new, new.addrs, pool, target, rng, hi_cap)
     new.census_log = state.census_log
     acc = RoundAcc()
     clique_edges = sum(s * (s - 1) // 2 for s in new.sizes())

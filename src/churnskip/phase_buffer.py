@@ -18,14 +18,12 @@ sorts (criterion 1).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import NoJoiners
 from .phase_delete import bridge_chain
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet
-from .work import RoundAcc, RoundWork, WorkProfile, uniform_round
+from .work import ParallelSends, RoundAcc, WorkProfile, uniform_round
 
 PAD = RS  # padding values sort to the top and fall off the real outputs
 
@@ -140,27 +138,18 @@ def raise_levels(sorted_keys: list[int], heights: dict[int, int]
     buf.set_link(BUF_RS, RS, 0)
     copy_acc.edges(formed=len(chain) - 1)
 
-    # per rewire round, how many messages each key sends in it over all
-    # levels, and the edges the fill-ins drop
-    sent: list[Counter] = []
-    dropped: list[int] = []
+    sends = ParallelSends()
     for lvl in range(1, top + 1):
         # level copy: every key participates, fill-ins included
         copy_acc.edges(formed=len(chain) - 1)
         fill_in = {k for k in sorted_keys if heights[k] < lvl}
         _, senders = bridge_chain(chain, fill_in, lvl)
-        for i, keys in enumerate(senders):
-            if i == len(sent):
-                sent.append(Counter())
-                dropped.append(0)
-            sent[i].update(keys)
         effectives = [k for k in chain if k not in fill_in]
         for a, b in zip(effectives, effectives[1:]):
             buf.set_link(a, b, lvl)
         buf.set_link(LS, effectives[0], lvl)
         buf.set_link(effectives[-1], RS, lvl)
-        # fill-in entries drop both their ports once bridged around, charged
-        # to the last rewire round so far
+        # fill-in entries drop both their ports once bridged around
         run = 0
         deleted = 0
         for key in chain:
@@ -169,12 +158,9 @@ def raise_levels(sorted_keys: list[int], heights: dict[int, int]
             elif run:
                 deleted += run + 1
                 run = 0
-        if sent:
-            dropped[-1] += deleted
+        sends.add(senders, deleted)
     profile.add(copy_acc)
-    for counts, deleted in zip(sent, dropped):
-        busiest, peak = max(counts.items(), key=itemgetter(1))
-        profile.rows.append(RoundWork(counts.total(), 0, deleted, peak, busiest))
+    profile.rows.extend(sends.rows())
     return buf, profile
 
 

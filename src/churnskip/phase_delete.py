@@ -12,13 +12,11 @@ a balanced tree on the level chain (see bridge_chain).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import MESSAGE_SHAPE_VIOLATION, ORPHAN_LEAF, ChurnSkipError
 from .skiplist import LS, SkipNet
-from .work import RoundWork, WorkProfile
+from .work import ParallelSends, RoundWork, WorkProfile
 
 
 class MessageShapeViolation(ChurnSkipError):
@@ -204,8 +202,7 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         return summary, profile
 
     red_set = set(reds_in)
-    # per round, how many messages each key sends in it over all levels
-    sent: list[Counter] = []
+    sends = ParallelSends()
     per_level: list[tuple[int, list[tuple[int, int]]]] = []
     at_level = reds_in
     for lvl in range(net.height + 1):
@@ -216,17 +213,12 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         leaves, depths, layers = form_tree(net, lvl, level_red)
         bridges, prop = fold_tree(net, lvl, level_red, leaves, depths)
         # formation backtracks one hop per round, in parallel from all
-        # leaves: the deepest nodes send first
-        for i, keys in enumerate(layers[:0:-1] + prop):
-            if i == len(sent):
-                sent.append(Counter())
-            sent[i].update(keys)
+        # leaves: the deepest nodes send first. A key sends at most once
+        # per round in one level tree (its tree nodes form a vertical
+        # chain), but in several trees at once
+        sends.add(layers[:0:-1] + prop)
         per_level.append((len(at_level), bridges))
-    # a key sends at most once per round in one level tree (its tree nodes
-    # form a vertical chain), but in several trees at once
-    for counts in sent:
-        busiest, peak = max(counts.items(), key=itemgetter(1))
-        profile.rows.append(RoundWork(counts.total(), 0, 0, peak, busiest))
+    profile.rows.extend(sends.rows())
 
     # apply: bridge each red run, then drop the red towers
     formed = deleted = 0

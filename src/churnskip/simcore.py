@@ -56,9 +56,6 @@ class WorkLedger:
         self.rows: list[LedgerRow] = []
         self.category_totals: dict[str, int] = {c: 0 for c in WORK_CATEGORIES}
 
-    def row(self, round_no: int) -> LedgerRow:
-        return self.rows[round_no]
-
     def totals(self) -> dict[str, int]:
         return {
             "messages_sent": sum(r.messages_sent for r in self.rows),
@@ -86,8 +83,7 @@ class World:
         self.heights: dict[int, int] = {}
         self.ledger = WorkLedger()
         self.failures: list[FailureEvent] = []
-        self.attach_edges: set[frozenset] = set()
-        self._attach_adj: dict[int, set[int]] = {}
+        self.attach_adj: dict[int, set[int]] = {}
         self.on_depart = None
         self.on_join = None
         self._row = LedgerRow(0)
@@ -161,12 +157,10 @@ class World:
         """Idempotent bidirectional attachment; a no-op edge is free."""
         if a not in self.alive or b not in self.alive:
             raise PeerDeparted(f"edge ({a},{b}) needs both endpoints alive")
-        edge = frozenset((a, b))
-        if edge in self.attach_edges:
+        if b in self.attach_adj.get(a, ()):
             return
-        self.attach_edges.add(edge)
-        self._attach_adj.setdefault(a, set()).add(b)
-        self._attach_adj.setdefault(b, set()).add(a)
+        self.attach_adj.setdefault(a, set()).add(b)
+        self.attach_adj.setdefault(b, set()).add(a)
         self.charge_edges(formed=1, category=category)
 
     # -- the round loop --------------------------------------------------------------
@@ -190,9 +184,8 @@ class World:
             self.alive.discard(node)
             self.departed_round[node] = self.round
             self._row.churn_out += 1
-            for peer in self._attach_adj.pop(node, ()):
-                self._attach_adj.get(peer, set()).discard(node)
-                self.attach_edges.discard(frozenset((node, peer)))
+            for peer in self.attach_adj.pop(node, ()):
+                self.attach_adj[peer].discard(node)
                 self._row.edges_deleted += 1
                 self.ledger.category_totals["other"] += 1
             if self.on_depart is not None:

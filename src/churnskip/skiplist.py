@@ -196,10 +196,6 @@ class SkipNet:
     def level_list(self, lvl: int) -> list[int]:
         return list(self.iter_level(lvl))
 
-    def neighbors_of(self, key: int) -> list[tuple[int, int, int]]:
-        """(level, left, right) per level of key's tower."""
-        return [(lvl, lr[0], lr[1]) for lvl, lr in enumerate(self.links[key])]
-
     # -- comparisons and checks -----------------------------------------------
 
     def structure(self) -> list[list[int]]:

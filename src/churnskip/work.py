@@ -7,7 +7,9 @@ global clock advances, and so per-node message budgets stay checkable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 @dataclass
@@ -45,6 +47,35 @@ class RoundAcc:
         else:
             busiest, peak = None, 0
         return RoundWork(total, self.edges_formed, self.edges_deleted, peak, busiest)
+
+
+class ParallelSends:
+    """Rounds of trees that run side by side: per round, how many messages
+    each key sends in it over all trees, and the edges dropped in it."""
+
+    def __init__(self):
+        self.sent: list[Counter] = []
+        self.dropped: list[int] = []
+
+    def add(self, rounds, dropped: int = 0) -> None:
+        """One tree: rounds[i] lists the keys that send in its round i, a
+        key once per message. Its dropped edges are charged to the last
+        round counted so far."""
+        for i, keys in enumerate(rounds):
+            if i == len(self.sent):
+                self.sent.append(Counter())
+                self.dropped.append(0)
+            self.sent[i].update(keys)
+        if self.sent:
+            self.dropped[-1] += dropped
+
+    def rows(self) -> list[RoundWork]:
+        """One row per round; a tied peak goes to the key counted first."""
+        out = []
+        for counts, dropped in zip(self.sent, self.dropped):
+            busiest, peak = max(counts.items(), key=itemgetter(1))
+            out.append(RoundWork(counts.total(), 0, dropped, peak, busiest))
+        return out
 
 
 def uniform_round(nodes, k: int = 1, formed: int = 0) -> RoundWork:

@@ -38,14 +38,14 @@ class EagerOverlay:
     def sizes(self) -> list[int]:
         return [len(self.members[addr]) for addr in self.addrs]
 
-    def cover_node(self, node, neighbors):
+    def cover_node(self, node, links):
         """Returns (committee, speaker, edges), or None when the committee
         is empty or the node had none."""
         addr = self.remove_member(node)
         if addr is None or not self.members[addr]:
             return None
         self.covered_index[node] = addr
-        return addr, self.speaker(addr), len(self.members[addr]) * max(1, len(neighbors))
+        return addr, self.speaker(addr), len(self.members[addr]) * max(1, links)
 
     def uncover(self, node) -> None:
         self.covered_index.pop(node, None)

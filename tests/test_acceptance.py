@@ -352,7 +352,7 @@ def test_criterion_10_reshaping():
     for node in range(n, 2 * n):
         grown.remove_member(node)
     # scripted shrink: the population is back at n, every committee votes
-    opinions = {addr: "shrink" for addr in grown.committees}
+    opinions = {addr: "shrink" for addr in grown.addrs}
     shrunk, rounds_s, _ = reshape(grown, opinions, params, rng, n)
     ok &= shrunk.k == k0
     ok &= shrunk.validate_shape() == "OK" and shrunk.validate_cliques() == "OK"

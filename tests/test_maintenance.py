@@ -194,8 +194,8 @@ def test_committee_destroyed_is_counted_not_fatal():
     # depart; covering has nobody left, the event is counted, the run goes on
     sim = small_sim(n=64, rate=1, cycles=1)
     sim.bootstrap_all()
-    addr = next(iter(sim.overlay.committees))
-    members = sorted(sim.overlay.committees[addr].members)
+    addr = sim.overlay.addrs[0]
+    members = sorted(sim.overlay.members(addr))
     victim, rest = members[0], members[1:]
     for node in rest:
         sim.overlay.remove_member(node)
@@ -217,7 +217,7 @@ def test_covered_key_answers_until_deleted():
     sim.world.alive.discard(key)
     sim.world.departed_round[key] = sim.world.round
     sim._on_depart(key)
-    assert sim.overlay.is_covered(key)
+    assert key in sim.overlay.covered_index
     before = sim.answer_query(Query(x=key, r=sim.world.round, s=0))
     assert before.answer is True and not before.stalled
     sim.run_cycle()
@@ -318,13 +318,13 @@ def _fail_one_merged_cover(sim, monkeypatch) -> list[int]:
     cover_node = CommitteeOverlay.cover_node
     victim = []
 
-    def failing_cover(overlay, node, neighbors, round_no):
+    def failing_cover(overlay, node, links):
         if not victim and node >= sim.params.n and node in sim.clean.live \
                 and sim.world.cycle_phase == "BufferCreate":
             victim.append(node)          # a merged joiner: its cover fails
             overlay.remove_member(node)
-            return None, 0
-        return cover_node(overlay, node, neighbors, round_no)
+            return None
+        return cover_node(overlay, node, links)
 
     monkeypatch.setattr(CommitteeOverlay, "cover_node", failing_cover)
     return victim

@@ -27,6 +27,8 @@ def test_empty_window_rejected():
     ledger = ledger_from([LedgerRow(0)])
     with pytest.raises(EmptyWindow):
         metrics.competitiveness(ledger, 5, 5, 1, 1.0)
+    with pytest.raises(EmptyWindow):
+        metrics.competitiveness(ledger, 0, 5, -1, 1.0)
 
 
 def test_backshift_captures_prior_spike():
@@ -45,6 +47,23 @@ def test_backshift_captures_prior_spike():
     shifted = metrics.competitiveness(ledger, 6, 9, alpha=4, beta_bound=10.0)
     assert not shifted.flagged
     assert shifted.churn_shifted == 20
+
+
+def test_window_reads_only_its_rows():
+    # the result equals a scan of every row, for windows clipped at round 0,
+    # inside the ledger, ending at its last row and running past it
+    rng = random.Random(4)
+    rows = [LedgerRow(i, messages_sent=rng.randrange(50), edges_formed=rng.randrange(9),
+                      edges_deleted=rng.randrange(9), churn_in=rng.randrange(4),
+                      churn_out=rng.randrange(4)) for i in range(30)]
+    ledger = ledger_from(rows)
+    for t_s, t_e, alpha in [(0, 5, 3), (2, 9, 6), (1, 4, 0), (10, 20, 4),
+                            (20, 29, 5), (25, 40, 2), (31, 35, 3), (3, 50, 40)]:
+        report = metrics.competitiveness(ledger, t_s, t_e, alpha, 1.0)
+        work = sum(r.messages_sent + r.edges_formed + r.edges_deleted
+                   for r in rows if t_s <= r.round <= t_e)
+        churn = sum(r.churn_in + r.churn_out for r in rows if t_s - alpha <= r.round <= t_e)
+        assert (report.work, report.churn_shifted) == (work, churn), (t_s, t_e, alpha)
 
 
 def test_cycle_window_reports():

@@ -44,8 +44,8 @@ def test_bootstrap_small_and_too_few():
     params = SimParams(n=16)
     state, _ = bootstrap_overlay(range(16), params, random.Random(0))
     assert state.k == 1
-    assert len(state.committees) == 2
-    assert sorted(len(c.members) for c in state.committees.values()) != [0, 16]
+    assert len(state.addrs) == 2
+    assert sorted(len(state.members(a)) for a in state.addrs) != [0, 16]
     assert state.validate_shape() == "OK"
     assert state.validate_cliques() == "OK"
     with pytest.raises(TooFewNodes):
@@ -53,13 +53,13 @@ def test_bootstrap_small_and_too_few():
     degenerate, _ = bootstrap_overlay(range(8), SimParams(n=8), random.Random(0),
                                       allow_degenerate=True)
     assert degenerate.k == 0
-    assert len(degenerate.committees[(0, 0)].members) == 8
+    assert len(degenerate.members((0, 0))) == 8
 
 
 def test_bootstrap_1024_sizes():
     params = SimParams(n=1024)
     state, profile = bootstrap_overlay(range(1024), params, random.Random(3))
-    assert len(state.committees) == 24
+    assert len(state.addrs) == 24
     assert state.sizes_within_band(params)
     assert profile.rounds <= 4 * math.log2(1024) + 4
 
@@ -81,12 +81,12 @@ def test_tick_reassignment_uniformity_chi_square():
     state, _ = bootstrap_overlay(range(1024), params, random.Random(2))
     rng = random.Random(5)
     alive = set(range(1024))
-    counts = {addr: 0 for addr in state.committees}
+    counts = {addr: 0 for addr in state.addrs}
     ticks = 200
     for t in range(ticks):
         state.maintenance_tick(alive, rng, t)
-        for addr, c in state.committees.items():
-            counts[addr] += c.size
+        for addr in state.addrs:
+            counts[addr] += state.size(addr)
     n_cells = len(counts)
     expected = 1024 * ticks / n_cells
     stat = sum((obs - expected) ** 2 / expected for obs in counts.values())
@@ -97,27 +97,24 @@ def test_cover_and_uncover():
     params = SimParams(n=64)
     state, _ = bootstrap_overlay(range(64), params, random.Random(0))
     node = 17
-    neighbors = [("C", 0, 5, 21), ("C", 1, 3, 40)]
-    record, edges = state.cover_node(node, neighbors, round_no=9)
-    assert record is not None
-    assert record.speaker == state.committees[record.committee].speaker() \
-        or record.speaker not in state.committees[record.committee].members
-    assert edges >= len(neighbors)
-    assert state.is_covered(node)
-    assert state.covering_speaker(node) is not None
+    addr = state.address_of(node)
+    edges = state.cover_node(node, 2)
+    assert edges == 2 * state.size(addr)
+    assert state.covered_index[node] == addr
+    assert state.covering_speaker(node) == state.speaker(addr)
+    assert state.covering_speaker(node) in state.members(addr)
     state.uncover(node)
-    assert not state.is_covered(node)
+    assert node not in state.covered_index
 
 
 def test_two_departures_same_committee():
     params = SimParams(n=64)
     state, _ = bootstrap_overlay(range(64), params, random.Random(0))
-    addr = next(iter(state.committees))
-    members = sorted(state.committees[addr].members)[:2]
+    addr = state.addrs[0]
+    members = sorted(state.members(addr))[:2]
     for m in members:
-        record, _ = state.cover_node(m, [("C", 0, 1, 2)], 0)
-        assert record is not None
-    assert len(state.committees[addr].covered) == 2
+        assert state.cover_node(m, 1) is not None
+    assert [state.covered_index[m] for m in members] == [addr, addr]
 
 
 def test_targeted_churn_never_empties_committee():
@@ -142,8 +139,8 @@ def test_targeted_churn_never_empties_committee():
                 leaves.append(pool.pop(adv.randrange(len(pool))))
             for node in leaves:
                 alive.discard(node)
-                committee = state.remove_member(node)
-                if committee is not None and not committee.size:
+                addr = state.remove_member(node)
+                if addr is not None and not state.size(addr):
                     failures += 1
             joins = [next_id + i for i in range(rate)]
             next_id += rate
@@ -171,7 +168,7 @@ def test_route_hops_bounds():
 def test_reshape_stay_and_mixed():
     params = SimParams(n=256)
     state, _ = bootstrap_overlay(range(256), params, random.Random(0))
-    opinions = {addr: "stay" for addr in state.committees}
+    opinions = {addr: "stay" for addr in state.addrs}
     new, rounds, _ = reshape(state, opinions, params, random.Random(1), 256)
     assert new is state
     opinions[next(iter(opinions))] = "grow"
@@ -181,7 +178,7 @@ def test_reshape_stay_and_mixed():
 
 def _assert_addresses(state, nodes):
     # the lookup agrees with the member sets, None for a node in none
-    where = {v: addr for addr, c in state.committees.items() for v in c.members}
+    where = {v: addr for addr in state.addrs for v in state.members(addr)}
     for node in nodes:
         assert state.address_of(node) == where.get(node), node
 
@@ -195,8 +192,8 @@ def test_reshape_grow_then_shrink_roundtrip():
     alive = list(range(512))
     for node in range(256, 512):
         state.place(node, (0, 0) if state.k < 1 else
-                    CommitteeOverlay.addresses(state.k)[node % len(state.committees)])
-    opinions = {addr: "grow" for addr in state.committees}
+                    state.addrs[node % len(state.addrs)])
+    opinions = {addr: "grow" for addr in state.addrs}
     grown, rounds, _ = reshape(state, opinions, params, rng, 512)
     assert grown.k == k0 + 1
     assert grown.validate_shape() == "OK"
@@ -208,7 +205,7 @@ def test_reshape_grow_then_shrink_roundtrip():
     _assert_addresses(grown, range(600))
 
     # halve it again
-    opinions = {addr: "shrink" for addr in grown.committees}
+    opinions = {addr: "shrink" for addr in grown.addrs}
     for node in range(256, 512):
         grown.remove_member(node)
     _assert_addresses(grown, range(600))
@@ -220,6 +217,40 @@ def test_reshape_grow_then_shrink_roundtrip():
     assert set(shrunk.assignment) == set(range(256))
     _assert_addresses(shrunk, range(600))
     assert min(shrunk.sizes()) >= 2
+
+
+def test_reshape_carries_covers():
+    # a covered node stays with its committee through a grow and a shrink,
+    # and is spoken for wherever that committee has members
+    params = SimParams(n=256)
+    state, _ = bootstrap_overlay(range(256), params, random.Random(0))
+    for node in range(256, 512):
+        state.place(node, state.addrs[node % len(state.addrs)])
+    covered = {}
+    for node in range(0, 256, 23):
+        covered[node] = state.address_of(node)
+        assert state.cover_node(node, 2) is not None
+    rng = random.Random(42)
+    grown, _, _ = reshape(state, {a: "grow" for a in state.addrs}, params, rng, 512)
+    assert grown.covered_index == {key: (r, lvl + 1) for key, (r, lvl) in covered.items()}
+    for node in range(256, 512):
+        grown.remove_member(node)
+    half = 2 ** (grown.k - 1)
+    shrunk, _, _ = reshape(grown, {a: "shrink" for a in grown.addrs}, params, rng, 256)
+    assert shrunk.covered_index == {key: (r % half, max(0, lvl - 1))
+                                    for key, (r, lvl) in grown.covered_index.items()}
+    for overlay in (grown, shrunk):
+        for key, addr in overlay.covered_index.items():
+            assert overlay.size(addr) and overlay.covering_speaker(key) == overlay.speaker(addr)
+            assert overlay.speaker(addr) in overlay.members(addr)
+
+    # growing out of the single committee keeps covers in (0, 0)
+    single, _ = bootstrap_overlay(range(8), SimParams(n=8), random.Random(0),
+                                  allow_degenerate=True)
+    single.cover_node(3, 1)
+    grown, _, _ = reshape(single, {(0, 0): "grow"}, params, rng, 16)
+    assert grown.k == 1 and grown.covered_index == {3: (0, 0)}
+    assert grown.covering_speaker(3) in grown.members((0, 0))
 
 
 def test_opinions_thresholds():
@@ -237,12 +268,12 @@ def _assert_same_membership(state, ref, speakers, pool):
     for node in pool:
         assert state.address_of(node) == ref.assignment.get(node), node
     assert state.sizes() == ref.sizes()
+    assert state.addrs == ref.addrs
     for addr in ref.addrs:
-        committee = state.committees[addr]
-        assert committee.members == ref.members[addr], addr
-        assert committee.size == len(ref.members[addr])
+        assert state.members(addr) == ref.members[addr], addr
+        assert state.size(addr) == len(ref.members[addr])
     for addr in speakers:
-        assert state.committees[addr].speaker() == ref.speaker(addr), addr
+        assert state.speaker(addr) == ref.speaker(addr), addr
     assert state.covered_index == ref.covered_index
     assert state.census_log == ref.census_log
 
@@ -282,16 +313,16 @@ def test_membership_matches_eager_reference(n, seed, data):
             else:
                 node = data.draw(st.sampled_from(assigned if how else pool))
             if op == "remove":
-                got = state.remove_member(node)
-                assert (got and got.address) == ref.remove_member(node)
+                assert state.remove_member(node) == ref.remove_member(node)
             else:
-                neighbors = [("C", 0, 1, 2)] * data.draw(st.integers(0, 3))
-                record, edges = state.cover_node(node, neighbors, step)
-                expect = ref.cover_node(node, neighbors)
+                links = data.draw(st.integers(0, 3))
+                edges = state.cover_node(node, links)
+                expect = ref.cover_node(node, links)
                 if expect is None:
-                    assert (record, edges) == (None, 0)
+                    assert edges is None
                 else:
-                    assert (record.committee, record.speaker, edges) == expect
+                    assert (state.covered_index[node], state.covering_speaker(node),
+                            edges) == expect
         else:
             covered = sorted(ref.covered_index)
             if covered:
@@ -317,7 +348,7 @@ def test_hot_path_builds_no_assignment_map(monkeypatch):
 
     def checked(self, node):
         got = address_of(self, node)
-        where = [addr for addr, c in self.committees.items() if node in c.members]
+        where = [addr for addr in self.addrs if node in self.members(addr)]
         assert got == (where[0] if where else None), node
         lookups["placed since the tick" if node in self._placed else "not placed"] += 1
         return got

@@ -67,12 +67,12 @@ def bootstrap_replay(nodes, state) -> WorkProfile:
             acc.msg(node)
         profile.add(acc)
     wiring = RoundAcc()
-    clique_edges = sum(len(c.members) * (len(c.members) - 1) // 2
-                       for c in state.committees.values())
+    clique_edges = sum(len(state.members(a)) * (len(state.members(a)) - 1) // 2
+                       for a in state.addrs)
     bip_edges = 0
     for edge in state.edges:
         a, b = tuple(edge)
-        bip_edges += len(state.committees[a].members) * len(state.committees[b].members)
+        bip_edges += len(state.members(a)) * len(state.members(b))
     wiring.edges(formed=clique_edges + bip_edges)
     for node in nodes:
         wiring.msg(node, 2)
