@@ -24,6 +24,7 @@ from .phase_buffer import create_buffer
 from .phase_delete import delete_phase
 from .phase_merge import wave_merge
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, key_name, oracle_build
+from .work import totals
 
 _OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -178,7 +179,7 @@ def run_fixture(name: str) -> str:
     if name == "merge":
         clean, heights = fixtures.merge_instance()
         buf, _, _ = create_buffer(sorted(heights), heights)
-        summary, profile, events = wave_merge(clean, buf)
+        summary, _, events = wave_merge(clean, buf)
         got = [(e["round"], e["group_leader"], e["event"], e["level"])
                for e in events]
         if got != fixtures.MERGE_GOLDEN_TRACE:
@@ -256,8 +257,8 @@ def cmd_bench(args) -> int:
         summary = engine.run()
         reds = set(rng.sample(c_keys, max(1, n // 10)))
         victim = oracle_build(c_keys, [heights[k] for k in c_keys])
-        dsum, dprof = delete_phase(victim, reds)
-        per_red = dprof.work / len(reds)
+        _, rows = delete_phase(victim, reds)
+        per_red = sum(totals(rows)) / len(reds)
         bound = math.log2(n) ** 3
         print(f"{n:>6} {summary.rounds_used:>12} "
               f"{summary.rounds_used / math.log2(n):>12.2f} "

@@ -162,12 +162,12 @@ class Simulation:
         params = self.params
         for node in range(params.n):
             self.world.spawn(node)
-        self.overlay, overlay_profile = bootstrap_overlay(
+        self.overlay, overlay_rows = bootstrap_overlay(
             range(params.n), params, self.world.rng_alg, allow_degenerate=True)
-        self._play(overlay_profile.rows, "bootstrap", "-")
+        self._play(overlay_rows, "bootstrap", "-")
         keys = list(range(params.n))
-        buf, summary, profile = create_buffer(keys, self.world.heights)
-        self._play(profile.rows, "bootstrap", "-")
+        buf, summary, rows = create_buffer(keys, self.world.heights)
+        self._play(rows, "bootstrap", "-")
         if buf is not None:
             for key in (BUF_LS, BUF_RS):
                 buf.unlink_tower(key)
@@ -199,8 +199,8 @@ class Simulation:
         # structure, those whose cover failed included
         reds = sorted(k for k in chain(self.overlay.covered_index, self.uncovered)
                       if k in self.clean.heights)
-        dsummary, profile = delete_phase(self.clean, reds)
-        phase_rounds.append(self._play(profile.rows, "delete", "Delete"))
+        dsummary, rows = delete_phase(self.clean, reds)
+        phase_rounds.append(self._play(rows, "delete", "Delete"))
         for key in reds:
             self.overlay.uncover(key)
             self.removed_clean[key] = world.round
@@ -211,14 +211,14 @@ class Simulation:
         # Phase 2: buffer creation from the joiner backlog (cutoff now)
         joiners, self.joiner_backlog = self.joiner_backlog, []
         joiners = [j for j in joiners if j not in self.clean.heights]
-        buf, bsummary, bprofile = create_buffer(joiners, world.heights)
-        phase_rounds.append(self._play(bprofile.rows, "buffer", "BufferCreate"))
+        buf, bsummary, rows = create_buffer(joiners, world.heights)
+        phase_rounds.append(self._play(rows, "buffer", "BufferCreate"))
         self.phase_records.append({"phase": "buffer", "cycle": cycle_no, **asdict(bsummary)})
 
         # Phase 3: merge wave, stepped one engine round per world round
         if buf is not None:
             engine = WaveEngine(self.clean, buf, cycle_no)
-            phase_rounds.append(self._play(chain(engine.pre.profile.rows, engine.rounds()),
+            phase_rounds.append(self._play(chain(engine.pre.rows, engine.rounds()),
                                            "merge", "Merge"))
             self.merge_events.extend(engine.events)
             self.phase_records.append({"phase": "merge", "cycle": cycle_no,

@@ -27,7 +27,7 @@ from itertools import chain, compress
 
 from .errors import NoAgreement, TooFewNodes
 from .params import SimParams, butterfly_k, ceil_log2, log2n
-from .work import RoundAcc, WorkProfile, uniform_round
+from .work import RoundWork, sends_row, uniform_round
 
 Address = tuple[int, int]
 
@@ -90,7 +90,6 @@ class CommitteeOverlay:
         self.k = k
         self.addrs = self.addresses(k)
         self._slot = {addr: slot for slot, addr in enumerate(self.addrs)}
-        self.edges: set[frozenset] = butterfly_edge_set(k)
         self.covered_index: dict[int, Address] = {}
         self.census_log: list[Census] = []
         self._slots = list(range(len(self.addrs)))
@@ -230,14 +229,6 @@ class CommitteeOverlay:
 
     # -- validators -----------------------------------------------------------
 
-    def validate_shape(self) -> str:
-        expect = butterfly_edge_set(self.k)
-        if self.edges != expect:
-            missing = expect - self.edges
-            extra = self.edges - expect
-            return f"butterfly-shape: missing={len(missing)} extra={len(extra)}"
-        return "OK"
-
     def validate_cliques(self) -> str:
         for addr in self.addrs:
             members = self.members(addr)
@@ -255,7 +246,7 @@ class CommitteeOverlay:
 
 def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
                       allow_degenerate: bool = False
-                      ) -> tuple[CommitteeOverlay, WorkProfile]:
+                      ) -> tuple[CommitteeOverlay, list[RoundWork]]:
     """Six-step construction: leader, tree, leader cycle, butterfly,
     random fill, bipartite wiring. Charged as bootstrap work."""
     nodes = sorted(nodes)
@@ -266,7 +257,7 @@ def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
             raise TooFewNodes(f"n={n} cannot host a k=1 wrapped butterfly")
         state = CommitteeOverlay(0)
         state._load(nodes, [0] * n)
-        return state, WorkProfile()
+        return state, []
     state = CommitteeOverlay(k)
     m = len(state.addrs)
     # the first m nodes lead one committee each, the rest fill at random
@@ -274,15 +265,15 @@ def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
 
     lg = ceil_log2(n)
     # leader election + tree construction
-    profile = WorkProfile([uniform_round(nodes) for _ in range(2 * lg)])
+    rows = [uniform_round(nodes) for _ in range(2 * lg)]
     clique_edges = sum(s * (s - 1) // 2 for s in state.sizes())
     bip_edges = 0
-    for edge in state.edges:
+    for edge in butterfly_edge_set(k):
         a, b = tuple(edge)
         bip_edges += state.size(a) * state.size(b)
-    profile.rows.append(uniform_round(nodes, 2, formed=clique_edges + bip_edges))
-    profile.pad_to(2 * lg + 4)
-    return state, profile
+    rows.append(uniform_round(nodes, 2, formed=clique_edges + bip_edges))
+    rows += [RoundWork() for _ in range(3)]
+    return state, rows
 
 
 # -- reshaping -------------------------------------------------------------------
@@ -341,24 +332,20 @@ def _recruit(state: CommitteeOverlay, needy: list[Address], pool: list[int],
 
 def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
             params: SimParams, rng: random.Random, n_new: int
-            ) -> tuple[CommitteeOverlay, int, WorkProfile]:
+            ) -> tuple[CommitteeOverlay, int, list[RoundWork]]:
     """Agreement at C(0,0), then grow (k+1) or shrink (k-1).
 
-    Returns (new state, rounds used, work profile). Mixed opinions raise
-    NoAgreement; an all-stay vote costs only the agreement routing.
+    Returns (new state, rounds used, one work row per round). Mixed
+    opinions raise NoAgreement; an all-stay vote costs only the agreement
+    routing.
     """
     votes = set(opinions.values())
-    profile = WorkProfile()
     agree_rounds = ceil_log2(max(2, len(state.addrs))) + 1
-    acc = RoundAcc()
-    for addr in state.addrs:
-        speaker = state.speaker(addr)
-        if speaker is not None:
-            acc.msg(speaker, 1)
-    profile.add(acc)
-    profile.pad_to(agree_rounds)
+    speakers = map(state.speaker, state.addrs)
+    rows = [sends_row(Counter(s for s in speakers if s is not None))]
+    rows += [RoundWork() for _ in range(agree_rounds - 1)]
     if votes == {"stay"}:
-        return state, agree_rounds, profile
+        return state, agree_rounds, rows
     if len(votes) != 1:
         raise NoAgreement(f"mixed opinions: {sorted(votes)}")
     mode = votes.pop()
@@ -408,9 +395,7 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
     hi_cap = max(target + 1, math.ceil(2 * n_new / len(new.addrs)))
     rounds = _recruit(new, new.addrs, pool, target, rng, hi_cap)
     new.census_log = state.census_log
-    acc = RoundAcc()
     clique_edges = sum(s * (s - 1) // 2 for s in new.sizes())
-    acc.edges(formed=clique_edges + len(new.edges))
-    profile.add(acc)
-    profile.pad_to(agree_rounds + rounds + 1)
-    return new, agree_rounds + rounds + 1, profile
+    rows.append(RoundWork(0, clique_edges + len(butterfly_edge_set(new.k))))
+    rows += [RoundWork() for _ in range(rounds)]
+    return new, agree_rounds + rounds + 1, rows

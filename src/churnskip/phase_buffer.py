@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import NoJoiners
 from .phase_delete import bridge_chain
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet
-from .work import ParallelSends, RoundAcc, WorkProfile, uniform_round
+from .work import ParallelSends, RoundWork, totals, uniform_round
 
 PAD = RS  # padding values sort to the top and fall off the real outputs
 
@@ -84,7 +84,7 @@ class SortingOverlay:
     joiners: list[int]               # arrival order, unsorted
     padded_width: int                # wires: the next power of two
     depth: int                       # layers of the bitonic network
-    build_profile: WorkProfile
+    build_rows: list[RoundWork]
 
 
 def build_sorting_overlay(joiners: list[int]) -> SortingOverlay:
@@ -102,18 +102,18 @@ def build_sorting_overlay(joiners: list[int]) -> SortingOverlay:
     wiring = padded * depth  # one overlay edge per wire per layer hop
     per_round_edges = [wiring // rounds] * rounds
     per_round_edges[-1] += wiring - sum(per_round_edges)
-    profile = WorkProfile([uniform_round(joiners, formed=e) for e in per_round_edges])
-    return SortingOverlay(list(joiners), padded, depth, profile)
+    rows = [uniform_round(joiners, formed=e) for e in per_round_edges]
+    return SortingOverlay(list(joiners), padded, depth, rows)
 
 
-def run_network_sort(overlay: SortingOverlay) -> tuple[list[int], WorkProfile]:
+def run_network_sort(overlay: SortingOverlay) -> tuple[list[int], list[RoundWork]]:
     """One round per layer; every real host sends one message per layer."""
-    profile = WorkProfile([uniform_round(overlay.joiners) for _ in range(overlay.depth)])
-    return sorted(overlay.joiners), profile
+    rows = [uniform_round(overlay.joiners) for _ in range(overlay.depth)]
+    return sorted(overlay.joiners), rows
 
 
 def raise_levels(sorted_keys: list[int], heights: dict[int, int]
-                 ) -> tuple[SkipNet, WorkProfile]:
+                 ) -> tuple[SkipNet, list[RoundWork]]:
     """Copy the base chain level by level and rewire fill-ins away.
 
     Fill-in entries at level l (height < l) play the red role of the
@@ -126,9 +126,7 @@ def raise_levels(sorted_keys: list[int], heights: dict[int, int]
     buf.ensure_height(top)
     buf.add_key(BUF_LS, top)
     buf.add_key(BUF_RS, top)
-    profile = WorkProfile()
 
-    copy_acc = RoundAcc()
     for key in sorted_keys:
         buf.add_key(key, heights[key])
     chain = [BUF_LS, *sorted_keys, BUF_RS]
@@ -136,12 +134,9 @@ def raise_levels(sorted_keys: list[int], heights: dict[int, int]
         buf.set_link(a, b, 0)
     buf.set_link(LS, BUF_LS, 0)
     buf.set_link(BUF_RS, RS, 0)
-    copy_acc.edges(formed=len(chain) - 1)
 
     sends = ParallelSends()
     for lvl in range(1, top + 1):
-        # level copy: every key participates, fill-ins included
-        copy_acc.edges(formed=len(chain) - 1)
         fill_in = {k for k in sorted_keys if heights[k] < lvl}
         _, senders = bridge_chain(chain, fill_in, lvl)
         effectives = [k for k in chain if k not in fill_in]
@@ -159,9 +154,8 @@ def raise_levels(sorted_keys: list[int], heights: dict[int, int]
                 deleted += run + 1
                 run = 0
         sends.add(senders, deleted)
-    profile.add(copy_acc)
-    profile.rows.extend(sends.rows())
-    return buf, profile
+    # level copy: every key takes part at every level, fill-ins included
+    return buf, [RoundWork(0, (len(chain) - 1) * (top + 1)), *sends.rows()]
 
 
 @dataclass
@@ -175,21 +169,17 @@ class BufferSummary:
 
 
 def create_buffer(joiners: list[int], heights: dict[int, int]
-                  ) -> tuple[SkipNet | None, BufferSummary, WorkProfile]:
+                  ) -> tuple[SkipNet | None, BufferSummary, list[RoundWork]]:
     """Full phase: overlay, network sort, level raising."""
     summary = BufferSummary(joiners=len(joiners))
     if not joiners:
-        return None, summary, WorkProfile()
+        return None, summary, []
     overlay = build_sorting_overlay(joiners)
-    profile = WorkProfile()
-    profile.append(overlay.build_profile)
-    sorted_keys, sort_prof = run_network_sort(overlay)
-    profile.append(sort_prof)
-    buf, raise_prof = raise_levels(sorted_keys, heights)
-    profile.append(raise_prof)
+    sorted_keys, sort_rows = run_network_sort(overlay)
+    buf, raise_rows = raise_levels(sorted_keys, heights)
+    rows = overlay.build_rows + sort_rows + raise_rows
     summary.padded_width = overlay.padded_width
     summary.sort_depth = overlay.depth
-    summary.rounds_used = profile.rounds
-    summary.messages_used = profile.messages
-    summary.edges_formed = profile.edges_formed
-    return buf, summary, profile
+    summary.rounds_used = len(rows)
+    summary.messages_used, summary.edges_formed, _ = totals(rows)
+    return buf, summary, rows

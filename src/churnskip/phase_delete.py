@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import MESSAGE_SHAPE_VIOLATION, ORPHAN_LEAF, ChurnSkipError
 from .skiplist import LS, SkipNet
-from .work import ParallelSends, RoundWork, WorkProfile
+from .work import ParallelSends, RoundWork, totals
 
 
 class MessageShapeViolation(ChurnSkipError):
@@ -189,7 +189,7 @@ class DeleteSummary:
     messages_used: int = 0
 
 
-def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
+def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, list[RoundWork]]:
     """Remove every red key from net at all levels in parallel.
 
     Work scales with the reds: each level tree is found from the reds at
@@ -197,9 +197,8 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
     """
     reds_in = sorted(k for k in reds if k in net.heights)
     summary = DeleteSummary()
-    profile = WorkProfile()
     if not reds_in:
-        return summary, profile
+        return summary, []
 
     red_set = set(reds_in)
     sends = ParallelSends()
@@ -218,7 +217,7 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         # chain), but in several trees at once
         sends.add(layers[:0:-1] + prop)
         per_level.append((len(at_level), bridges))
-    profile.rows.extend(sends.rows())
+    rows = sends.rows()
 
     # apply: bridge each red run, then drop the red towers
     formed = deleted = 0
@@ -235,10 +234,10 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile]:
         net.live.discard(key)
     net.pending = {(l, a, b) for (l, a, b) in net.pending
                    if a not in red_set and b not in red_set}
-    profile.rows.append(RoundWork(0, formed, deleted))
+    rows.append(RoundWork(0, formed, deleted))
 
     summary.reds_removed = len(reds_in)
     summary.bridge_edges_created = formed
-    summary.rounds_used = profile.rounds
-    summary.messages_used = profile.messages
-    return summary, profile
+    summary.rounds_used = len(rows)
+    summary.messages_used = totals(rows)[0]
+    return summary, rows

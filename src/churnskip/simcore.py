@@ -2,7 +2,7 @@
 
 The world owns the global clock, the alive set, the attachment edges, and
 the append-only work ledger. Protocol phases charge their work by playing
-back a per-round work profile (play_row); churn plumbing and queries charge
+back their work rows, one per round (play_row); churn plumbing and queries charge
 single messages and edges directly (charge_msgs/charge_edges/form_edge).
 Both paths check the per-node send cap, and every charge lands in the row
 of the round the clock is in.
@@ -134,7 +134,7 @@ class World:
         self.ledger.category_totals[category] += formed + deleted
 
     def play_row(self, row: RoundWork, category: str) -> None:
-        """Charge one profile round of bulk phase work.
+        """Charge one round of bulk phase work.
 
         The row's busiest node is held to the send cap together with what
         charge_msgs already charged it this round, and the sum is recorded

@@ -1,14 +1,21 @@
 """Per-round work accounting shared by the phase engines.
 
-Phases compute their structural outcome eagerly but report work as a
-round-by-round profile so the simulator can charge the ledger while the
-global clock advances, and so per-node message budgets stay checkable.
+A phase computes its structural outcome eagerly but reports its work as a
+plain list of RoundWork rows, one per simulated round, so the simulator can
+charge the ledger while the global clock advances and hold each round's
+busiest sender to the per-node send cap.
+
+There is one row builder: `sends_row` turns per-key send counts plus edge
+counts into a row. `ParallelSends` stacks the rounds of trees that run side
+by side into per-round counts and seals them with it, and `uniform_round`
+is its closed form for a round in which every listed node sends the same
+number of messages. `totals` sums a list of rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 
@@ -21,32 +28,15 @@ class RoundWork:
     busiest: int | None = None
 
 
-class RoundAcc:
-    """Accumulates one round's work; seal() compresses per-node counts."""
-
-    __slots__ = ("counts", "edges_formed", "edges_deleted")
-
-    def __init__(self):
-        self.counts: dict[int, int] = {}
-        self.edges_formed = 0
-        self.edges_deleted = 0
-
-    def msg(self, key: int, n: int = 1) -> None:
-        if n:
-            self.counts[key] = self.counts.get(key, 0) + n
-
-    def edges(self, formed: int = 0, deleted: int = 0) -> None:
-        self.edges_formed += formed
-        self.edges_deleted += deleted
-
-    def seal(self) -> RoundWork:
-        total = sum(self.counts.values())
-        if self.counts:
-            busiest = max(self.counts, key=self.counts.__getitem__)
-            peak = self.counts[busiest]
-        else:
-            busiest, peak = None, 0
-        return RoundWork(total, self.edges_formed, self.edges_deleted, peak, busiest)
+def sends_row(sends, formed: int = 0, deleted: int = 0) -> RoundWork:
+    """The row of a round in which each key of `sends` sent sends[key]
+    messages. A tied peak goes to the key counted first; a key with a count
+    of 0 is not a sender, so with no senders `busiest` is None."""
+    if sends:
+        busiest, peak = max(sends.items(), key=itemgetter(1))
+        if peak:
+            return RoundWork(sum(sends.values()), formed, deleted, peak, busiest)
+    return RoundWork(0, formed, deleted)
 
 
 class ParallelSends:
@@ -70,58 +60,27 @@ class ParallelSends:
             self.dropped[-1] += dropped
 
     def rows(self) -> list[RoundWork]:
-        """One row per round; a tied peak goes to the key counted first."""
-        out = []
-        for counts, dropped in zip(self.sent, self.dropped):
-            busiest, peak = max(counts.items(), key=itemgetter(1))
-            out.append(RoundWork(counts.total(), 0, dropped, peak, busiest))
-        return out
+        """One row per round."""
+        return [sends_row(counts, 0, dropped)
+                for counts, dropped in zip(self.sent, self.dropped)]
 
 
 def uniform_round(nodes, k: int = 1, formed: int = 0) -> RoundWork:
     """One round in which every listed node sends k messages.
 
-    The nodes must be distinct. The row equals what RoundAcc.seal() gives
-    after msg(node, k) for each node in order: the busiest node is the
-    first one listed.
+    The nodes must be distinct. The row equals sends_row({node: k for node
+    in nodes}, formed): the busiest node is the first one listed.
     """
     if not (nodes and k):
         return RoundWork(0, formed)
     return RoundWork(k * len(nodes), formed, 0, k, next(iter(nodes)))
 
 
-@dataclass
-class WorkProfile:
-    """One RoundWork per simulated round of a phase."""
-
-    rows: list[RoundWork] = field(default_factory=list)
-
-    @property
-    def rounds(self) -> int:
-        return len(self.rows)
-
-    @property
-    def messages(self) -> int:
-        return sum(r.messages for r in self.rows)
-
-    @property
-    def edges_formed(self) -> int:
-        return sum(r.edges_formed for r in self.rows)
-
-    @property
-    def edges_deleted(self) -> int:
-        return sum(r.edges_deleted for r in self.rows)
-
-    @property
-    def work(self) -> int:
-        return self.messages + self.edges_formed + self.edges_deleted
-
-    def add(self, acc: RoundAcc) -> None:
-        self.rows.append(acc.seal())
-
-    def pad_to(self, rounds: int) -> None:
-        while len(self.rows) < rounds:
-            self.rows.append(RoundWork())
-
-    def append(self, other: "WorkProfile") -> None:
-        self.rows.extend(other.rows)
+def totals(rows) -> tuple[int, int, int]:
+    """Messages, edges formed and edges deleted, summed over rows."""
+    messages = formed = deleted = 0
+    for row in rows:
+        messages += row.messages
+        formed += row.edges_formed
+        deleted += row.edges_deleted
+    return messages, formed, deleted

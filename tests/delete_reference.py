@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from churnskip.phase_delete import (DeleteSummary, MessageShapeViolation, OrphanLeaf,
                                     Pair, _leaf_pair, _merge_pairs)
 from churnskip.skiplist import LS, RS, SkipNet
-from churnskip.work import RoundAcc, WorkProfile
+from churnskip.work import RoundWork, totals
+from work_reference import RoundAcc, pad
 
 
 def expected_bridges(chain: list[int], red: set[int]) -> list[tuple[int, int]]:
@@ -90,7 +91,7 @@ def tree_formation(net: SkipNet, lvl: int, red: set[int]) -> LevelTree:
 
 
 def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
-                         ) -> tuple[list[tuple[int, int]], WorkProfile]:
+                         ) -> tuple[list[tuple[int, int]], list[RoundWork]]:
     lvl = tree.level
     right_of = tree.right_of
     children: dict[tuple[int, int], dict[str, tuple[int, int]]] = {}
@@ -138,17 +139,16 @@ def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
         if pair[1] or pair[3]:
             raise MessageShapeViolation(f"unmatched dot at root, level {lvl}")
 
-    profile = WorkProfile()
-    for rnd in range(1, max(rounds, default=0) + 1):
-        profile.add(rounds.get(rnd, RoundAcc()))
-    return sorted(bridges), profile
+    rows = [rounds.get(rnd, RoundAcc()).seal()
+            for rnd in range(1, max(rounds, default=0) + 1)]
+    return sorted(bridges), rows
 
 
-def _overlay(profile: WorkProfile, other: WorkProfile) -> None:
+def _overlay(rows: list[RoundWork], other: list[RoundWork]) -> None:
     """Add another level's rows round for round, keeping the larger of
     the two per-level peaks (the accounting the closed form replaced)."""
-    profile.pad_to(other.rounds)
-    for mine, theirs in zip(profile.rows, other.rows):
+    pad(rows, len(other))
+    for mine, theirs in zip(rows, other):
         mine.messages += theirs.messages
         mine.edges_formed += theirs.edges_formed
         mine.edges_deleted += theirs.edges_deleted
@@ -157,13 +157,13 @@ def _overlay(profile: WorkProfile, other: WorkProfile) -> None:
             mine.busiest = theirs.busiest
 
 
-def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile, dict]:
-    """Returns the summary, the profile and each level's bridges."""
+def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, list[RoundWork], dict]:
+    """Returns the summary, the rows and each level's bridges."""
     reds_in = sorted(k for k in reds if k in net.heights)
     summary = DeleteSummary()
-    profile = WorkProfile()
+    rows: list[RoundWork] = []
     if not reds_in:
-        return summary, profile, {}
+        return summary, rows, {}
 
     red_set = set(reds_in)
     per_level_bridges: dict[int, list[tuple[int, int]]] = {}
@@ -172,16 +172,14 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile, dict]:
         if not at_level:
             continue
         tree = tree_formation(net, lvl, at_level)
-        formation = WorkProfile()
         depth_map = tree.depth_map
         by_round: defaultdict[int, RoundAcc] = defaultdict(RoundAcc)
         for (key, _l), parent in tree.parents.items():
             by_round[tree.depth - depth_map[(key, _l)] + 1].msg(key)
-        for rnd in range(1, max(by_round, default=0) + 1):
-            formation.add(by_round.get(rnd, RoundAcc()))
+        formation = [by_round.get(rnd, RoundAcc()).seal()
+                     for rnd in range(1, max(by_round, default=0) + 1)]
         bridges, prop = propagate_and_bridge(net, tree, at_level)
-        formation.append(prop)
-        _overlay(profile, formation)
+        _overlay(rows, formation + prop)
         per_level_bridges[lvl] = bridges
 
     acc = RoundAcc()
@@ -206,12 +204,12 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, WorkProfile, dict]:
         net.live.discard(key)
     net.pending = {(l, a, b) for (l, a, b) in net.pending
                    if a not in red_set and b not in red_set}
-    profile.rows.append(acc.seal())
+    rows.append(acc.seal())
 
     summary.reds_removed = len(reds_in)
-    summary.rounds_used = profile.rounds
-    summary.messages_used = profile.messages
-    return summary, profile, per_level_bridges
+    summary.rounds_used = len(rows)
+    summary.messages_used = totals(rows)[0]
+    return summary, rows, per_level_bridges
 
 
 def sender_counts(net: SkipNet, reds) -> list[Counter]:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from churnskip.phase_merge import CohesiveGroup, MergeSummary, SpliceConflict, preprocess
 from churnskip.skiplist import BUF_LS, BUF_RS, LS, SkipNet, is_sentinel
-from churnskip.work import RoundAcc, RoundWork, WorkProfile
+from churnskip.work import RoundWork, totals
+from work_reference import RoundAcc
 
 
 @dataclass
@@ -65,9 +66,9 @@ class WaveEngine:
         self.merged_level: dict[int, int] = {}
         self.round = 0
         self.events: list[dict] = []
-        self.profile = WorkProfile()
+        self.rows: list[RoundWork] = []
         self.group_spans: list[tuple[CohesiveGroup, int, int]] = []
-        self.summary = MergeSummary(groups=1, preprocess_rounds=self.pre.rounds)
+        self.summary = MergeSummary(groups=1, preprocess_rounds=len(self.pre.rows))
         self.absorbed = False
         self._ready: set[int] = set()
 
@@ -280,7 +281,7 @@ class WaveEngine:
                     removed += self.clean.unlink_tower(key)
             acc.edges(formed=2 * (self.buf.height + 1), deleted=removed)
             self.absorbed = True
-        self.profile.add(acc)
+        self.rows.append(acc.seal())
 
     def rounds(self) -> Iterator[RoundWork]:
         """Step the wave until the buffer is absorbed, yielding each round's
@@ -290,11 +291,12 @@ class WaveEngine:
             if self.round > guard:
                 raise SpliceConflict("wave failed to converge")
             self.step()
-            yield self.profile.rows[-1]
+            yield self.rows[-1]
+        messages, formed, _ = totals(self.pre.rows + self.rows)
         self.summary.wave_rounds = self.round
-        self.summary.rounds_used = self.pre.rounds + self.round
-        self.summary.messages_used = self.pre.profile.messages + self.profile.messages
-        self.summary.edges_formed = self.pre.profile.edges_formed + self.profile.edges_formed
+        self.summary.rounds_used = len(self.pre.rows) + self.round
+        self.summary.messages_used = messages
+        self.summary.edges_formed = formed
 
     def run(self) -> MergeSummary:
         for _ in self.rounds():

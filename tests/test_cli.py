@@ -101,6 +101,11 @@ def test_simulate_churning_run_is_deterministic_and_pinned(tmp_path):
         "700c5a82ed877ce2ea8d77de73a4bd425288fd93729aeae9bc8b04b25d16cfe4"
     assert hashlib.sha256(events).hexdigest() == \
         "05aa0af627e7d32f30d39f2573ae86a06f0d189f788903d4aafb1b1997487069"
+    # the per-phase and per-cycle rounds, messages and edges
+    assert hashlib.sha256((out / "phases.jsonl").read_bytes()).hexdigest() == \
+        "584f2995b548fb3d183cf8ed9c5166f06c5e0fc9c547d0409213759b9c069c3c"
+    assert hashlib.sha256((out / "cycles.jsonl").read_bytes()).hexdigest() == \
+        "846f35d486212a0187ce1d0b862d361aeedbe8f415924fd2072685dad3d61f65"
 
 
 def test_validate_dump_roundtrip_and_fault(tmp_path):

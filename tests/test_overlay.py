@@ -46,7 +46,6 @@ def test_bootstrap_small_and_too_few():
     assert state.k == 1
     assert len(state.addrs) == 2
     assert sorted(len(state.members(a)) for a in state.addrs) != [0, 16]
-    assert state.validate_shape() == "OK"
     assert state.validate_cliques() == "OK"
     with pytest.raises(TooFewNodes):
         bootstrap_overlay(range(8), SimParams(n=8), random.Random(0))
@@ -58,10 +57,10 @@ def test_bootstrap_small_and_too_few():
 
 def test_bootstrap_1024_sizes():
     params = SimParams(n=1024)
-    state, profile = bootstrap_overlay(range(1024), params, random.Random(3))
+    state, rows = bootstrap_overlay(range(1024), params, random.Random(3))
     assert len(state.addrs) == 24
     assert state.sizes_within_band(params)
-    assert profile.rounds <= 4 * math.log2(1024) + 4
+    assert len(rows) <= 4 * math.log2(1024) + 4
 
 
 def test_tick_keeps_sizes_in_band():
@@ -196,7 +195,6 @@ def test_reshape_grow_then_shrink_roundtrip():
     opinions = {addr: "grow" for addr in state.addrs}
     grown, rounds, _ = reshape(state, opinions, params, rng, 512)
     assert grown.k == k0 + 1
-    assert grown.validate_shape() == "OK"
     assert grown.validate_cliques() == "OK"
     assert rounds <= 8 * math.log2(512)
     lo = math.ceil(0.75 * math.log2(512)) - 1
@@ -211,7 +209,6 @@ def test_reshape_grow_then_shrink_roundtrip():
     _assert_addresses(grown, range(600))
     shrunk, rounds, _ = reshape(grown, opinions, params, rng, 256)
     assert shrunk.k == k0
-    assert shrunk.validate_shape() == "OK"
     assert shrunk.validate_cliques() == "OK"
     assert rounds <= 8 * math.log2(256)
     assert set(shrunk.assignment) == set(range(256))

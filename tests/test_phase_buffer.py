@@ -16,6 +16,7 @@ from churnskip.phase_buffer import (
     run_network_sort,
 )
 from churnskip.skiplist import BUF_LS, BUF_RS, oracle_build, sample_height
+from churnskip.work import totals
 from work_reference import rewire_recount
 
 
@@ -66,21 +67,21 @@ def test_overlay_padding_and_work():
     joiners = rng.sample(range(10_000), 100)
     overlay = build_sorting_overlay(joiners)
     assert overlay.padded_width == 128
-    assert overlay.build_profile.rounds <= 2 * math.log2(1024)
+    assert len(overlay.build_rows) <= 2 * math.log2(1024)
     log2n = math.log2(1024)
-    assert overlay.build_profile.work <= 12 * len(joiners) * log2n ** 2
+    assert sum(totals(overlay.build_rows)) <= 12 * len(joiners) * log2n ** 2
 
 
 def test_network_sort_idempotent_and_depth():
     joiners = list(range(128))
     overlay = build_sorting_overlay(joiners)
-    out, prof = run_network_sort(overlay)
+    out, rows = run_network_sort(overlay)
     assert out == joiners
-    assert prof.rounds == 28  # depth(128)
+    assert len(rows) == 28  # depth(128)
     reverse = build_sorting_overlay(list(reversed(joiners)))
-    out, prof = run_network_sort(reverse)
+    out, rows = run_network_sort(reverse)
     assert out == joiners
-    assert prof.rounds == 28
+    assert len(rows) == 28
 
 
 def test_raise_levels_all_zero_heights_is_chain():
@@ -109,8 +110,8 @@ def test_rewire_rows_report_true_per_key_peak(count, seed):
     rng = random.Random(seed)
     keys = sorted(rng.sample(range(100 * count), count))
     heights = {k: sample_height(rng) for k in keys}
-    _, profile = raise_levels(keys, heights)
-    rewire = profile.rows[1:]
+    _, rows = raise_levels(keys, heights)
+    rewire = rows[1:]
     recount = rewire_recount(keys, heights)
     assert len(rewire) == len(recount)
     for row, (counts, deleted) in zip(rewire, recount):
@@ -128,7 +129,7 @@ def test_seeded_builds_match_oracle():
         count = rng.randint(1, 256)
         joiners = rng.sample(range(100_000), count)
         heights = {k: sample_height(rng) for k in joiners}
-        buf, summary, profile = create_buffer(joiners, heights)
+        buf, summary, _ = create_buffer(joiners, heights)
         assert buf.validate().ok
         top = max(heights.values(), default=0)
         ordered = sorted(joiners)
@@ -141,9 +142,9 @@ def test_seeded_builds_match_oracle():
 
 
 def test_empty_phase_is_noop():
-    buf, summary, profile = create_buffer([], {})
+    buf, summary, rows = create_buffer([], {})
     assert buf is None
-    assert profile.work == 0
+    assert rows == []
 
 
 def test_hot_path_runs_no_comparator_network(monkeypatch):

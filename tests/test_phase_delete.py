@@ -14,6 +14,7 @@ from churnskip.phase_delete import (
     form_tree,
 )
 from churnskip.skiplist import LS, RS, oracle_build, oracle_delete, sample_height
+from churnskip.work import totals
 import delete_reference as reference
 from delete_reference import expected_bridges
 
@@ -36,15 +37,14 @@ def test_minimal_black_red_red_black():
 
 def test_no_reds_is_free():
     net = oracle_build([1, 2, 3], [0, 1, 0])
-    summary, profile = delete_phase(net, set())
+    summary, rows = delete_phase(net, set())
     assert summary.reds_removed == 0
-    assert profile.work == 0
-    assert profile.rounds == 0
+    assert rows == []
 
 
 def test_single_red_tower_bridges_every_level():
     net = oracle_build([10, 20, 30], [3, 2, 3])
-    summary, profile = delete_phase(net, {20})
+    summary, _ = delete_phase(net, {20})
     # one bridge per level of the removed tower
     assert summary.bridge_edges_created == 3
     assert net.validate().ok
@@ -59,7 +59,7 @@ def test_oracle_equivalence_seeded(n):
         reds = set(rng.sample(keys, n // 5))
         reference = oracle_build(keys, heights)
         oracle_delete(reference, reds)
-        summary, profile = delete_phase(net, reds)
+        summary, _ = delete_phase(net, reds)
         assert net.same_structure(reference), f"seed {seed}"
         assert net.validate().ok
         assert summary.reds_removed == len(reds)
@@ -126,9 +126,9 @@ def _layer_keys_of(depth_map):
 def test_work_proportional_to_reds():
     net, keys, heights, rng = build_random(512, 31)
     reds = set(rng.sample(keys, 20))
-    summary, profile = delete_phase(net, reds)
+    summary, rows = delete_phase(net, reds)
     polylog = math.log2(512) ** 3
-    assert profile.work <= polylog * len(reds)
+    assert sum(totals(rows)) <= polylog * len(reds)
     assert summary.rounds_used <= 8 * math.log2(512)
 
 
@@ -204,16 +204,16 @@ def test_delete_everything_leaves_sentinel_pair():
     assert net.validate().ok
 
 
-def _assert_true_peaks(profile, recount):
+def _assert_true_peaks(rows, recount):
     # every row but the last (the apply row) is a message round whose
     # busiest key is the one that sends the most over all level trees
-    assert len(profile.rows) == len(recount) + (1 if profile.rows else 0)
-    for row, counts in zip(profile.rows, recount):
+    assert len(rows) == len(recount) + (1 if rows else 0)
+    for row, counts in zip(rows, recount):
         assert row.messages == counts.total()
         assert row.max_node_messages == max(counts.values())
         assert counts[row.busiest] == row.max_node_messages
-    if profile.rows:
-        assert profile.rows[-1].messages == 0
+    if rows:
+        assert rows[-1].messages == 0
 
 
 def _same_delete_as_reference(keys, heights, reds, pending=()):
@@ -241,12 +241,12 @@ def _same_delete_as_reference(keys, heights, reds, pending=()):
         bridges, _ = fold_tree(net, lvl, level_red, leaves, depths)
         assert bridges == reference.propagate_and_bridge(ref, expect, level_red)[0]
     recount = reference.sender_counts(ref, reds)
-    summary, profile = delete_phase(net, reds)
-    ref_summary, ref_profile, _ = reference.delete_phase(ref, reds)
+    summary, rows = delete_phase(net, reds)
+    ref_summary, ref_rows, _ = reference.delete_phase(ref, reds)
     assert summary == ref_summary
-    assert [(r.messages, r.edges_formed, r.edges_deleted) for r in profile.rows] == \
-        [(r.messages, r.edges_formed, r.edges_deleted) for r in ref_profile.rows]
-    _assert_true_peaks(profile, recount)
+    assert [(r.messages, r.edges_formed, r.edges_deleted) for r in rows] == \
+        [(r.messages, r.edges_formed, r.edges_deleted) for r in ref_rows]
+    _assert_true_peaks(rows, recount)
     assert net.same_structure(ref)
     assert net.pending == ref.pending
     assert net.live == ref.live
@@ -288,6 +288,6 @@ def test_delete_rows_report_true_per_key_peak():
     net, keys, heights, rng = build_random(512, 9)
     reds = set(rng.sample(keys, 100))
     recount = reference.sender_counts(net, reds)
-    _, profile = delete_phase(net, reds)
-    _assert_true_peaks(profile, recount)
-    assert max(row.max_node_messages for row in profile.rows) > 1
+    _, rows = delete_phase(net, reds)
+    _assert_true_peaks(rows, recount)
+    assert max(row.max_node_messages for row in rows) > 1

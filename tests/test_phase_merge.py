@@ -15,6 +15,7 @@ from churnskip.skiplist import (
     sample_height,
     search,
 )
+from churnskip.work import totals
 import merge_reference as reference
 
 
@@ -35,7 +36,7 @@ def random_pair(nc, nb, seed):
 
 def test_singleton_buffer_acts_like_insertion():
     clean, buf, c_keys, b_keys, heights = random_pair(40, 1, 0)
-    summary, profile, events = wave_merge(clean, buf)
+    summary, _, events = wave_merge(clean, buf)
     ref = oracle_merge(oracle_build(c_keys, [heights[k] for k in c_keys]),
                        b_keys, heights)
     assert clean.same_structure(ref)
@@ -72,7 +73,7 @@ def test_oracle_equivalence_seeded_small():
         clean, buf, c_keys, b_keys, heights = random_pair(64, 64, seed)
         ref = oracle_merge(oracle_build(c_keys, [heights[k] for k in c_keys]),
                            b_keys, heights)
-        summary, profile, events = wave_merge(clean, buf)
+        summary, _, events = wave_merge(clean, buf)
         assert clean.same_structure(ref), f"seed {seed}"
         assert clean.validate().ok
         assert BUF_LS not in clean.heights and BUF_RS not in clean.heights
@@ -80,8 +81,8 @@ def test_oracle_equivalence_seeded_small():
 
 def test_merge_work_proportional_to_buffer():
     clean, buf, c_keys, b_keys, heights = random_pair(512, 128, 9)
-    summary, profile, events = wave_merge(clean, buf)
-    assert profile.work <= math.log2(512) ** 3 * (len(b_keys) + 2)
+    summary, rows, events = wave_merge(clean, buf)
+    assert sum(totals(rows)) <= math.log2(512) ** 3 * (len(b_keys) + 2)
     assert summary.rounds_used <= 12 * math.log2(512)
 
 
@@ -89,7 +90,7 @@ def test_empty_levels_and_tall_buffer():
     # buffer taller than the clean list forces sentinel growth
     clean = oracle_build([10, 20], [0, 1])
     buf = make_buffer([5, 15], {5: 6, 15: 0})
-    summary, profile, events = wave_merge(clean, buf)
+    summary, _, events = wave_merge(clean, buf)
     ref = oracle_merge(oracle_build([10, 20], [0, 1]), [5, 15], {5: 6, 15: 0})
     assert clean.same_structure(ref)
 
@@ -132,7 +133,7 @@ def test_wave_monotone_activation():
 
 def test_split_events_record_dichotomy():
     clean, buf, c_keys, b_keys, heights = random_pair(256, 256, 5)
-    summary, profile, events = wave_merge(clean, buf)
+    summary, _, events = wave_merge(clean, buf)
     assert summary.splits == sum(1 for e in events if e["event"] == "split")
     assert summary.splits > 0
 
@@ -170,7 +171,7 @@ def test_merge_time_shape():
 def test_golden_merge_narrative():
     clean, heights = merge_instance()
     buf = make_buffer(sorted(heights), heights)
-    summary, profile, events = wave_merge(clean, buf)
+    summary, _, events = wave_merge(clean, buf)
     seq = [(e["event"], key_name(e["group_leader"]), e["level"]) for e in events]
     idx = 0
     for want in MERGE_NARRATIVE:
@@ -185,7 +186,7 @@ def test_golden_merge_narrative():
 def test_golden_event_details():
     clean, heights = merge_instance()
     buf = make_buffer(sorted(heights), heights)
-    summary, profile, events = wave_merge(clean, buf)
+    summary, _, events = wave_merge(clean, buf)
     splits = [e for e in events if e["event"] == "split"]
     assert splits[0]["level"] == 3 and splits[0]["z"] == 13
     assert splits[0]["new_leader"] == 23
@@ -282,7 +283,7 @@ def test_wave_matches_reference_engine(kind, nc, nb, live_share, rnd):
     (new, clean, rows), (ref, ref_clean, ref_rows) = runs
     assert new.events == ref.events
     assert rows == ref_rows    # every field, peak and busiest included
-    assert new.pre.profile.rows == ref.pre.profile.rows
+    assert new.pre.rows == ref.pre.rows
     assert new.summary == ref.summary
     assert new.group_spans == ref.group_spans
     assert new.merged_level == ref.merged_level

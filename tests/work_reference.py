@@ -1,10 +1,17 @@
-"""Per-node replays of the work the phases now charge in closed form.
+"""The per-node reference accumulator, and per-node replays of the work the
+phases now charge in closed form.
+
+`RoundAcc` is the accumulator every phase once sealed its rounds with: one
+dict of per-node counts, filled one message at a time. It is the oracle
+`work.sends_row` is checked against, and the reference engines in
+`merge_reference` and `delete_reference` still count with it.
 
 The buffer phase, `bootstrap_overlay` and `preprocess` build their uniform
-rounds with `work.uniform_round`. These are the loops that charged every
-message one node at a time, the per-comparator sort included. Kept as the
-reference the closed-form profiles are compared against, row for row.
-`rewire_recount` recounts the buffer's rewire rounds sender by sender.
+rounds with `work.uniform_round`. The replays below are the loops that
+charged every message one node at a time, the per-comparator sort
+included, kept as the reference the closed-form rows are compared against,
+row for row. `rewire_recount` recounts the buffer's rewire rounds sender by
+sender.
 """
 
 from __future__ import annotations
@@ -12,20 +19,55 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from churnskip.overlay import butterfly_edge_set
 from churnskip.params import ceil_log2
 from churnskip.phase_buffer import PAD, build_bitonic
 from churnskip.skiplist import BUF_LS, BUF_RS
-from churnskip.work import RoundAcc, WorkProfile
+from churnskip.work import RoundWork
 
 
-def network_sort_replay(joiners: list[int]) -> tuple[list[int], WorkProfile]:
+class RoundAcc:
+    """Accumulates one round's work; seal() compresses per-node counts."""
+
+    __slots__ = ("counts", "edges_formed", "edges_deleted")
+
+    def __init__(self):
+        self.counts: dict[int, int] = {}
+        self.edges_formed = 0
+        self.edges_deleted = 0
+
+    def msg(self, key: int, n: int = 1) -> None:
+        if n:
+            self.counts[key] = self.counts.get(key, 0) + n
+
+    def edges(self, formed: int = 0, deleted: int = 0) -> None:
+        self.edges_formed += formed
+        self.edges_deleted += deleted
+
+    def seal(self) -> RoundWork:
+        total = sum(self.counts.values())
+        if self.counts:
+            busiest = max(self.counts, key=self.counts.__getitem__)
+            peak = self.counts[busiest]
+        else:
+            busiest, peak = None, 0
+        return RoundWork(total, self.edges_formed, self.edges_deleted, peak, busiest)
+
+
+def pad(rows: list[RoundWork], rounds: int) -> list[RoundWork]:
+    """rows, padded with empty rounds to `rounds` rows."""
+    rows += [RoundWork() for _ in range(rounds - len(rows))]
+    return rows
+
+
+def network_sort_replay(joiners: list[int]) -> tuple[list[int], list[RoundWork]]:
     """Run every comparator, one round per layer; each comparator charges
     one message to each real host of its two wires."""
     net = build_bitonic(len(joiners))
     padding = net.padded_width - len(joiners)
     wires = list(joiners) + [PAD] * padding
     host = list(joiners) + [None] * padding
-    profile = WorkProfile()
+    rows = []
     for layer in net.layers:
         acc = RoundAcc()
         for i, j in layer:
@@ -34,79 +76,78 @@ def network_sort_replay(joiners: list[int]) -> tuple[list[int], WorkProfile]:
                     acc.msg(h)
             if wires[i] > wires[j]:
                 wires[i], wires[j] = wires[j], wires[i]
-        profile.add(acc)
-    return [w for w in wires if w != PAD], profile
+        rows.append(acc.seal())
+    return [w for w in wires if w != PAD], rows
 
 
-def sorting_overlay_replay(joiners: list[int]) -> WorkProfile:
+def sorting_overlay_replay(joiners: list[int]) -> list[RoundWork]:
     net = build_bitonic(len(joiners))
     rounds = max(1, math.ceil(math.log2(max(2, net.padded_width)))) + 3
     wiring = net.padded_width * net.depth
     per_round_edges = [wiring // rounds] * rounds
     per_round_edges[-1] += wiring - sum(per_round_edges)
-    profile = WorkProfile()
+    rows = []
     for r in range(rounds):
         acc = RoundAcc()
         for j in joiners:
             acc.msg(j)
         acc.edges(formed=per_round_edges[r])
-        profile.add(acc)
-    return profile
+        rows.append(acc.seal())
+    return rows
 
 
-def bootstrap_replay(nodes, state) -> WorkProfile:
-    """The profile `bootstrap_overlay` charged for the overlay it built."""
+def bootstrap_replay(nodes, state) -> list[RoundWork]:
+    """The rows `bootstrap_overlay` charged for the overlay it built."""
     nodes = sorted(nodes)
-    profile = WorkProfile()
+    rows = []
     if state.k < 1:
-        return profile
+        return rows
     lg = ceil_log2(len(nodes))
     for _ in range(2 * lg):
         acc = RoundAcc()
         for node in nodes:
             acc.msg(node)
-        profile.add(acc)
+        rows.append(acc.seal())
     wiring = RoundAcc()
     clique_edges = sum(len(state.members(a)) * (len(state.members(a)) - 1) // 2
                        for a in state.addrs)
     bip_edges = 0
-    for edge in state.edges:
+    for edge in butterfly_edge_set(state.k):
         a, b = tuple(edge)
         bip_edges += len(state.members(a)) * len(state.members(b))
     wiring.edges(formed=clique_edges + bip_edges)
     for node in nodes:
         wiring.msg(node, 2)
-    profile.add(wiring)
-    profile.pad_to(2 * lg + 4)
-    return profile
+    rows.append(wiring.seal())
+    return pad(rows, 2 * lg + 4)
 
 
-def preprocess_replay(pre) -> WorkProfile:
-    """The profile `preprocess` charged for the groups it found."""
+def preprocess_replay(pre) -> list[RoundWork]:
+    """The rows `preprocess` charged for the groups it found."""
     groups = pre.groups
-    profile = WorkProfile()
+    rows = []
     longest = max(len(g) for g in groups)
     for r in range(max(1, longest - 1)):
         acc = RoundAcc()
         for g in groups:
             for member in g[r + 1:]:
                 acc.msg(member)
-        profile.add(acc)
+        rows.append(acc.seal())
     shortcut = RoundAcc()
     for g in groups:
         shortcut.edges(formed=len(g) * (len(g) - 1) // 2)
         for member in g[1:]:
             shortcut.msg(g[0])
-    profile.add(shortcut)
+    rows.append(shortcut.seal())
     discovery = RoundAcc()
     for key in pre.parents:
         discovery.msg(key, 2)
-    profile.add(discovery)
+    rows.append(discovery.seal())
     init = RoundAcc()
     for member in pre.top_members:
         init.msg(member)
-    profile.add(init)
-    return profile
+    rows.append(init.seal())
+    return rows
 
 
 def rewire_recount(sorted_keys: list[int], heights: dict[int, int]
