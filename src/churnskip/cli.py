@@ -288,6 +288,8 @@ def main(argv=None) -> int:
     ben.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
+    if args.cmd == "validate" and not (args.path or args.fixture):
+        val.error("give a dump path or --fixture")
     try:
         return args.fn(args)
     except ChurnSkipError as exc:

@@ -14,6 +14,14 @@ layer. The phase charges the overlay and sort rounds in closed form and
 returns the joiners sorted; `build_bitonic` and `ComparatorNetwork.apply`
 are the network itself, which the acceptance tests run to check that it
 sorts (criterion 1).
+
+Level raising works from the keys at each level: the keys that reached the
+level below, each with its index in the base chain, are filtered by
+height, and an index gap between two neighbours is a run of fill-ins whose
+two sides are leaves of the level's rewiring tree. The leaves are folded
+pairwise by `phase_delete.fold_pairs`, the one fold the delete module
+shares for chain rewiring. Host work is the keys summed over the levels,
+about twice the joiners.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoJoiners
-from .phase_delete import bridge_chain
+from .phase_delete import Pair, fold_pairs
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet
 from .work import ParallelSends, RoundWork, totals, uniform_round
 
@@ -117,9 +125,12 @@ def raise_levels(sorted_keys: list[int], heights: dict[int, int]
     """Copy the base chain level by level and rewire fill-ins away.
 
     Fill-in entries at level l (height < l) play the red role of the
-    deletion routine; all levels rewire in parallel. The buffer's own
-    sentinels are ordinary members spanning every level, ready to ride
-    through the merge.
+    deletion routine; all levels rewire in parallel. Each level works from
+    the keys that reach it, filtered from those of the level below with
+    their base-chain index: an index gap between two neighbours is a run of
+    fill-ins, whose two sides are the leaves of the level's balanced tree.
+    The buffer's own sentinels are ordinary members spanning every level,
+    ready to ride through the merge.
     """
     top = max((heights[k] for k in sorted_keys), default=0)
     buf = SkipNet("B")
@@ -129,33 +140,34 @@ def raise_levels(sorted_keys: list[int], heights: dict[int, int]
 
     for key in sorted_keys:
         buf.add_key(key, heights[key])
-    chain = [BUF_LS, *sorted_keys, BUF_RS]
-    for a, b in zip(chain, chain[1:]):
-        buf.set_link(a, b, 0)
-    buf.set_link(LS, BUF_LS, 0)
-    buf.set_link(BUF_RS, RS, 0)
-
+    links, height = buf.links, buf.heights
+    base = [BUF_LS, *sorted_keys, BUF_RS]
+    level = list(enumerate(base))    # (base-chain index, key)
     sends = ParallelSends()
-    for lvl in range(1, top + 1):
-        fill_in = {k for k in sorted_keys if heights[k] < lvl}
-        _, senders = bridge_chain(chain, fill_in, lvl)
-        effectives = [k for k in chain if k not in fill_in]
-        for a, b in zip(effectives, effectives[1:]):
-            buf.set_link(a, b, lvl)
-        buf.set_link(LS, effectives[0], lvl)
-        buf.set_link(effectives[-1], RS, lvl)
-        # fill-in entries drop both their ports once bridged around
-        run = 0
+    for lvl in range(top + 1):
+        level = [(i, k) for i, k in level if height[k] >= lvl]
+        buf.set_link(LS, BUF_LS, lvl)
+        buf.set_link(BUF_RS, RS, lvl)
+        leaves: list[Pair] = []
         deleted = 0
-        for key in chain:
-            if key in fill_in:
-                run += 1
-            elif run:
-                deleted += run + 1
-                run = 0
-        sends.add(senders, deleted)
+        i, a = level[0]
+        left_red = False
+        for j, b in level[1:]:
+            links[a][lvl][1] = b
+            links[b][lvl][0] = a
+            # a gap of g fill-ins drops g + 1 edges: each fill-in's left
+            # port and the run's last right port
+            right_red = j - i > 1
+            if right_red:
+                deleted += j - i
+            if left_red or right_red:
+                leaves.append((a, left_red, a, right_red))
+            i, a, left_red = j, b, right_red
+        if left_red:
+            leaves.append((a, True, a, False))
+        sends.add(fold_pairs(leaves, lvl)[1], deleted)
     # level copy: every key takes part at every level, fill-ins included
-    return buf, [RoundWork(0, (len(chain) - 1) * (top + 1)), *sends.rows()]
+    return buf, [RoundWork(0, (len(base) - 1) * (top + 1)), *sends.rows()]
 
 
 @dataclass

@@ -5,9 +5,11 @@ of a tree rooted at the left-topmost sentinel, dotted boundary pairs flow
 upward, and an edge is formed between two boundary nodes exactly when their
 facing dots meet, bridging each maximal red run. A level tree is held
 level-major, one key -> depth map per skip-list level it spans, and folds
-from the bottom level up, right to left within a level. The same message
-discipline is reused by buffer creation to rewire fill-in nodes, there over
-a balanced tree on the level chain (see bridge_chain).
+from the bottom level up, right to left within a level. Buffer creation
+reuses the same message discipline and pair merge to rewire fill-in nodes,
+there over a balanced tree on the level chain: `fold_pairs`, shared from
+here, folds the leaves that buffer creation finds from the keys at each
+level (see `phase_buffer.raise_levels`).
 """
 
 from __future__ import annotations
@@ -47,23 +49,17 @@ def _merge_pairs(below: Pair, right: Pair, bridges: list, lvl: int) -> Pair:
     return (w, wd, z, zd)
 
 
-def bridge_chain(chain: list[int], red: set[int], lvl: int = 0
-                 ) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """Run the boundary-message protocol over a balanced tree on a chain.
+def fold_pairs(leaves: list[Pair], lvl: int = 0
+               ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """Run the boundary-message protocol over a balanced tree on a chain's
+    leaves, given left to right.
 
-    chain includes both sentinels (permanent blacks). Used by buffer-level
-    rewiring, where every position is still present so the chain itself is
-    the communication structure; pairwise merging halves it each round.
-    Returns the bridges and, per round, the keys that send in it.
+    Buffer-level rewiring uses it, where every position of the level chain
+    is still present, so the chain itself is the communication structure:
+    neighbouring subtrees merge pairwise, halving the frontier each round.
+    Returns the bridges, in no particular order, and per round the keys that
+    send in it.
     """
-    leaves: list[Pair] = []
-    for i, key in enumerate(chain):
-        if key in red:
-            continue
-        lred = i > 0 and chain[i - 1] in red
-        rred = i + 1 < len(chain) and chain[i + 1] in red
-        if lred or rred:
-            leaves.append(_leaf_pair(key, lred, rred))
     bridges: list[tuple[int, int]] = []
     if not leaves:
         return bridges, []
@@ -76,7 +72,7 @@ def bridge_chain(chain: list[int], red: set[int], lvl: int = 0
             nxt.append(frontier[-1])
         frontier = nxt
         senders.append([pair[0] for pair in frontier])
-    return sorted(bridges), senders
+    return bridges, senders
 
 
 # -- the skip-list backtracking tree (deletion proper) -----------------------

@@ -27,13 +27,13 @@ class SpliceConflict(ChurnSkipError):
     kind = SPLICE_CONFLICT
 
 
-@dataclass
+@dataclass(slots=True)
 class CohesiveGroup:
     members: list[int]            # sorted; leader is members[0]
     level: int                    # current working level in C
     pos: int                      # C key the group stands at (height >= level)
     top: int = 0                  # members' height; no splicing above it
-    state: str = "traverse"       # traverse | merge | wait | done
+    state: str = "traverse"       # traverse | merge | wait | blocked | done
     delay: int = 0                # rounds to sit out (leader handoff)
     born: int = 0                 # engine round of activation
     splits: int = 0               # lineage split count (for the time audit)
@@ -46,7 +46,7 @@ class CohesiveGroup:
 _by_leader = attrgetter("leader")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Walk:
     key: int
     height: int
@@ -70,35 +70,38 @@ class Preprocessed:
 
 def preprocess(buf: SkipNet) -> Preprocessed:
     """Group identification, leader election, parent discovery, state init."""
-    if not buf.heights or BUF_LS not in buf.heights:
+    heights, links = buf.heights, buf.links
+    if not heights or BUF_LS not in heights:
         raise MalformedBuffer("buffer lacks its sentinels")
     top = buf.height
     groups: list[list[int]] = []
-    parents: dict[int, tuple[int | None, int | None]] = {}
     for lvl in range(top + 1):
         run: list[int] = []
-        for key in buf.iter_level(lvl):
-            if buf.height_of(key) == lvl:
+        key = links[LS][lvl][1]
+        while key != RS:
+            if heights[key] == lvl:
                 run.append(key)
             elif run:
                 groups.append(run)
                 run = []
+            key = links[key][lvl][1]
         if run:
             groups.append(run)
+    parents: dict[int, tuple[int | None, int | None]] = {}
+    children: dict[int, list[int]] = {}
     for g in groups:
-        h = buf.height_of(g[0])
-        lp = buf.left(g[0], h)
-        rp = buf.right(g[-1], h)
+        h = heights[g[0]]
+        lp = links[g[0]][h][0]
+        rp = links[g[-1]][h][1]
         lp = None if lp == LS else lp
         rp = None if rp == RS else rp
+        pair = (lp, rp)
         for key in g:
-            parents[key] = (lp, rp)
-    children: dict[int, list[int]] = {}
-    for key, (lp, rp) in parents.items():
+            parents[key] = pair
         if lp is not None:
-            children.setdefault(lp, []).append(key)
+            children.setdefault(lp, []).extend(g)
         if rp is not None:
-            children.setdefault(rp, []).append(key)
+            children.setdefault(rp, []).extend(g)
     top_members = buf.level_list(top)
 
     longest = max(len(g) for g in groups)
@@ -124,7 +127,11 @@ class MergeSummary:
 
 
 class WaveEngine:
-    """Round-stepped execution of the merge wave over (clean, buffer)."""
+    """Round-stepped execution of the merge wave over (clean, buffer).
+
+    A merged key's tower moves from the buffer into clean, so the buffer is
+    spent once the wave has started: only its unmerged keys stay its own.
+    """
 
     def __init__(self, clean: SkipNet, buf: SkipNet, cycle: int = 0):
         self.clean = clean
@@ -134,11 +141,10 @@ class WaveEngine:
         self.parents = self.pre.parents
         self.children = self.pre.children
         clean.ensure_height(buf.height)
-        self.walks: dict[int, _Walk] = {}
-        for key, h in buf.heights.items():
-            lp, rp = self.parents.get(key, (None, None))
-            self.walks[key] = _Walk(key, buf.height_of(key), lp, rp,
-                                    vpos=LS, vlevel=buf.height_of(key))
+        parents = self.parents
+        self.walks: dict[int, _Walk] = {
+            key: _Walk(key, h, *parents.get(key, (None, None)), vlevel=h)
+            for key, h in buf.heights.items()}
         top_group = CohesiveGroup(list(self.pre.top_members), buf.height, LS,
                                   top=buf.height)
         for key in top_group.members:
@@ -156,6 +162,10 @@ class WaveEngine:
         self.summary = MergeSummary(groups=1, preprocess_rounds=len(self.pre.rows))
         self.absorbed = False
         self._ready: set[int] = set()
+        # blocker key -> the group waiting for it. A group blocked by v
+        # waits at level merged_level[v], just right of v, so v blocks at
+        # most one group at a time
+        self._blocked: dict[int, CohesiveGroup] = {}
 
     # -- events --------------------------------------------------------------
 
@@ -167,14 +177,21 @@ class WaveEngine:
 
     # -- virtual walking -------------------------------------------------------
 
-    def _notify(self, members, v, z, kind, level) -> None:
-        walks, sends = self.walks, self._sends
+    def _notify(self, members, v, z, right: bool, level: int) -> None:
+        """Each member tells its children that it moved right to z, or down
+        from the gap (v, z) at level. With v None, each member u tells of
+        its own gap, (u, its right neighbour at level)."""
+        walks, sends, children = self.walks, self._sends, self.children
+        own = v is None
+        links = self.clean.links
         for u in members:
-            kids = self.children.get(u)
+            kids = children.get(u)
             if not kids:
                 continue
             if not is_sentinel(u):
                 sends[u] = sends.get(u, 0) + len(kids)
+            if own:
+                v, z = u, links[u][level][1]
             for c in kids:
                 walk = walks[c]
                 if walk.activated:
@@ -189,7 +206,7 @@ class WaveEngine:
                 # right: u moves past c; down: u's remaining corridor is
                 # left of z. Either way c no longer depends on u. Readiness
                 # changes only when a flag turns on.
-                if (z > c) if kind == "right" else (z < c):
+                if (z > c) if right else (z < c):
                     freed = False
                     if u == walk.lp and not walk.indep_lp:
                         walk.indep_lp = freed = True
@@ -199,18 +216,21 @@ class WaveEngine:
                         self._maybe_ready(c)
 
     def _notify_merged(self, members, level) -> None:
-        sends = self._sends
+        sends, children = self._sends, self.children
+        merged, blocked = self.merged_level, self._blocked
         for u in members:
-            self.merged_level[u] = level
-            kids = self.children.get(u)
-            if not kids:
-                continue
-            if not is_sentinel(u):
+            merged[u] = level
+            waiting = blocked.pop(u, None)
+            if waiting is not None:
+                waiting.state = "wait"   # re-checked in its own turn
+            kids = children.get(u)
+            if kids and not is_sentinel(u):
                 sends[u] = sends.get(u, 0) + len(kids)
         # merging at `level` satisfies only the children reaching down to it
+        walks = self.walks
         for u in members:
-            for c in self.children.get(u, ()):
-                walk = self.walks[c]
+            for c in children.get(u, ()):
+                walk = walks[c]
                 if not walk.activated and walk.height >= level:
                     self._maybe_ready(c)
 
@@ -276,7 +296,7 @@ class WaveEngine:
             sends[g.leader] = sends.get(g.leader, 0) + len(g.members)
         if movers and len(movers) == len(g.members):
             self._emit(g.leader, "move_right", g.level, to=z)
-            self._notify(g.members, v, z, "right", g.level)
+            self._notify(g.members, v, z, True, g.level)
             g.pos = z
         elif movers:
             stay = [m for m in g.members if m < z]
@@ -284,8 +304,8 @@ class WaveEngine:
                                   born=self.round, splits=g.splits + 1)
             self._emit(g.leader, "split", g.level,
                        new_leader=right.leader, at=v, z=z)
-            self._notify(stay, v, z, "down", g.level)
-            self._notify(movers, v, z, "right", g.level)
+            self._notify(stay, v, z, False, g.level)
+            self._notify(movers, v, z, True, g.level)
             g.members = stay
             g.splits += 1
             g.state = "merge" if g.level <= g.top else "descend"
@@ -293,7 +313,7 @@ class WaveEngine:
             self.summary.groups += 1
             self.summary.splits += 1
         else:
-            self._notify(g.members, v, z, "down", g.level)
+            self._notify(g.members, v, z, False, g.level)
             g.state = "merge" if g.level <= g.top else "descend"
         if g.state == "descend":
             # above the members' own height there is nothing to splice;
@@ -311,17 +331,24 @@ class WaveEngine:
             g.state = "traverse"
             self._do_traverse(g)
             return
+        # at its first splice, at its own height, a member's tower moves
+        # over from the buffer; the levels below are rewired as it descends
+        heights, links = self.clean.heights, self.clean.links
         for m in g.members:
-            if m not in self.clean.heights:
-                self.clean.add_key(m, self.buf.height_of(m)
-                                   if m in (BUF_LS, BUF_RS) else self.buf.heights[m])
+            if m not in heights:
+                heights[m] = self.buf.heights[m]
+                links[m] = self.buf.links[m]
         formed = self.clean.splice_run(v, g.members, z, lvl, pending=True)
         self._formed += formed
         self._deleted += 1
+        # the group waiting just right of v, at this level, has a new left
+        # neighbour
+        waiting = self._blocked.get(v)
+        if waiting is not None and waiting.level == lvl:
+            del self._blocked[v]
+            waiting.state = "wait"   # re-checked in its own turn
         self._emit(g.leader, "merged_at_level", lvl, left=v, right=z)
-        for m in g.members:
-            y = self.clean.right(m, lvl)
-            self._notify([m], m, y, "down", lvl)
+        self._notify(g.members, None, None, False, lvl)
         self._notify_merged(g.members, lvl)
         if lvl == 0:
             g.state = "done"
@@ -332,14 +359,19 @@ class WaveEngine:
             self._try_descend(g)
 
     def _try_descend(self, g: CohesiveGroup) -> None:
-        v = self.clean.left(g.leader, g.level)
-        blocked = (v in self.walks
-                   and self.merged_level.get(v, g.level) > g.level - 1)
-        if not blocked:
-            g.level -= 1
-            g.pos = v
-            g.state = "traverse"
-            self._emit(g.leader, "move_down", g.level)
+        v = self.clean.links[g.leader][g.level][0]
+        if v in self.walks and self.merged_level.get(v, g.level) >= g.level:
+            # v has not merged below this level yet. The group sleeps until
+            # v merges or a splice at v gives the leader another left
+            # neighbour; each wakes it to be re-checked in its own turn
+            assert v not in self._blocked, "a key blocks two groups"
+            g.state = "blocked"
+            self._blocked[v] = g
+            return
+        g.level -= 1
+        g.pos = v
+        g.state = "traverse"
+        self._emit(g.leader, "move_down", g.level)
 
     # -- rounds -----------------------------------------------------------------
 
@@ -349,19 +381,17 @@ class WaveEngine:
         self.round += 1
         # groups split off in this round act from the next one
         for g in list(self.active):
-            if g.state == "done":
+            state = g.state
+            if state == "done" or state == "blocked":
                 continue
             if g.delay:
                 g.delay -= 1
                 continue
-            if g.state == "wait":
-                self._try_descend(g)
-                if g.state != "traverse":
-                    continue
-                # fall through to traverse in the next round
-            elif g.state == "merge":
+            if state == "wait":
+                self._try_descend(g)   # a descent traverses from the next round
+            elif state == "merge":
                 self._do_merge(g)
-            elif g.state == "traverse":
+            elif state == "traverse":
                 self._do_traverse(g)
         self.active = [g for g in self.active if g.state != "done"]
         self._activate_ready()

@@ -6,7 +6,10 @@ only when it can change: when an independence flag turns on, or when a
 parent merges at or below the walk's height. It counts the idle walks and
 keeps the active groups ordered by leader. This is the engine it replaced:
 every notification re-checks the child, every step scans all walks and
-sorts the active groups. Both must give the same events, rows, summary,
+sorts the active groups, and a waiting group polls ``_try_descend`` every
+round. ``preprocess`` is the one it replaced too, which walks the levels
+through ``SkipNet.iter_level`` and ``height_of``. Both must give the same
+preprocessing (groups, parents, children, rows), events, rows, summary,
 group spans, structure and labels.
 """
 
@@ -16,10 +19,55 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from churnskip.phase_merge import CohesiveGroup, MergeSummary, SpliceConflict, preprocess
-from churnskip.skiplist import BUF_LS, BUF_RS, LS, SkipNet, is_sentinel
-from churnskip.work import RoundWork, totals
+from churnskip.errors import MalformedBuffer
+from churnskip.phase_merge import CohesiveGroup, MergeSummary, Preprocessed, SpliceConflict
+from churnskip.skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, is_sentinel
+from churnskip.work import RoundWork, sends_row, totals, uniform_round
 from work_reference import RoundAcc
+
+
+def preprocess(buf: SkipNet) -> Preprocessed:
+    """Group identification, leader election, parent discovery, state init."""
+    if not buf.heights or BUF_LS not in buf.heights:
+        raise MalformedBuffer("buffer lacks its sentinels")
+    top = buf.height
+    groups: list[list[int]] = []
+    parents: dict[int, tuple[int | None, int | None]] = {}
+    for lvl in range(top + 1):
+        run: list[int] = []
+        for key in buf.iter_level(lvl):
+            if buf.height_of(key) == lvl:
+                run.append(key)
+            elif run:
+                groups.append(run)
+                run = []
+        if run:
+            groups.append(run)
+    for g in groups:
+        h = buf.height_of(g[0])
+        lp = buf.left(g[0], h)
+        rp = buf.right(g[-1], h)
+        lp = None if lp == LS else lp
+        rp = None if rp == RS else rp
+        for key in g:
+            parents[key] = (lp, rp)
+    children: dict[int, list[int]] = {}
+    for key, (lp, rp) in parents.items():
+        if lp is not None:
+            children.setdefault(lp, []).append(key)
+        if rp is not None:
+            children.setdefault(rp, []).append(key)
+    top_members = buf.level_list(top)
+
+    longest = max(len(g) for g in groups)
+    # ID stream hops one step leftward
+    rows = [uniform_round([key for g in groups for key in g[r + 1:]])
+            for r in range(max(1, longest - 1))]
+    rows.append(sends_row({g[0]: len(g) - 1 for g in groups},    # leader announcement
+                          formed=sum(len(g) * (len(g) - 1) // 2 for g in groups)))
+    rows.append(uniform_round(parents, 2))     # parent discovery
+    rows.append(uniform_round(top_members))   # state init
+    return Preprocessed(groups, parents, children, top_members, rows)
 
 
 @dataclass

@@ -128,6 +128,13 @@ def test_fixture_subcommands():
     assert main(["validate", "--fixture", "merge"]) == 0
 
 
+def test_validate_without_target_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == 2
+    assert "give a dump path or --fixture" in capsys.readouterr().err
+
+
 def test_bench_runs_and_empty_sweep():
     assert main(["bench", "--sizes", "64,128"]) == 0
     assert main(["bench", "--sizes", ""]) == 0

@@ -17,6 +17,7 @@ from churnskip.phase_buffer import (
 )
 from churnskip.skiplist import BUF_LS, BUF_RS, oracle_build, sample_height
 from churnskip.work import totals
+import buffer_reference as reference
 from work_reference import rewire_recount
 
 
@@ -121,6 +122,29 @@ def test_rewire_rows_report_true_per_key_peak(count, seed):
         assert counts[row.busiest] == row.max_node_messages
     if count == 3000:
         assert sum(row.max_node_messages > 1 for row in rewire) > len(rewire) // 2
+
+
+@pytest.mark.parametrize("count", [1, 2, 37, 3000, 16384])
+@pytest.mark.parametrize("flat", [False, True])
+def test_raise_levels_matches_reference(count, flat):
+    # the level-by-level rescan of every joiner gives the same buffer and
+    # rows, peak and busiest included
+    rng = random.Random(count)
+    keys = sorted(rng.sample(range(100 * count), count))
+    heights = {k: 0 if flat else sample_height(rng) for k in keys}
+    buf, rows = raise_levels(keys, heights)
+    ref, ref_rows = reference.raise_levels(keys, heights)
+    assert buf.links == ref.links
+    assert buf.heights == ref.heights
+    assert buf.pending == ref.pending
+    assert len(rows) == len(ref_rows)
+    for row, want in zip(rows, ref_rows):
+        assert (row.messages, row.edges_formed, row.edges_deleted,
+                row.max_node_messages, row.busiest) == \
+            (want.messages, want.edges_formed, want.edges_deleted,
+             want.max_node_messages, want.busiest)
+    if not flat and count >= 37:
+        assert len(rows) > 2
 
 
 def test_seeded_builds_match_oracle():

@@ -7,14 +7,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from churnskip.phase_delete import (
     MessageShapeViolation,
+    _leaf_pair,
     _merge_pairs,
-    bridge_chain,
     delete_phase,
+    fold_pairs,
     fold_tree,
     form_tree,
 )
 from churnskip.skiplist import LS, RS, oracle_build, oracle_delete, sample_height
 from churnskip.work import totals
+from buffer_reference import bridge_chain
 import delete_reference as reference
 from delete_reference import expected_bridges
 
@@ -143,8 +145,14 @@ def test_bridge_chain_matches_scan():
         keys = sorted(rng.sample(range(1000), rng.randint(2, 60)))
         reds = {k for k in keys if rng.random() < 0.4}
         chain = [LS, *keys, RS]
-        bridges, senders = bridge_chain(chain, reds)
+        # the blacks next to a red run, left to right, are the fold's leaves
+        red = [False, *(k in reds for k in chain), False]
+        leaves = [_leaf_pair(k, red[i], red[i + 2]) for i, k in enumerate(chain)
+                  if not red[i + 1] and (red[i] or red[i + 2])]
+        bridges, senders = fold_pairs(leaves)
+        bridges.sort()
         assert bridges == expected_bridges(chain, reds)
+        assert (bridges, senders) == bridge_chain(chain, reds)
         if bridges:
             assert len(senders) <= math.ceil(math.log2(len(chain))) + 2
 

@@ -283,6 +283,10 @@ def test_wave_matches_reference_engine(kind, nc, nb, live_share, rnd):
     (new, clean, rows), (ref, ref_clean, ref_rows) = runs
     assert new.events == ref.events
     assert rows == ref_rows    # every field, peak and busiest included
+    assert new.pre.groups == ref.pre.groups
+    assert new.pre.parents == ref.pre.parents
+    assert new.pre.children == ref.pre.children
+    assert new.pre.top_members == ref.pre.top_members
     assert new.pre.rows == ref.pre.rows
     assert new.summary == ref.summary
     assert new.group_spans == ref.group_spans
