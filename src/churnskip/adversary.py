@@ -120,13 +120,12 @@ class ChurnSchedule:
         return "OK"
 
 
-def gen_schedule(seed_adv: int, n: int, rate, horizon: int,
+def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
                  strategy: str = "uniform_random",
                  bootstrap: int | None = None,
                  params: SimParams | None = None) -> ChurnSchedule:
     params = params or SimParams(n=n, seed_adv=seed_adv)
     bootstrap = params.bootstrap_rounds if bootstrap is None else bootstrap
-    rate = rate(n) if callable(rate) else int(rate)
     if rate > params.churn_cap:
         raise RateTooHigh(f"rate {rate} exceeds cap {params.churn_cap}")
     if horizon < bootstrap:
@@ -212,15 +211,14 @@ class Query:
     s: int
 
 
-def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float,
-                horizon: int | None = None) -> list[Query]:
+def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
+                ) -> list[Query]:
     """Membership queries over alive sources; targets mix present, departed,
     not-yet-joined, and never-existing keys so that every ground-truth class
     occurs."""
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
     rng = random.Random(seed_adv ^ 0x5EED)
-    horizon = horizon or schedule.horizon
     queries: list[Query] = []
     if density == 0.0:
         return queries
@@ -230,18 +228,16 @@ def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float,
     joined_pool = sorted(schedule.join_round)
     ghost_base = schedule.n ** 3 // 2  # ids no schedule ever allocates
     expected = density * schedule.n
-    for rnd in range(horizon):
-        if rnd < len(schedule.rounds):
-            rc = schedule.rounds[rnd]
-            for node in rc.leaves:
-                i = alive_pos.pop(node)
-                last = alive_list.pop()
-                if last != node:
-                    alive_list[i] = last
-                    alive_pos[last] = i
-            for node, _ in rc.joins:
-                alive_pos[node] = len(alive_list)
-                alive_list.append(node)
+    for rnd, rc in enumerate(schedule.rounds):
+        for node in rc.leaves:
+            i = alive_pos.pop(node)
+            last = alive_list.pop()
+            if last != node:
+                alive_list[i] = last
+                alive_pos[last] = i
+        for node, _ in rc.joins:
+            alive_pos[node] = len(alive_list)
+            alive_list.append(node)
         if rnd < schedule.bootstrap:
             continue
         count = int(expected) + (1 if rng.random() < expected % 1 else 0)

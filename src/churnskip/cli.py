@@ -14,7 +14,9 @@ import math
 import operator
 import random
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import fixtures, metrics
 from .errors import ChurnSkipError, ConfigError, RateTooHigh
@@ -63,11 +65,13 @@ def eval_rate_expr(expr: str, n: int) -> int:
     return int(math.floor(ev(tree)))
 
 
-_INT_FIELDS = {"n", "seed_adv", "seed_alg", "horizon_cycles"}
-_FLOAT_FIELDS = {"query_density", "p", "c_msg", "c_comm", "c_lo", "c_hi_mean",
-                 "beta_bootstrap", "c_churn", "alpha_reshape", "beta_reshape",
-                 "c_cycle"}
-_STR_FIELDS = {"strategy", "churn_rate_expr"}
+# The config keys are the SimParams fields, each read as its declared type,
+# except that the churn rate is given as an expression over n.
+_TYPES = get_type_hints(SimParams)
+_FIELDS = {f.name: _TYPES[f.name] for f in fields(SimParams)
+           if f.name != "churn_rate"}
+_FIELDS["churn_rate_expr"] = str
+_EXPECTED = {int: "integer", float: "number"}
 
 
 def parse_config(text: str) -> dict:
@@ -79,20 +83,13 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _INT_FIELDS:
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise ConfigError(key, f"expected integer, got {value!r}")
-        elif key in _FLOAT_FIELDS:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise ConfigError(key, f"expected number, got {value!r}")
-        elif key in _STR_FIELDS:
-            out[key] = value
-        else:
+        if key not in _FIELDS:
             raise ConfigError(key, "unknown config field")
+        kind = _FIELDS[key]
+        try:
+            out[key] = kind(value)
+        except ValueError:
+            raise ConfigError(key, f"expected {_EXPECTED[kind]}, got {value!r}")
     if "n" not in out:
         raise ConfigError("n", "required")
     return out
@@ -288,8 +285,8 @@ def main(argv=None) -> int:
     ben.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
-    if args.cmd == "validate" and not (args.path or args.fixture):
-        val.error("give a dump path or --fixture")
+    if args.cmd == "validate" and bool(args.path) == bool(args.fixture):
+        val.error("give a dump path or --fixture, not both")
     try:
         return args.fn(args)
     except ChurnSkipError as exc:

@@ -37,10 +37,6 @@ class TooFewNodes(ChurnSkipError):
     pass
 
 
-class NoAgreement(ChurnSkipError):
-    pass
-
-
 class UnsortedInput(ChurnSkipError):
     pass
 

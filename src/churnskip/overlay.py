@@ -1,6 +1,9 @@
 """Committee overlay: a wrapped butterfly of Theta(log n)-sized random
-cliques that absorbs churn by covering departed members, reassigns everyone
-every few rounds, and can grow or shrink its dimensionality.
+cliques that absorbs churn by covering departed members and reassigns
+everyone every few rounds. Its dimensionality k is fixed at bootstrap: the
+churn schedule pairs every departure with a join, so the network size stays
+n. Growing or shrinking k lives in the test suite, beside criterion 10,
+until an adversary that drifts the size needs it.
 
 Committee addresses are (row, level) with level' = level+1 (mod k) edges;
 (r, k) is the same committee as (r, 0). k = 0 is the degenerate
@@ -13,21 +16,20 @@ since, else by bisection into the draw; sizes are counts and a committee's
 speaker is found in the draw. So the tick does nothing per node beyond the
 draw and its size count, and neither it nor covering builds a per-node map
 or a member set: ``CommitteeOverlay.members`` and ``assignment`` are
-copies built on demand for reshaping, validators and tests.
+copies built on demand for validators and tests.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from .errors import NoAgreement, TooFewNodes
-from .params import SimParams, butterfly_k, ceil_log2, log2n
-from .work import RoundWork, sends_row, uniform_round
+from .errors import TooFewNodes
+from .params import SimParams, butterfly_k, ceil_log2
+from .work import RoundWork, uniform_round
 
 Address = tuple[int, int]
 
@@ -274,128 +276,3 @@ def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
     rows.append(uniform_round(nodes, 2, formed=clique_edges + bip_edges))
     rows += [RoundWork() for _ in range(3)]
     return state, rows
-
-
-# -- reshaping -------------------------------------------------------------------
-
-
-def committee_opinions(state: CommitteeOverlay, params: SimParams, n_ref: int
-                       ) -> dict[Address, str]:
-    grow_at = params.alpha_reshape * params.c_comm * log2n(n_ref)
-    shrink_at = params.beta_reshape * params.c_comm * log2n(n_ref)
-    out = {}
-    for addr in state.addrs:
-        if state.size(addr) > grow_at:
-            out[addr] = "grow"
-        elif state.size(addr) < shrink_at:
-            out[addr] = "shrink"
-        else:
-            out[addr] = "stay"
-    return out
-
-
-def _recruit(state: CommitteeOverlay, needy: list[Address], pool: list[int],
-             target: int, rng: random.Random, hi_cap: int) -> int:
-    """Round-by-round recruitment from a donor pool; returns rounds used."""
-    rounds = 0
-    pool = list(pool)
-    rng.shuffle(pool)
-    needy = [a for a in needy if state.size(a) < target]
-    while needy and pool:
-        rounds += 1
-        still = []
-        for addr in needy:
-            if pool and state.size(addr) < target:
-                state.place(pool.pop(), addr)
-            if state.size(addr) < target:
-                still.append(addr)
-        needy = still
-    addrs = state.addrs
-    while pool:
-        rounds += 1
-        leftovers = []
-        for node in pool:
-            for _ in range(4):
-                addr = addrs[rng.randrange(len(addrs))]
-                if state.size(addr) < hi_cap:
-                    state.place(node, addr)
-                    break
-            else:
-                leftovers.append(node)
-        if len(leftovers) == len(pool):  # all probes bounced; force-balance
-            for node in leftovers:
-                state.place(node, min(addrs, key=state.size))
-            leftovers = []
-        pool = leftovers
-    return rounds
-
-
-def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
-            params: SimParams, rng: random.Random, n_new: int
-            ) -> tuple[CommitteeOverlay, int, list[RoundWork]]:
-    """Agreement at C(0,0), then grow (k+1) or shrink (k-1).
-
-    Returns (new state, rounds used, one work row per round). Mixed
-    opinions raise NoAgreement; an all-stay vote costs only the agreement
-    routing.
-    """
-    votes = set(opinions.values())
-    agree_rounds = ceil_log2(max(2, len(state.addrs))) + 1
-    speakers = map(state.speaker, state.addrs)
-    rows = [sends_row(Counter(s for s in speakers if s is not None))]
-    rows += [RoundWork() for _ in range(agree_rounds - 1)]
-    if votes == {"stay"}:
-        return state, agree_rounds, rows
-    if len(votes) != 1:
-        raise NoAgreement(f"mixed opinions: {sorted(votes)}")
-    mode = votes.pop()
-    target = max(2, math.ceil(0.75 * log2n(max(2, n_new))))
-
-    if mode == "grow":
-        new = CommitteeOverlay(max(1, state.k + 1))
-        dest = {(r, lvl): (r, lvl + 1) if state.k >= 1 else (0, 0)
-                for r, lvl in state.addrs}
-        carried: set[Address] = set()
-        for addr in state.addrs:
-            for node in sorted(state.members(addr)):
-                new.place(node, dest[addr])
-            carried.add(dest[addr])
-        # copy rows and the fresh level 0 start from promoted leaders
-        for addr in new.addrs:
-            if addr in carried:
-                continue
-            members = sorted(new.members(max(carried, key=new.size)))
-            leader = members[rng.randrange(len(members))]
-            new.remove_member(leader)
-            new.place(leader, addr)
-        pool: list[int] = []
-        for addr in carried:
-            spare = sorted(new.members(addr))[target:]
-            for node in spare:
-                new.remove_member(node)
-                pool.append(node)
-    else:
-        if state.k <= 1:
-            raise NoAgreement("cannot shrink below k=1")
-        new = CommitteeOverlay(state.k - 1)
-        half = 2 ** (state.k - 1)
-        pool = []
-        dest = {(r, lvl): (r % half, max(0, lvl - 1)) for r, lvl in state.addrs}
-        for (r, lvl), to in dest.items():
-            vacates = lvl == 0 or r >= half
-            if vacates:
-                pool.extend(sorted(state.members((r, lvl))))
-            else:
-                for node in sorted(state.members((r, lvl))):
-                    new.place(node, to)
-    # a covered node stays with its committee, wherever that moved
-    new.covered_index = {key: dest[addr]
-                         for key, addr in state.covered_index.items()}
-
-    hi_cap = max(target + 1, math.ceil(2 * n_new / len(new.addrs)))
-    rounds = _recruit(new, new.addrs, pool, target, rng, hi_cap)
-    new.census_log = state.census_log
-    clique_edges = sum(s * (s - 1) // 2 for s in new.sizes())
-    rows.append(RoundWork(0, clique_edges + len(butterfly_edge_set(new.k))))
-    rows += [RoundWork() for _ in range(rounds)]
-    return new, agree_rounds + rounds + 1, rows

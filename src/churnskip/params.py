@@ -47,8 +47,6 @@ class SimParams:
     c_hi_mean: float = 2.0         # committee upper audit bound factor (x mean size)
     beta_bootstrap: float = 16.0   # bootstrap rounds B = beta * log2 n
     c_churn: float = 1.0           # admissible churn-rate cap factor (x n / log n)
-    alpha_reshape: float = 1.5     # grow threshold (x c_comm log n)
-    beta_reshape: float = 0.5      # shrink threshold (x c_comm log n)
     c_cycle: float = 4.0           # cycle round budget factor (x log^2 n)
 
     strategy: str = "uniform_random"

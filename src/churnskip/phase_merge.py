@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
@@ -104,10 +105,21 @@ def preprocess(buf: SkipNet) -> Preprocessed:
             children.setdefault(rp, []).extend(g)
     top_members = buf.level_list(top)
 
-    longest = max(len(g) for g in groups)
-    # ID stream hops one step leftward
-    rows = [uniform_round([key for g in groups for key in g[r + 1:]])
-            for r in range(max(1, longest - 1))]
+    # ID stream hops one step leftward: in round r every key after the first
+    # r + 1 of its group sends once, so the row is uniform_round over those
+    # keys, led by g[r + 1] of the first group g longer than r + 1
+    lengths = [len(g) for g in groups]
+    of_length = Counter(lengths)
+    sending = sum(lengths) - len(groups)    # keys sending in round 0
+    longer = len(groups) - of_length[1]     # groups with a key sending
+    rows = [] if sending else [RoundWork()]
+    first = 0
+    for r in range(max(lengths) - 1):
+        while lengths[first] <= r + 1:
+            first += 1
+        rows.append(RoundWork(sending, 0, 0, 1, groups[first][r + 1]))
+        sending -= longer
+        longer -= of_length[r + 2]
     rows.append(sends_row({g[0]: len(g) - 1 for g in groups},    # leader announcement
                           formed=sum(len(g) * (len(g) - 1) // 2 for g in groups)))
     rows.append(uniform_round(parents, 2))     # parent discovery

@@ -198,9 +198,6 @@ class SkipNet:
 
     # -- comparisons and checks -----------------------------------------------
 
-    def structure(self) -> list[list[int]]:
-        return [self.level_list(lvl) for lvl in range(self.height + 1)]
-
     def same_structure(self, other: "SkipNet") -> bool:
         if self.heights != other.heights:
             return False

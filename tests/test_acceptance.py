@@ -33,8 +33,9 @@ from churnskip.skiplist import (
     sample_height,
     search,
 )
-from churnskip.overlay import bootstrap_overlay, committee_opinions, reshape
+from churnskip.overlay import bootstrap_overlay
 from delete_reference import expected_bridges
+from overlay_reshape import committee_opinions, reshape
 
 
 def verdict(num, ok, text):

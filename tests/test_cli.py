@@ -1,5 +1,7 @@
 import hashlib
 import json
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 
@@ -12,6 +14,7 @@ from churnskip.cli import (
     run_fixture,
 )
 from churnskip.errors import ConfigError, RateTooHigh
+from churnskip.params import SimParams
 from churnskip.skiplist import oracle_build
 
 CFG = """
@@ -40,11 +43,31 @@ def test_rate_expression_arithmetic():
 def test_parse_config_and_field_errors():
     cfg = parse_config(CFG)
     assert cfg["n"] == 256 and cfg["strategy"] == "uniform_random"
+    assert cfg["churn_rate_expr"] == "n/(10*log2(n)^2)"
+    # every SimParams field but churn_rate is a key, read as its declared type
+    sample = {int: ("7", 7), float: ("0.25", 0.25), str: ("burst", "burst")}
+    declared = get_type_hints(SimParams)
+    names = [f.name for f in fields(SimParams) if f.name != "churn_rate"]
+    cfg = parse_config("\n".join(f"{name} = {sample[declared[name]][0]}"
+                                 for name in names))
+    assert list(cfg) == names
+    for name in names:
+        assert type(cfg[name]) is declared[name], name
+        assert cfg[name] == sample[declared[name]][1], name
     with pytest.raises(ConfigError) as err:
         parse_config("n = twelve")
     assert err.value.field == "n"
-    with pytest.raises(ConfigError):
-        parse_config("bogus_field = 3\nn = 16")
+    assert str(err.value) == "n: expected integer, got 'twelve'"
+    with pytest.raises(ConfigError) as err:
+        parse_config("n = 16\nhorizon_cycles = 2.5")
+    assert err.value.field == "horizon_cycles"
+    with pytest.raises(ConfigError) as err:
+        parse_config("n = 16\nc_comm = wide")
+    assert str(err.value) == "c_comm: expected number, got 'wide'"
+    for unknown in ("bogus_field", "alpha_reshape", "churn_rate"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{unknown} = 1.5\nn = 16")
+        assert str(err.value) == f"{unknown}: unknown config field"
     with pytest.raises(ConfigError):
         parse_config("seed_adv = 1")   # n required
 
@@ -133,6 +156,13 @@ def test_validate_without_target_is_usage_error(capsys):
         main(["validate"])
     assert exc.value.code == 2
     assert "give a dump path or --fixture" in capsys.readouterr().err
+
+
+def test_validate_with_path_and_fixture_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "/nonexistent/dump.jsonl", "--fixture", "merge"])
+    assert exc.value.code == 2
+    assert "not both" in capsys.readouterr().err
 
 
 def test_bench_runs_and_empty_sweep():

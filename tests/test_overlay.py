@@ -5,18 +5,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import chi2
 
-from churnskip.errors import NoAgreement, TooFewNodes
+from churnskip.errors import TooFewNodes
 from churnskip.maintenance import Simulation
 from churnskip.params import SimParams, butterfly_k
 from churnskip.overlay import (
     CommitteeOverlay,
     bootstrap_overlay,
     butterfly_edge_set,
-    committee_opinions,
-    reshape,
     route_hops,
 )
 from overlay_reference import eager_bootstrap
+from overlay_reshape import NoAgreement, committee_opinions, reshape
 
 
 def test_k_derivation_examples():
