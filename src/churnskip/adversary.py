@@ -18,9 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import HorizonTooShort, RateTooHigh
-from .params import SimParams, ceil_log2
-
-STRATEGIES = ("uniform_random", "targeted_committee", "burst")
+from .params import STRATEGIES, SimParams, ceil_log2
 
 
 @dataclass(frozen=True)

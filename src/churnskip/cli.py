@@ -128,6 +128,8 @@ def load_dump(lines) -> SkipNet:
             net = SkipNet(rec["net"])
             net.ensure_height(rec["height"])
             continue
+        if net is None:
+            raise ConfigError("dump", 'a key comes before the {"net": ...} line')
         key = _parse_key(rec["key"])
         net.add_key(key, rec["height"])
         for lvl, ports in enumerate(rec["levels"]):
@@ -138,6 +140,8 @@ def load_dump(lines) -> SkipNet:
                 net.pending.add((lvl, a, b))
         if rec.get("live"):
             net.live.add(key)
+    if net is None:
+        raise ConfigError("dump", 'no {"net": ...} line')
     # sentinel ports are not dumped per key; rebuild them from the edges
     for lvl in range(net.height + 1):
         firsts = [k for k in net.heights

@@ -50,7 +50,7 @@ class CycleSummary:
                 "q_violations": self.q_violations}
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryOutcome:
     x: int
     r: int
@@ -64,7 +64,7 @@ class QueryOutcome:
         return self.answered_round - self.r
 
 
-@dataclass
+@dataclass(slots=True)
 class CoveringAudit:
     round: int
     node: int
@@ -100,6 +100,8 @@ class Simulation:
         self.phase_records: list[dict] = []
         self.merge_events: list[dict] = []
         self._pending_audits: list[CoveringAudit] = []
+        # committee -> route_hops(committee, (0, 0), k) + 1; k stays fixed
+        self._hops_from: dict[tuple[int, int], int] = {}
         # departed nodes whose cover failed, until the delete phase removes
         # them: the only keys a relay can stall on
         self.uncovered: set[int] = set()
@@ -143,7 +145,7 @@ class Simulation:
         # every pending audit was made during the round just run
         for audit in self._pending_audits:
             speaker = self.overlay.covering_speaker(audit.node)
-            audit.ok = speaker is not None and world.is_alive(speaker)
+            audit.ok = speaker is not None and speaker in world.alive
             audit.verified_round = world.round
         self._pending_audits.clear()
 
@@ -276,7 +278,9 @@ class Simulation:
     def _serve_query(self, q: Query) -> QueryOutcome:
         world = self.world
         addr = self.overlay.address_of(q.s) or (0, 0)
-        hops = route_hops(addr, (0, 0), self.overlay.k) + 1
+        hops = self._hops_from.get(addr)
+        if hops is None:
+            hops = self._hops_from[addr] = route_hops(addr, (0, 0), self.overlay.k) + 1
         # every departure is covered until a cover fails, so until then
         # every key is representable and the search need not check
         representable = self._representable if self.uncovered else None

@@ -29,6 +29,7 @@ from itertools import chain, compress
 
 from .errors import TooFewNodes
 from .params import SimParams, butterfly_k, ceil_log2
+from .skiplist import RS
 from .work import RoundWork, uniform_round
 
 Address = tuple[int, int]
@@ -86,7 +87,8 @@ class CommitteeOverlay:
     bootstrap; ``_gone`` holds the drawn nodes that left since and ``_placed``
     the slot of each node placed since. ``_size`` counts each slot's members,
     and ``_speakers`` caches a slot's smallest member until it leaves or a
-    smaller node arrives. A cover is one ``covered_index`` entry."""
+    smaller node arrives; ``_placed_lo`` bounds the nodes placed since from
+    below. A cover is one ``covered_index`` entry."""
 
     def __init__(self, k: int):
         self.k = k
@@ -113,6 +115,7 @@ class CommitteeOverlay:
         self._size = [counts[slot] for slot in self._slots]
         self._gone: set[int] = set()
         self._placed: dict[int, int] = {}
+        self._placed_lo = RS    # at most every node in _placed
         self._speakers: dict[int, int | None] = {}
 
     def _drawn_slot(self, node: int) -> int | None:
@@ -155,7 +158,8 @@ class CommitteeOverlay:
         slot = self._slot[addr]
         if slot not in self._speakers:
             # the first drawn member that has not left, or a smaller node
-            # placed since
+            # placed since; none is smaller when that member is below
+            # _placed_lo
             nodes, picks, gone = self._nodes, self._picks, self._gone
             first = []
             try:
@@ -165,13 +169,18 @@ class CommitteeOverlay:
                 first.append(nodes[i])
             except ValueError:
                 pass
-            self._speakers[slot] = min(chain(first, self._placed_in(slot)),
-                                       default=None)
+            if first and first[0] < self._placed_lo:
+                self._speakers[slot] = first[0]
+            else:
+                self._speakers[slot] = min(chain(first, self._placed_in(slot)),
+                                           default=None)
         return self._speakers[slot]
 
     def place(self, node: int, addr: Address) -> None:
         slot = self._slot[addr]
         self._placed[node] = slot
+        if node < self._placed_lo:
+            self._placed_lo = node
         self._size[slot] += 1
         if slot in self._speakers:
             speaker = self._speakers[slot]

@@ -13,6 +13,9 @@ from functools import cached_property
 
 from .errors import ConfigError
 
+# the churn strategies of adversary.gen_schedule
+STRATEGIES = ("uniform_random", "targeted_committee", "burst")
+
 
 def log2n(n: int) -> float:
     return math.log2(max(2, n))
@@ -59,6 +62,9 @@ class SimParams:
             raise ConfigError("n", "must be >= 1")
         if not 0.0 < self.p < 1.0:
             raise ConfigError("p", "must be in (0, 1)")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError("strategy", f"unknown strategy {self.strategy!r}, "
+                              f"expected one of {', '.join(STRATEGIES)}")
         if self.churn_rate < 0:
             raise ConfigError("churn_rate", "must be >= 0")
         if self.churn_rate > self.churn_cap:

@@ -104,21 +104,24 @@ def form_tree(net: SkipNet, lvl: int, red: set[int]
     limit = 2 * (len(net.heights) + top + 4)
     for leaf in leaves:
         key, l = leaf, lvl
+        at = depths[l]
         keys: list[int] = []
-        levels: list[int] = []
-        while key not in depths[l]:
+        maps: list[dict[int, int]] = []    # depths[l] of each of keys
+        while key not in at:
             keys.append(key)
-            levels.append(l)
+            maps.append(at)
             if len(keys) > limit:
                 raise OrphanLeaf(f"leaf {leaf} lost at level {lvl}")
             if height(key, top) > l:
                 l += 1
+                at = depths[l]
             else:
                 key = links[key][l][0]
-        d = depths[l][key] + len(keys)
-        layers.extend([] for _ in range(d + 1 - len(layers)))
-        for key, l in zip(keys, levels):
-            depths[l][key] = d
+        d = at[key] + len(keys)
+        while len(layers) <= d:
+            layers.append([])
+        for key, depth_of in zip(keys, maps):
+            depth_of[key] = d
             layers[d].append(key)
             d -= 1
     return leaves, depths, layers
@@ -147,7 +150,7 @@ def fold_tree(net: SkipNet, lvl: int, red: set[int], leaves: list[int],
     below: dict[int, tuple[Pair, int]] = {}
     for leaf in leaves:
         left, nxt = links[leaf][lvl]
-        below[leaf] = (_leaf_pair(leaf, left in red, nxt in red), 0)
+        below[leaf] = ((leaf, left in red, leaf, nxt in red), 0)
     pair = None
     for l in range(lvl, top + 1):
         upper = depths[l + 1] if l < top else ()
@@ -157,7 +160,8 @@ def fold_tree(net: SkipNet, lvl: int, red: set[int], leaves: list[int],
             pair, when = below.get(key, _NO_INPUT)
             if right is not None:
                 pair = right if pair is None else _merge_pairs(pair, right, bridges, lvl)
-                when = max(when, right_fire)
+                if right_fire > when:
+                    when = right_fire
             if key == LS and l == top:
                 break   # the root folds its inputs but sends nothing further
             if when == len(senders):

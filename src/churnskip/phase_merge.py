@@ -15,12 +15,12 @@ import math
 from bisect import insort
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 
 from .errors import SPLICE_CONFLICT, ChurnSkipError, MalformedBuffer
-from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, is_sentinel
+from .skiplist import BUF_LS, BUF_RS, LS, RS, SENTINELS, SkipNet
 from .work import RoundWork, sends_row, totals, uniform_round
 
 
@@ -38,10 +38,11 @@ class CohesiveGroup:
     delay: int = 0                # rounds to sit out (leader handoff)
     born: int = 0                 # engine round of activation
     splits: int = 0               # lineage split count (for the time audit)
+    # members[0]: a split keeps the prefix, so the leader never changes
+    leader: int = field(init=False)
 
-    @property
-    def leader(self) -> int:
-        return self.members[0]
+    def __post_init__(self):
+        self.leader = self.members[0]
 
 
 _by_leader = attrgetter("leader")
@@ -182,10 +183,9 @@ class WaveEngine:
     # -- events --------------------------------------------------------------
 
     def _emit(self, leader: int, event: str, level: int, **detail) -> None:
-        rec = {"cycle": self.cycle, "round": self.round, "group_leader": leader,
-               "event": event, "level": level}
-        rec.update(detail)
-        self.events.append(rec)
+        self.events.append({"cycle": self.cycle, "round": self.round,
+                            "group_leader": leader, "event": event,
+                            "level": level, **detail})
 
     # -- virtual walking -------------------------------------------------------
 
@@ -200,7 +200,7 @@ class WaveEngine:
             kids = children.get(u)
             if not kids:
                 continue
-            if not is_sentinel(u):
+            if u not in SENTINELS:
                 sends[u] = sends.get(u, 0) + len(kids)
             if own:
                 v, z = u, links[u][level][1]
@@ -236,7 +236,7 @@ class WaveEngine:
             if waiting is not None:
                 waiting.state = "wait"   # re-checked in its own turn
             kids = children.get(u)
-            if kids and not is_sentinel(u):
+            if kids and u not in SENTINELS:
                 sends[u] = sends.get(u, 0) + len(kids)
         # merging at `level` satisfies only the children reaching down to it
         walks = self.walks
@@ -303,7 +303,7 @@ class WaveEngine:
         if movers:
             # split dichotomy: a single key threshold cuts prefix from suffix
             assert movers == g.members[len(g.members) - len(movers):]
-        if not is_sentinel(g.leader):   # leader broadcasts z
+        if g.leader not in SENTINELS:   # leader broadcasts z
             sends = self._sends
             sends[g.leader] = sends.get(g.leader, 0) + len(g.members)
         if movers and len(movers) == len(g.members):
@@ -337,7 +337,7 @@ class WaveEngine:
     def _do_merge(self, g: CohesiveGroup) -> None:
         v, lvl = g.pos, g.level
         z = self.clean.right(v, lvl)
-        if any(m > z for m in g.members):
+        if g.members[-1] > z:
             # a faster group spliced into our gap since the traversal
             # decision; re-read and re-decide, as the leader would
             g.state = "traverse"

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import FailureEvent, InconsistentWorld, MessageBudgetExceeded, PeerDeparted
 from .params import SimParams
+from .skiplist import sample_height
 from .work import RoundWork
 
 BOOTSTRAP = "Bootstrap"
@@ -25,7 +27,7 @@ WORK_CATEGORIES = ("bootstrap", "delete", "buffer", "merge", "update",
                    "covering", "queries", "other")
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerRow:
     round: int
     messages_sent: int = 0
@@ -83,7 +85,7 @@ class World:
         self.heights: dict[int, int] = {}
         self.ledger = WorkLedger()
         self.failures: list[FailureEvent] = []
-        self.attach_adj: dict[int, set[int]] = {}
+        self.attach_adj: defaultdict[int, set[int]] = defaultdict(set)
         self.on_depart = None
         self.on_join = None
         self._row = LedgerRow(0)
@@ -101,7 +103,6 @@ class World:
         self.alive.add(node)
         self.joined_round[node] = self.round
         if height is None:
-            from .skiplist import sample_height
             height = sample_height(self.rng_alg, self.params.p)
         self.heights[node] = height
 
@@ -159,8 +160,8 @@ class World:
             raise PeerDeparted(f"edge ({a},{b}) needs both endpoints alive")
         if b in self.attach_adj.get(a, ()):
             return
-        self.attach_adj.setdefault(a, set()).add(b)
-        self.attach_adj.setdefault(b, set()).add(a)
+        self.attach_adj[a].add(b)
+        self.attach_adj[b].add(a)
         self.charge_edges(formed=1, category=category)
 
     # -- the round loop --------------------------------------------------------------

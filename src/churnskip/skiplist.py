@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import UnsortedInput
 
@@ -27,7 +28,7 @@ BUF_LS = -1
 BUF_RS = 10 ** 18
 RS = 10 ** 18 + 1
 
-_SENTINELS = (LS, BUF_LS, BUF_RS, RS)
+SENTINELS = frozenset((LS, BUF_LS, BUF_RS, RS))
 _NAMES = {LS: "-inf", BUF_LS: "b-inf", BUF_RS: "b+inf", RS: "+inf"}
 
 
@@ -36,7 +37,7 @@ def key_name(key: int) -> str:
 
 
 def is_sentinel(key: int) -> bool:
-    return key in _SENTINELS
+    return key in SENTINELS
 
 
 def sample_height(rng: random.Random, p: float = 0.5) -> int:
@@ -168,10 +169,15 @@ class SkipNet:
         self._drop_pending(v, z, lvl)
         if (lvl, v) not in self.displaced and (v == LS or v in self._live):
             self.displaced[(lvl, v)] = z
-        chain = [v, *members, z]
-        for a, b in zip(chain, chain[1:]):
-            self.set_link(a, b, lvl, pending=pending)
-        return len(chain) - 1
+        links, marks = self.links, self.pending
+        a = v
+        for b in chain(members, (z,)):
+            links[a][lvl][1] = b
+            links[b][lvl][0] = a
+            if pending and (a not in SENTINELS or b not in SENTINELS):
+                marks.add((lvl, a, b))
+            a = b
+        return len(members) + 1
 
     def unlink_tower(self, key: int) -> int:
         """Remove key from every level, reconnecting its neighbors."""
@@ -290,19 +296,20 @@ def search(net: SkipNet, target: int, representable=None,
     """
     links = net.links
     live = net.live
-    indexed = live_view and representable is None
+    checked = representable is not None
+    indexed = live_view and not checked
     pos, lvl = LS, net.height
     h_moves = v_moves = 0
     path = [(pos, lvl)]
 
     def reachable(key):
-        return representable is None or is_sentinel(key) or representable(key)
+        return key in SENTINELS or representable(key)
 
     def relay(p, l):
         """(first live key or RS right of p, hops), or (None, hops) on a stall."""
         z, hops = links[p][l][1], 1
         while z != RS and z not in live:
-            if not reachable(z):
+            if checked and not reachable(z):
                 return None, hops
             z, hops = links[z][l][1], hops + 1
         return z, hops
@@ -317,7 +324,7 @@ def search(net: SkipNet, target: int, representable=None,
                 if z is None:
                     return SearchResult(False, h_moves, v_moves, path, stalled=True)
         if z < target and z != RS:
-            if not reachable(z):
+            if checked and not reachable(z):
                 return SearchResult(False, h_moves, v_moves, path, stalled=True)
             pos = z
             h_moves += hops
@@ -328,7 +335,7 @@ def search(net: SkipNet, target: int, representable=None,
             path.append((pos, lvl))
         else:
             found = pos == target or z == target
-            if found and z == target and not reachable(z):
+            if checked and found and z == target and not reachable(z):
                 return SearchResult(False, h_moves, v_moves, path, stalled=True)
             return SearchResult(found, h_moves, v_moves, path)
 

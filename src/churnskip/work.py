@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, compress
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundWork:
     messages: int = 0
     edges_formed: int = 0
@@ -33,9 +33,11 @@ def sends_row(sends, formed: int = 0, deleted: int = 0) -> RoundWork:
     messages. A tied peak goes to the key counted first; a key with a count
     of 0 is not a sender, so with no senders `busiest` is None."""
     if sends:
-        busiest, peak = max(sends.items(), key=itemgetter(1))
+        counts = sends.values()
+        peak = max(counts)
         if peak:
-            return RoundWork(sum(sends.values()), formed, deleted, peak, busiest)
+            busiest = next(compress(sends, map(peak.__eq__, counts)))
+            return RoundWork(sum(counts), formed, deleted, peak, busiest)
     return RoundWork(0, formed, deleted)
 
 
@@ -44,7 +46,8 @@ class ParallelSends:
     each key sends in it over all trees, and the edges dropped in it."""
 
     def __init__(self):
-        self.sent: list[Counter] = []
+        # per round: the sender lists of the trees, in the order added
+        self.sent: list[list] = []
         self.dropped: list[int] = []
 
     def add(self, rounds, dropped: int = 0) -> None:
@@ -53,16 +56,17 @@ class ParallelSends:
         round counted so far."""
         for i, keys in enumerate(rounds):
             if i == len(self.sent):
-                self.sent.append(Counter())
+                self.sent.append([])
                 self.dropped.append(0)
-            self.sent[i].update(keys)
+            self.sent[i].append(keys)
         if self.sent:
             self.dropped[-1] += dropped
 
     def rows(self) -> list[RoundWork]:
-        """One row per round."""
-        return [sends_row(counts, 0, dropped)
-                for counts, dropped in zip(self.sent, self.dropped)]
+        """One row per round. Counting a round's lists in the order added
+        keeps each key where it was first counted, and so the tie-break."""
+        return [sends_row(Counter(chain.from_iterable(lists)), 0, dropped)
+                for lists, dropped in zip(self.sent, self.dropped)]
 
 
 def uniform_round(nodes, k: int = 1, formed: int = 0) -> RoundWork:

@@ -129,6 +129,24 @@ def test_simulate_churning_run_is_deterministic_and_pinned(tmp_path):
         "584f2995b548fb3d183cf8ed9c5166f06c5e0fc9c547d0409213759b9c069c3c"
     assert hashlib.sha256((out / "cycles.jsonl").read_bytes()).hexdigest() == \
         "846f35d486212a0187ce1d0b862d361aeedbe8f415924fd2072685dad3d61f65"
+    # the overlay censuses, the competitiveness windows and the final structure
+    assert hashlib.sha256((out / "census.jsonl").read_bytes()).hexdigest() == \
+        "16520efb15061a80bc0e246e458a2b22e5b453eedfea2e49d5dd21ac3ae231d3"
+    assert hashlib.sha256((out / "competitiveness.jsonl").read_bytes()).hexdigest() == \
+        "c1140ef44df01a0c54fd05cd611a4d2644bd1425bcfa034961dc596253b11a0d"
+    assert hashlib.sha256((out / "dump.jsonl").read_bytes()).hexdigest() == \
+        "cc483bbd160a3b21611ab59db037afad879586ba681927b50b6a659d695cb509"
+
+
+def test_unknown_strategy_is_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError) as exc:
+        SimParams(n=64, strategy="nope")
+    assert exc.value.field == "strategy"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("n = 64\nstrategy = nope\nhorizon_cycles = 1\n")
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "strategy: unknown strategy 'nope'" in capsys.readouterr().err
 
 
 def test_validate_dump_roundtrip_and_fault(tmp_path):
@@ -143,6 +161,18 @@ def test_validate_dump_roundtrip_and_fault(tmp_path):
     bad.links[9][0][0] = 14
     report = bad.validate()
     assert not report.ok and (report.key, report.level) == (9, 0)
+
+
+@pytest.mark.parametrize("text", ["", '{"key":"5","height":0,"levels":[],"live":true}\n'],
+                         ids=["empty", "no-header"])
+def test_validate_dump_without_header_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "dump.jsonl"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_dump(path.read_text().splitlines())
+    assert exc.value.field == "dump"
+    assert main(["validate", str(path)]) == 2
+    assert 'error: dump: ' in capsys.readouterr().err
 
 
 def test_fixture_subcommands():

@@ -333,6 +333,40 @@ def test_membership_matches_eager_reference(n, seed, data):
         assert rng.getstate() == ref_rng.getstate()
 
 
+def test_speaker_skips_placed_nodes_only_when_they_are_larger():
+    # the speaker is read from the draw when every node placed since the
+    # tick is larger than its first drawn member, and found among the
+    # placed nodes otherwise; both must match the eager reference
+    n = 64
+    state, _ = bootstrap_overlay(range(n), SimParams(n=n), random.Random(3))
+    ref = eager_bootstrap(range(n), state.k, random.Random(3))
+    alive = set(range(10, n + 10))
+    state.maintenance_tick(alive, random.Random(4), 1)
+    ref.maintenance_tick(alive, random.Random(4), 1)
+    addr, other = ref.addrs[0], ref.addrs[1]
+    drawn = min(ref.members[addr])
+    assert drawn >= 10 and ref.members[other]
+    # a larger joiner leaves the drawn speaker in place
+    for overlay in (state, ref):
+        overlay.place(n + 10, other)
+    assert state.speaker(other) == ref.speaker(other) == min(ref.members[other])
+    # a node smaller than every drawn member becomes the speaker
+    for overlay in (state, ref):
+        overlay.place(0, addr)
+    assert state.speaker(addr) == ref.speaker(addr) == 0
+    for overlay in (state, ref):
+        assert overlay.remove_member(0) == addr
+    assert state.speaker(addr) == ref.speaker(addr) == drawn
+    # covering a member of that committee: its speaker is a current member
+    covered = max(ref.members[addr])
+    assert covered != drawn
+    edges = state.cover_node(covered, 2)
+    assert (addr, state.covering_speaker(covered), edges) == ref.cover_node(covered, 2)
+    assert state.covering_speaker(covered) == drawn
+    assert drawn in state.members(addr)
+    assert state.validate_cliques() == "OK"
+
+
 def test_hot_path_builds_no_assignment_map(monkeypatch):
     # joins, departures and queries look nodes up one at a time; no code
     # path of a run builds the per-node map
