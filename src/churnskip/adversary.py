@@ -1,7 +1,11 @@
 """Oblivious churn schedules and query workloads.
 
-A schedule is generated in full before round zero from its own RNG stream
-and never reads algorithm state; replaying it is byte-stable. Strategies:
+A schedule never reads algorithm state: it is drawn from its own RNG stream,
+so replaying it is byte-stable. It is generated before round zero to the
+nominal horizon. A round past that end regenerates a longer schedule from
+the header (seed, n, rate, strategy, bootstrap), whose draws repeat the
+existing rounds exactly, and appends the new tail; the query stream stays
+the one drawn from the schedule at the nominal horizon. Strategies:
 
 * uniform_random: departures sampled uniformly among the alive.
 * targeted_committee: departures concentrated on a fixed victim cluster of
@@ -9,6 +13,12 @@ and never reads algorithm state; replaying it is byte-stable. Strategies:
   replenished from the strategy's own joiners).
 * burst: alternating zero-churn and full-rate blocks, the delayed-work
   shape the competitiveness window's back-shift exists for.
+
+Every draw is a word of the stream's ``getrandbits``, taken with the
+rejection rule of ``random.Random._randbelow`` and, for a sample, the pool
+or set regime of ``random.Random.sample``. The schedules and query lists
+are those that ``randrange`` and ``sample`` would draw
+(``tests/adversary_reference.py``), without a library call per draw.
 """
 
 from __future__ import annotations
@@ -16,15 +26,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import HorizonTooShort, RateTooHigh
 from .params import STRATEGIES, SimParams, ceil_log2
 
 
-@dataclass(frozen=True)
-class RoundChurn:
+class RoundChurn(NamedTuple):
     leaves: tuple[int, ...]
     joins: tuple[tuple[int, int], ...]  # (new node, attach host)
+
+
+NO_CHURN = RoundChurn((), ())
+
+# builds a NamedTuple without the frame of its Python-level __new__
+_new = tuple.__new__
 
 
 @dataclass
@@ -42,11 +58,26 @@ class ChurnSchedule:
     def horizon(self) -> int:
         return len(self.rounds)
 
-    def churn_for(self, round_no: int) -> tuple[tuple[int, ...], tuple]:
+    def churn_for(self, round_no: int) -> RoundChurn:
+        """(leaves, joins) of a round; a round past the end extends the
+        schedule."""
         if round_no >= len(self.rounds):
-            raise HorizonTooShort(f"round {round_no} beyond horizon {self.horizon}")
-        rc = self.rounds[round_no]
-        return rc.leaves, rc.joins
+            self._extend(round_no + 1)
+        return self.rounds[round_no]
+
+    def _extend(self, horizon: int) -> None:
+        """Regenerate the schedule from its header to at least `horizon`
+        rounds, and twice its length, so that a long overrun regenerates
+        only a few times. The regenerated prefix must equal the rounds."""
+        done = len(self.rounds)
+        longer = ChurnSchedule(self.n, self.seed, self.strategy, self.rate,
+                               self.bootstrap, [])
+        _draw_rounds(longer, max(horizon, 2 * done), SimParams(n=self.n).id_space)
+        if longer.rounds[:done] != self.rounds:
+            raise HorizonTooShort(f"round {horizon - 1} beyond horizon {done}, "
+                                  "and the header does not regenerate the rounds")
+        self.rounds, self.join_round, self.leave_round = \
+            longer.rounds, longer.join_round, longer.leave_round
 
     def lifetime(self, key: int) -> tuple[int, int | None]:
         start = self.join_round.get(key, 0)
@@ -130,80 +161,120 @@ def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
         raise HorizonTooShort(f"horizon {horizon} < bootstrap {bootstrap}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    rng = random.Random(seed_adv)
     sched = ChurnSchedule(n, seed_adv, strategy, rate, bootstrap, [])
-    # swap-remove alive list keeps every per-round operation O(rate)
-    alive_list = list(range(n))
-    alive_pos = {node: i for i, node in enumerate(alive_list)}
-
-    def remove_alive(node):
-        i = alive_pos.pop(node)
-        last = alive_list.pop()
-        if last != node:
-            alive_list[i] = last
-            alive_pos[last] = i
-
-    def add_alive(node):
-        alive_pos[node] = len(alive_list)
-        alive_list.append(node)
-
-    next_id = n
-    id_cap = params.id_space
-    cluster_size = math.ceil(2 * math.log2(max(2, n)))
-    victims = rng.sample(range(n), min(cluster_size, n)) \
-        if strategy == "targeted_committee" else []
-    burst_block = ceil_log2(n)
-
-    for rnd in range(horizon):
-        if rnd < bootstrap:
-            sched.rounds.append(RoundChurn((), ()))
-            continue
-        amount = rate
-        if strategy == "burst":
-            amount = 0 if ((rnd - bootstrap) // burst_block) % 2 else rate
-        if amount == 0:
-            sched.rounds.append(RoundChurn((), ()))
-            continue
-        if strategy == "targeted_committee":
-            leaves = [v for v in victims if v in alive_pos][:amount]
-            taken = set(leaves)
-            while len(leaves) < amount:
-                pick = alive_list[rng.randrange(len(alive_list))]
-                if pick not in taken:
-                    leaves.append(pick)
-                    taken.add(pick)
-        else:
-            leaves = rng.sample(alive_list, amount)
-            taken = set(leaves)
-        hosts = []
-        host_set = set()
-        while len(hosts) < amount:
-            pick = alive_list[rng.randrange(len(alive_list))]
-            if pick not in taken and pick not in host_set:
-                hosts.append(pick)
-                host_set.add(pick)
-        joins = []
-        for host in hosts:
-            if next_id >= id_cap:
-                raise RateTooHigh("id space exhausted")
-            joins.append((next_id, host))
-            next_id += 1
-        for node in leaves:
-            remove_alive(node)
-            sched.leave_round[node] = rnd
-        for node, _ in joins:
-            add_alive(node)
-            sched.join_round[node] = rnd
-        if strategy == "targeted_committee":
-            victims = [v for v in victims if v in alive_pos]
-            victims += [node for node, _ in joins][: cluster_size - len(victims)]
-        sched.rounds.append(RoundChurn(tuple(leaves), tuple(joins)))
+    _draw_rounds(sched, horizon, params.id_space)
     return sched
 
 
-@dataclass(frozen=True)
-class Query:
+def _fill(getrandbits, population: list[int], picks: list[int], count: int) -> None:
+    """Extend `picks` to `count` distinct members of `population` (whose
+    members are distinct), each drawn as ``population[randbelow(n)]`` and
+    drawn again while already picked: the set regime of ``Random.sample``."""
+    n = len(population)
+    bits = n.bit_length()
+    used = set(picks)
+    need = count - len(picks)
+    while need:
+        j = getrandbits(bits)
+        if j < n:
+            node = population[j]
+            if node not in used:
+                used.add(node)
+                picks.append(node)
+                need -= 1
+
+
+def _pool_sample(getrandbits, population: list[int], k: int) -> list[int]:
+    """``Random.sample(population, k)`` in its pool regime, which it takes
+    when ``len(population) <= _setsize(k)``; above that, ``_fill``."""
+    n = len(population)
+    pool = list(population)
+    picks = []
+    for m in range(n, n - k, -1):
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        picks.append(pool[j])
+        pool[j] = pool[m - 1]
+    return picks
+
+
+def _setsize(k: int) -> int:
+    """``Random.sample`` draws k of n from a copied pool when n is at most
+    this, and with a set of the picked indices above it."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+def _draw_rounds(sched: ChurnSchedule, horizon: int, id_cap: int) -> None:
+    """Fill the empty `sched` with rounds 0 .. `horizon` - 1 as its header
+    draws them, and with their lifetimes."""
+    n, rate, bootstrap = sched.n, sched.rate, sched.bootstrap
+    rounds, leave_round, join_round = sched.rounds, sched.leave_round, sched.join_round
+    getrandbits = random.Random(sched.seed).getrandbits
+    # swap-remove alive list keeps every per-round operation O(rate); it
+    # keeps n members, since a round has as many joins as leaves
+    alive = list(range(n))
+    pos = {node: i for i, node in enumerate(alive)}
+    targeted = sched.strategy == "targeted_committee"
+    burst_block = ceil_log2(n) if sched.strategy == "burst" else 0
+    cluster_size = math.ceil(2 * math.log2(max(2, n)))
+    if targeted:
+        k = min(cluster_size, n)
+        victims = _pool_sample(getrandbits, alive, k) if n <= _setsize(k) else []
+        _fill(getrandbits, alive, victims, k)
+    pooled = n <= _setsize(rate)
+    bits = n.bit_length()
+    twice = 2 * rate
+    next_id = n
+    rounds += [NO_CHURN] * min(bootstrap, horizon)
+    for rnd in range(bootstrap, horizon):
+        if not rate or burst_block and (rnd - bootstrap) // burst_block % 2:
+            rounds.append(NO_CHURN)
+            continue
+        if next_id + rate > id_cap:
+            raise RateTooHigh("id space exhausted")
+        # the leaves, then as many attach hosts: distinct alive nodes. The
+        # victims are alive when a round starts, and the round's leaves are
+        # its first `rate` victims; other leaves come only once all are taken
+        if targeted:
+            picks = victims[:rate]
+        else:
+            picks = _pool_sample(getrandbits, alive, rate) if pooled else []
+        # _fill(getrandbits, alive, picks, twice), inlined: it runs every round
+        used = set(picks)
+        need = twice - len(picks)
+        while need:
+            j = getrandbits(bits)
+            if j < n:
+                node = alive[j]
+                if node not in used:
+                    used.add(node)
+                    picks.append(node)
+                    need -= 1
+        leaves = tuple(picks[:rate])
+        for node in leaves:
+            i = pos.pop(node)
+            last = alive.pop()
+            if last != node:
+                alive[i] = last
+                pos[last] = i
+            leave_round[node] = rnd
+        joins = []
+        for host in picks[rate:]:
+            node = next_id
+            next_id += 1
+            pos[node] = len(alive)
+            alive.append(node)
+            join_round[node] = rnd
+            joins.append((node, host))
+        if targeted:
+            victims = victims[rate:]
+            victims += [node for node, _ in joins][:cluster_size - len(victims)]
+        rounds.append(_new(RoundChurn, (leaves, tuple(joins))))
+
+
+class Query(NamedTuple):
     x: int
     r: int
     s: int
@@ -216,40 +287,56 @@ def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
     occurs."""
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
-    rng = random.Random(seed_adv ^ 0x5EED)
     queries: list[Query] = []
     if density == 0.0:
         return queries
-    alive_list = list(range(schedule.n))
-    alive_pos = {node: i for i, node in enumerate(alive_list)}
-    gone_pool = sorted(schedule.leave_round)      # schedule is frozen
-    joined_pool = sorted(schedule.join_round)
-    ghost_base = schedule.n ** 3 // 2  # ids no schedule ever allocates
-    expected = density * schedule.n
-    for rnd, rc in enumerate(schedule.rounds):
-        for node in rc.leaves:
-            i = alive_pos.pop(node)
-            last = alive_list.pop()
+    rng = random.Random(seed_adv ^ 0x5EED)
+    roll_next, getrandbits = rng.random, rng.getrandbits
+    n, bootstrap = schedule.n, schedule.bootstrap
+    alive = list(range(n))
+    pos = {node: i for i, node in enumerate(alive)}
+    # the pools of the schedule as drawn so far; extending it later adds
+    # rounds but changes no query
+    gone = sorted(schedule.leave_round)
+    joined = sorted(schedule.join_round)
+    ghosts = range(n ** 3 // 2, n ** 3 // 2 + n)  # ids no schedule ever allocates
+    gone_draw = gone, len(gone), len(gone).bit_length()
+    joined_draw = joined, len(joined), len(joined).bit_length()
+    ghost_draw = ghosts, n, n.bit_length()
+    expected = density * n
+    whole, frac = int(expected), expected % 1
+    append = queries.append
+    for rnd, (leaves, joins) in enumerate(schedule.rounds):
+        for node in leaves:
+            i = pos.pop(node)
+            last = alive.pop()
             if last != node:
-                alive_list[i] = last
-                alive_pos[last] = i
-        for node, _ in rc.joins:
-            alive_pos[node] = len(alive_list)
-            alive_list.append(node)
-        if rnd < schedule.bootstrap:
+                alive[i] = last
+                pos[last] = i
+        for node, _ in joins:
+            pos[node] = len(alive)
+            alive.append(node)
+        if rnd < bootstrap:
             continue
-        count = int(expected) + (1 if rng.random() < expected % 1 else 0)
+        count = whole + (1 if roll_next() < frac else 0)
+        size = len(alive)
+        bits = size.bit_length()
         for _ in range(count):
-            s = alive_list[rng.randrange(len(alive_list))]
-            roll = rng.random()
-            if roll < 0.55:
-                x = alive_list[rng.randrange(len(alive_list))]
-            elif roll < 0.8 and gone_pool:
-                x = gone_pool[rng.randrange(len(gone_pool))]
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            s = alive[j]
+            roll = roll_next()
+            if roll < 0.55 or roll >= 0.9 and not joined:
+                pool, m, b = alive, size, bits
+            elif roll < 0.8 and gone:
+                pool, m, b = gone_draw
             elif roll < 0.9:
-                x = ghost_base + rng.randrange(schedule.n)
+                pool, m, b = ghost_draw
             else:
-                pool = joined_pool or alive_list
-                x = pool[rng.randrange(len(pool))]
-            queries.append(Query(x, rnd, s))
+                pool, m, b = joined_draw
+            j = getrandbits(b)
+            while j >= m:
+                j = getrandbits(b)
+            append(_new(Query, (pool[j], rnd, s)))
     return queries

@@ -264,7 +264,6 @@ class SearchResult:
     found: bool
     h_moves: int
     v_moves: int
-    path: list[tuple[int, int]]
     stalled: bool = False
 
     @property
@@ -300,7 +299,6 @@ def search(net: SkipNet, target: int, representable=None,
     indexed = live_view and not checked
     pos, lvl = LS, net.height
     h_moves = v_moves = 0
-    path = [(pos, lvl)]
 
     def reachable(key):
         return key in SENTINELS or representable(key)
@@ -322,22 +320,20 @@ def search(net: SkipNet, target: int, representable=None,
             if not indexed or (z != RS and (z < target or z not in live)):
                 z, hops = relay(pos, lvl)
                 if z is None:
-                    return SearchResult(False, h_moves, v_moves, path, stalled=True)
+                    return SearchResult(False, h_moves, v_moves, stalled=True)
         if z < target and z != RS:
             if checked and not reachable(z):
-                return SearchResult(False, h_moves, v_moves, path, stalled=True)
+                return SearchResult(False, h_moves, v_moves, stalled=True)
             pos = z
             h_moves += hops
-            path.append((pos, lvl))
         elif lvl > 0:
             lvl -= 1
             v_moves += 1
-            path.append((pos, lvl))
         else:
             found = pos == target or z == target
             if checked and found and z == target and not reachable(z):
-                return SearchResult(False, h_moves, v_moves, path, stalled=True)
-            return SearchResult(found, h_moves, v_moves, path)
+                return SearchResult(False, h_moves, v_moves, stalled=True)
+            return SearchResult(found, h_moves, v_moves)
 
 
 # -- sequential oracles ------------------------------------------------------

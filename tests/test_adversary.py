@@ -1,9 +1,15 @@
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import adversary_reference
+from churnskip import adversary
 from churnskip.adversary import ChurnSchedule, gen_queries, gen_schedule
 from churnskip.errors import HorizonTooShort, RateTooHigh
+from churnskip.maintenance import Simulation
+from churnskip.params import STRATEGIES, SimParams
 
 
 def test_zero_rate_schedule_is_empty():
@@ -22,6 +28,9 @@ def test_uniform_schedule_properties():
     for rc in maintenance:
         hosts = [h for _, h in rc.joins]
         assert len(set(hosts)) == 10
+    # one int object per joined id, shared by the rounds and the lifetimes
+    held = {id(node) for node in sched.join_round}
+    assert all(id(node) in held for rc in maintenance for node, _ in rc.joins)
 
 
 def test_rate_cap_enforced():
@@ -108,10 +117,93 @@ def test_schedule_oblivious_to_algorithm_seed():
     a = gen_schedule(21, 128, 4, horizon=240)
     b = gen_schedule(21, 128, 4, horizon=240)
     assert a.serialize() == b.serialize()
-    from churnskip.maintenance import Simulation
-    from churnskip.params import SimParams
     s1 = Simulation(SimParams(n=64, seed_adv=5, seed_alg=1, churn_rate=1,
                               horizon_cycles=2))
     s2 = Simulation(SimParams(n=64, seed_adv=5, seed_alg=999, churn_rate=1,
                               horizon_cycles=2))
     assert s1.schedule.serialize() == s2.schedule.serialize()
+
+
+def _generate(module, seed, n, rate, horizon, strategy):
+    try:
+        return module.gen_schedule(seed, n, rate, horizon, strategy)
+    except RateTooHigh as exc:     # tiny n runs out of ids
+        return str(exc)
+
+
+# n spans both regimes of Random.sample: its pool holds up to 21 nodes for
+# a sample of at most 5 and up to 85 for one of 6 to 21 (rates above 5 need
+# n >= 32, where the cap n / log2 n reaches 6)
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 160),
+       rate=st.integers(0, 12), extra=st.integers(0, 120),
+       strategy=st.sampled_from(STRATEGIES))
+@example(seed=1, n=21, rate=5, extra=40, strategy="uniform_random")
+@example(seed=1, n=22, rate=5, extra=40, strategy="uniform_random")
+@example(seed=2, n=85, rate=8, extra=40, strategy="burst")
+@example(seed=2, n=86, rate=8, extra=40, strategy="burst")
+@example(seed=3, n=128, rate=12, extra=40, strategy="targeted_committee")
+def test_generators_match_reference(seed, n, rate, extra, strategy):
+    rate = min(rate, SimParams(n=n).churn_cap, n // 2)
+    horizon = SimParams(n=n).bootstrap_rounds + extra
+    new = _generate(adversary, seed, n, rate, horizon, strategy)
+    old = _generate(adversary_reference, seed, n, rate, horizon, strategy)
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert new.rounds == old.rounds
+    assert new.leave_round == old.leave_round
+    assert new.join_round == old.join_round
+    for density in (0.01, 0.3, 1.0):
+        assert gen_queries(seed, new, density) == \
+            adversary_reference.gen_queries(seed, old, density)
+
+
+def test_generators_call_no_random_library_draw(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the generators draw from getrandbits directly")
+
+    for name in ("sample", "randrange", "choices", "_randbelow"):
+        monkeypatch.setattr(random.Random, name, forbidden)
+    for n, rate in ((16, 2), (1024, 4)):     # pool and set regime of a sample
+        sched = gen_schedule(5, n, rate, horizon=SimParams(n=n).bootstrap_rounds + 50)
+        assert sched.validate() == "OK"
+        assert gen_queries(5, sched, 0.05)
+
+
+def test_round_past_the_end_extends_the_schedule():
+    for strategy in STRATEGIES:
+        short = gen_schedule(4, 128, 3, horizon=200, strategy=strategy)
+        long = gen_schedule(4, 128, 3, horizon=900, strategy=strategy)
+        assert short.churn_for(300) == long.rounds[300]
+        assert short.horizon == 400              # at least doubled
+        assert short.churn_for(650) == long.rounds[650]
+        assert short.horizon == 800
+        assert short.rounds == long.rounds[:800]
+        assert short.join_round == {k: r for k, r in long.join_round.items() if r < 800}
+        assert short.leave_round == {k: r for k, r in long.leave_round.items() if r < 800}
+
+
+def test_edited_schedule_is_not_extended():
+    sched = gen_schedule(4, 128, 3, horizon=200)
+    sched.rounds[-1] = sched.rounds[-2]
+    with pytest.raises(HorizonTooShort):
+        sched.churn_for(200)
+
+
+def test_run_past_the_nominal_horizon_completes_every_cycle():
+    # the cycles run 1/148/162/227/591 rounds against a budget of 196, past
+    # the 1100 rounds the schedule is first drawn for
+    params = SimParams(n=128, seed_adv=1, seed_alg=2, churn_rate=3,
+                       horizon_cycles=5, query_density=0.05)
+    sim = Simulation(params)
+    nominal = sim.schedule.horizon
+    queries = sum(map(len, sim.queries_by_round.values()))   # drawn to round 1100
+    sim.bootstrap_all()
+    for _ in range(params.horizon_cycles):
+        sim.run_cycle()
+    sim.finalize()
+    assert len(sim.cycles) == 5 and not sim.world.failures
+    assert sim.world.round > nominal
+    assert sim.schedule.validate() == "OK"
+    assert len(sim.query_log) == queries

@@ -15,7 +15,7 @@ from churnskip.skiplist import (
     sample_height,
     search,
 )
-from search_reference import reference_search
+from search_reference import reference_search, reference_walk
 
 
 def test_height_law_small_probabilities():
@@ -90,9 +90,10 @@ def test_search_insertion_path_fixture():
     keys = [7, 13, 26, 44, 50, 60, 75, 90]
     heights = [0, 1, 3, 0, 2, 0, 1, 0]
     net = oracle_build(keys, heights)
-    res = search(net, 88)
+    res, path = reference_walk(net, 88)
+    assert search(net, 88) == res
     assert not res.found
-    assert res.path == [
+    assert path == [
         (LS, 3), (26, 3),
         (26, 2), (50, 2),
         (50, 1), (75, 1),
@@ -171,8 +172,9 @@ def test_live_view_search_stalls_on_unrepresentable_relay_key():
     net.live = {10, 30}
     res = search(net, 30, representable=lambda k: k != 20, live_view=True)
     assert res.stalled and not res.found
-    assert res.path == [(LS, 0), (10, 0)]
-    assert res == reference_search(net, 30, lambda k: k != 20, live_view=True)
+    ref, path = reference_walk(net, 30, lambda k: k != 20, live_view=True)
+    assert res == ref
+    assert path == [(LS, 0), (10, 0)]
     assert search(net, 30, live_view=True).found
 
 
@@ -190,7 +192,9 @@ def test_live_view_search_reads_displaced_edge():
             reference_search(net, target, live_view=True)
     net.live = {10, 20, 25}
     assert not net.displaced          # a new live set clears the index
-    assert search(net, 30, live_view=True).path[-1] == (25, 0)
+    res, path = reference_walk(net, 30, live_view=True)
+    assert search(net, 30, live_view=True) == res
+    assert path[-1] == (25, 0)
 
 
 def _splice_mid_merge(net: SkipNet, heights: dict, lowest: dict, rnd) -> None:
