@@ -5,7 +5,13 @@ so replaying it is byte-stable. It is generated before round zero to the
 nominal horizon. A round past that end regenerates a longer schedule from
 the header (seed, n, rate, strategy, bootstrap), whose draws repeat the
 existing rounds exactly, and appends the new tail; the query stream stays
-the one drawn from the schedule at the nominal horizon. Strategies:
+the one drawn from the schedule at the nominal horizon.
+
+A schedule keeps each id's lifetime for the whole run, in two lists indexed
+by node id: ``join_round`` and ``leave_round``, with None where the id
+never joined (an original node) or never left. Joined ids run consecutively
+from n, so an id at or past the end of the lists was never allocated.
+Strategies:
 
 * uniform_random: departures sampled uniformly among the alive.
 * targeted_committee: departures concentrated on a fixed victim cluster of
@@ -26,6 +32,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_not
 from typing import NamedTuple
 
 from .errors import HorizonTooShort, RateTooHigh
@@ -51,8 +59,10 @@ class ChurnSchedule:
     rate: int
     bootstrap: int
     rounds: list[RoundChurn]
-    join_round: dict[int, int] = field(default_factory=dict)
-    leave_round: dict[int, int] = field(default_factory=dict)
+    # round of each id's join and leave, indexed by id; None where it has
+    # none. Both lists are as long as the ids allocated so far
+    join_round: list[int | None] = field(default_factory=list)
+    leave_round: list[int | None] = field(default_factory=list)
 
     @property
     def horizon(self) -> int:
@@ -80,11 +90,19 @@ class ChurnSchedule:
             longer.rounds, longer.join_round, longer.leave_round
 
     def lifetime(self, key: int) -> tuple[int, int | None]:
-        start = self.join_round.get(key, 0)
-        return start, self.leave_round.get(key)
+        """(join round, leave round or None); an original node joined in
+        round 0, and a key no id has, a sentinel or a ghost, is (0, None)."""
+        # a negative sentinel would index from the end of the lists
+        if 0 <= key < len(self.join_round):
+            start = self.join_round[key]
+            return 0 if start is None else start, self.leave_round[key]
+        return 0, None
 
     def ever_known(self, key: int) -> bool:
-        return key < self.n or key in self.join_round
+        # the ids below the lists' end were all allocated: the original
+        # nodes below n, and the joined ones from n on. A negative sentinel
+        # counts too, as every key below n does
+        return key < len(self.join_round)
 
     # -- serialization: one round per line -------------------------------------
 
@@ -118,13 +136,17 @@ class ChurnSchedule:
         return sched
 
     def _rebuild_lifetimes(self) -> None:
-        self.join_round.clear()
-        self.leave_round.clear()
+        join_round, leave_round = [None] * self.n, [None] * self.n
         for i, rc in enumerate(self.rounds):
             for node in rc.leaves:
-                self.leave_round[node] = i
+                leave_round[node] = i
             for node, _ in rc.joins:
-                self.join_round[node] = i
+                if node != len(join_round):
+                    raise ValueError(f"round {i}: joiner {node} is not the next id "
+                                     f"{len(join_round)}")
+                join_round.append(i)
+                leave_round.append(None)
+        self.join_round, self.leave_round = join_round, leave_round
 
     # -- invariants ----------------------------------------------------------------
 
@@ -210,7 +232,10 @@ def _draw_rounds(sched: ChurnSchedule, horizon: int, id_cap: int) -> None:
     """Fill the empty `sched` with rounds 0 .. `horizon` - 1 as its header
     draws them, and with their lifetimes."""
     n, rate, bootstrap = sched.n, sched.rate, sched.bootstrap
-    rounds, leave_round, join_round = sched.rounds, sched.leave_round, sched.join_round
+    rounds = sched.rounds
+    join_round, leave_round = sched.join_round, sched.leave_round
+    join_round += [None] * n
+    leave_round += [None] * n
     getrandbits = random.Random(sched.seed).getrandbits
     # swap-remove alive list keeps every per-round operation O(rate); it
     # keeps n members, since a round has as many joins as leaves
@@ -266,7 +291,8 @@ def _draw_rounds(sched: ChurnSchedule, horizon: int, id_cap: int) -> None:
             next_id += 1
             pos[node] = len(alive)
             alive.append(node)
-            join_round[node] = rnd
+            join_round.append(rnd)      # node is the next id
+            leave_round.append(None)
             joins.append((node, host))
         if targeted:
             victims = victims[rate:]
@@ -297,8 +323,10 @@ def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
     pos = {node: i for i, node in enumerate(alive)}
     # the pools of the schedule as drawn so far; extending it later adds
     # rounds but changes no query
-    gone = sorted(schedule.leave_round)
-    joined = sorted(schedule.join_round)
+    leave_round = schedule.leave_round
+    gone = list(compress(range(len(leave_round)),
+                         map(is_not, leave_round, repeat(None))))
+    joined = range(n, len(schedule.join_round))
     ghosts = range(n ** 3 // 2, n ** 3 // 2 + n)  # ids no schedule ever allocates
     gone_draw = gone, len(gone), len(gone).bit_length()
     joined_draw = joined, len(joined), len(joined).bit_length()

@@ -24,7 +24,7 @@ from .maintenance import Simulation
 from .params import SimParams
 from .phase_buffer import create_buffer
 from .phase_delete import delete_phase
-from .phase_merge import wave_merge
+from .phase_merge import event_record, wave_merge
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, key_name, oracle_build
 from .work import totals
 
@@ -181,8 +181,7 @@ def run_fixture(name: str) -> str:
         clean, heights = fixtures.merge_instance()
         buf, _, _ = create_buffer(sorted(heights), heights)
         summary, _, events = wave_merge(clean, buf)
-        got = [(e["round"], e["group_leader"], e["event"], e["level"])
-               for e in events]
+        got = [e[1:5] for e in events]    # round, group_leader, event, level
         if got != fixtures.MERGE_GOLDEN_TRACE:
             return "merge fixture: fresh run diverges from the golden event trace"
         if not clean.validate().ok:
@@ -211,7 +210,7 @@ def cmd_simulate(args) -> int:
         "\n".join(json.dumps(c.as_record())
                    for c in sim.overlay.census_log) + "\n")
     (out / "merge_events.jsonl").write_text(
-        "\n".join(json.dumps(e) for e in sim.merge_events) + "\n")
+        "\n".join(json.dumps(event_record(e)) for e in sim.merge_events) + "\n")
     (out / "dump.jsonl").write_text("\n".join(sim.clean.dump_lines()) + "\n")
     windows = metrics.cycle_windows(sim)
     (out / "competitiveness.jsonl").write_text(

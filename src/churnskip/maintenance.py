@@ -98,7 +98,7 @@ class Simulation:
         self.covering_log: list[CoveringAudit] = []
         self.phase_work: dict[int, dict[str, int]] = {}
         self.phase_records: list[dict] = []
-        self.merge_events: list[dict] = []
+        self.merge_events: list[tuple] = []    # phase_merge.event_record
         self._pending_audits: list[CoveringAudit] = []
         # committee -> route_hops(committee, (0, 0), k) + 1; k stays fixed
         self._hops_from: dict[tuple[int, int], int] = {}

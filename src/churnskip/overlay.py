@@ -65,7 +65,7 @@ def route_hops(src: Address, dst: Address, k: int) -> int:
     return hops
 
 
-@dataclass
+@dataclass(slots=True)
 class Census:
     round: int
     k: int

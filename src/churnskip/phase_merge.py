@@ -7,6 +7,12 @@ taller neighbor on each side). The single top-level group then descends the
 clean list; groups split cleanly at key thresholds, idle nodes track their
 parents' traces ("virtual walking") and activate once each parent has either
 merged down to the node's own level or provably diverged from its key.
+
+A merge event is one plain tuple, ``(cycle, round, group_leader, event,
+level, *detail)``: a run keeps every event, and a tuple of ints and strings
+is small and leaves the collector's scans once it has been looked at.
+``event_record`` names the detail fields and renders the event as the dict
+that ``merge_events.jsonl`` writes.
 """
 
 from __future__ import annotations
@@ -58,14 +64,30 @@ class _Walk:
     vlevel: int = 0
     indep_lp: bool = False
     indep_rp: bool = False
-    activated: bool = False
+
+
+# the detail fields of each event kind, in the order _emit takes them
+EVENT_DETAIL = {"move_right": ("to",), "split": ("new_leader", "at", "z"),
+                "merged_at_level": ("left", "right")}
+
+
+def event_record(e: tuple) -> dict:
+    """A merge event as the dict ``merge_events.jsonl`` writes, keys in the
+    order cycle, round, group_leader, event, level, then the details."""
+    cycle, rnd, leader, event, level, *detail = e
+    rec = {"cycle": cycle, "round": rnd, "group_leader": leader,
+           "event": event, "level": level}
+    rec.update(zip(EVENT_DETAIL.get(event, ()), detail))
+    return rec
 
 
 @dataclass
 class Preprocessed:
     groups: list[list[int]]                 # all maximal runs, every level
     parents: dict[int, tuple[int | None, int | None]]
+    # each parent's children; the wave drops a child once it activates
     children: dict[int, list[int]]
+    fanout: dict[int, int]                  # len(children[u]) as wired
     top_members: list[int]
     rows: list[RoundWork]
 
@@ -125,7 +147,8 @@ def preprocess(buf: SkipNet) -> Preprocessed:
                           formed=sum(len(g) * (len(g) - 1) // 2 for g in groups)))
     rows.append(uniform_round(parents, 2))     # parent discovery
     rows.append(uniform_round(top_members))   # state init
-    return Preprocessed(groups, parents, children, top_members, rows)
+    fanout = dict(zip(children, map(len, children.values())))
+    return Preprocessed(groups, parents, children, fanout, top_members, rows)
 
 
 @dataclass
@@ -153,20 +176,20 @@ class WaveEngine:
         self.pre = preprocess(buf)
         self.parents = self.pre.parents
         self.children = self.pre.children
+        self.fanout = self.pre.fanout
         clean.ensure_height(buf.height)
         parents = self.parents
         self.walks: dict[int, _Walk] = {
             key: _Walk(key, h, *parents.get(key, (None, None)), vlevel=h)
             for key, h in buf.heights.items()}
+        # the top members have no parents, so no children list holds them
         top_group = CohesiveGroup(list(self.pre.top_members), buf.height, LS,
                                   top=buf.height)
-        for key in top_group.members:
-            self.walks[key].activated = True
         self.idle = len(self.walks) - len(top_group.members)
         self.active: list[CohesiveGroup] = [top_group]   # ordered by leader
         self.merged_level: dict[int, int] = {}
         self.round = 0
-        self.events: list[dict] = []
+        self.events: list[tuple] = []
         self.rows: list[RoundWork] = []
         # this round's messages per sending key, and its edge counts
         self._sends: dict[int, int] = {}
@@ -182,32 +205,33 @@ class WaveEngine:
 
     # -- events --------------------------------------------------------------
 
-    def _emit(self, leader: int, event: str, level: int, **detail) -> None:
-        self.events.append({"cycle": self.cycle, "round": self.round,
-                            "group_leader": leader, "event": event,
-                            "level": level, **detail})
+    def _emit(self, leader: int, event: str, level: int, *detail: int) -> None:
+        self.events.append((self.cycle, self.round, leader, event, level, *detail))
 
     # -- virtual walking -------------------------------------------------------
 
     def _notify(self, members, v, z, right: bool, level: int) -> None:
         """Each member tells its children that it moved right to z, or down
         from the gap (v, z) at level. With v None, each member u tells of
-        its own gap, (u, its right neighbour at level)."""
+        its own gap, (u, its right neighbour at level). A member messages
+        every child it was wired to; only the idle ones are left to visit."""
         walks, sends, children = self.walks, self._sends, self.children
+        fanout = self.fanout
         own = v is None
         links = self.clean.links
         for u in members:
-            kids = children.get(u)
-            if not kids:
+            fan = fanout.get(u)
+            if fan is None:
                 continue
             if u not in SENTINELS:
-                sends[u] = sends.get(u, 0) + len(kids)
+                sends[u] = sends.get(u, 0) + fan
+            kids = children[u]
+            if not kids:
+                continue
             if own:
                 v, z = u, links[u][level][1]
             for c in kids:
                 walk = walks[c]
-                if walk.activated:
-                    continue
                 # advance the virtual walk to the trace key left of c; below
                 # its own splice entry level the walk stops
                 key = z if z < c else v if v < c else None
@@ -228,22 +252,22 @@ class WaveEngine:
                         self._maybe_ready(c)
 
     def _notify_merged(self, members, level) -> None:
-        sends, children = self._sends, self.children
+        sends, fanout = self._sends, self.fanout
         merged, blocked = self.merged_level, self._blocked
         for u in members:
             merged[u] = level
             waiting = blocked.pop(u, None)
             if waiting is not None:
                 waiting.state = "wait"   # re-checked in its own turn
-            kids = children.get(u)
-            if kids and u not in SENTINELS:
-                sends[u] = sends.get(u, 0) + len(kids)
-        # merging at `level` satisfies only the children reaching down to it
-        walks = self.walks
+            fan = fanout.get(u)
+            if fan and u not in SENTINELS:
+                sends[u] = sends.get(u, 0) + fan
+        # merging at `level` satisfies only the idle children reaching down
+        # to it
+        walks, children = self.walks, self.children
         for u in members:
             for c in children.get(u, ()):
-                walk = walks[c]
-                if not walk.activated and walk.height >= level:
+                if walks[c].height >= level:
                     self._maybe_ready(c)
 
     def _parent_ok(self, walk: _Walk, parent: int | None, indep: bool) -> bool:
@@ -263,8 +287,8 @@ class WaveEngine:
     def _activate_ready(self) -> None:
         if not self._ready:
             return
-        ready = {k for k in self._ready if not self.walks[k].activated}
-        self._ready.clear()
+        # only idle children are notified, so every ready key is idle
+        ready, self._ready = self._ready, set()
         used: set[int] = set()
         for key in sorted(ready):
             if key in used:
@@ -288,8 +312,15 @@ class WaveEngine:
                 cur = nxt
             group = CohesiveGroup(members, walk.vlevel, walk.vpos, top=h,
                                   born=self.round)
+            # an activated key leaves its parents' children lists, which
+            # so hold only the idle walks left to notify
+            children = self.children
             for m in members:
-                self.walks[m].activated = True
+                mw = self.walks[m]
+                if mw.lp is not None:
+                    children[mw.lp].remove(m)
+                if mw.rp is not None:
+                    children[mw.rp].remove(m)
             self.idle -= len(members)
             insort(self.active, group, key=_by_leader)
             self.summary.groups += 1
@@ -307,15 +338,14 @@ class WaveEngine:
             sends = self._sends
             sends[g.leader] = sends.get(g.leader, 0) + len(g.members)
         if movers and len(movers) == len(g.members):
-            self._emit(g.leader, "move_right", g.level, to=z)
+            self._emit(g.leader, "move_right", g.level, z)
             self._notify(g.members, v, z, True, g.level)
             g.pos = z
         elif movers:
             stay = [m for m in g.members if m < z]
             right = CohesiveGroup(movers, g.level, z, top=g.top, delay=2,
                                   born=self.round, splits=g.splits + 1)
-            self._emit(g.leader, "split", g.level,
-                       new_leader=right.leader, at=v, z=z)
+            self._emit(g.leader, "split", g.level, right.leader, v, z)
             self._notify(stay, v, z, False, g.level)
             self._notify(movers, v, z, True, g.level)
             g.members = stay
@@ -359,7 +389,7 @@ class WaveEngine:
         if waiting is not None and waiting.level == lvl:
             del self._blocked[v]
             waiting.state = "wait"   # re-checked in its own turn
-        self._emit(g.leader, "merged_at_level", lvl, left=v, right=z)
+        self._emit(g.leader, "merged_at_level", lvl, v, z)
         self._notify(g.members, None, None, False, lvl)
         self._notify_merged(g.members, lvl)
         if lvl == 0:
@@ -439,7 +469,7 @@ class WaveEngine:
 
 
 def wave_merge(clean: SkipNet, buf: SkipNet, cycle: int = 0
-               ) -> tuple[MergeSummary, list[RoundWork], list[dict]]:
+               ) -> tuple[MergeSummary, list[RoundWork], list[tuple]]:
     """Run the whole merge phase; clean is mutated into the union."""
     engine = WaveEngine(clean, buf, cycle)
     summary = engine.run()

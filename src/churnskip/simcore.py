@@ -1,7 +1,9 @@
 """Deterministic round-synchronous execution core.
 
 The world owns the global clock, the alive set, the attachment edges, and
-the append-only work ledger. Protocol phases charge their work by playing
+the append-only work ledger. An alive node's attachment edges are a short
+list of peers, and a node with none has no entry, so departures leave no
+empty records behind. Protocol phases charge their work by playing
 back their work rows, one per round (play_row); churn plumbing and queries charge
 single messages and edges directly (charge_msgs/charge_edges/form_edge).
 Both paths check the per-node send cap, and every charge lands in the row
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import FailureEvent, InconsistentWorld, MessageBudgetExceeded, PeerDeparted
@@ -85,7 +86,7 @@ class World:
         self.heights: dict[int, int] = {}
         self.ledger = WorkLedger()
         self.failures: list[FailureEvent] = []
-        self.attach_adj: defaultdict[int, set[int]] = defaultdict(set)
+        self.attach_adj: dict[int, list[int]] = {}
         self.on_depart = None
         self.on_join = None
         self._row = LedgerRow(0)
@@ -158,10 +159,11 @@ class World:
         """Idempotent bidirectional attachment; a no-op edge is free."""
         if a not in self.alive or b not in self.alive:
             raise PeerDeparted(f"edge ({a},{b}) needs both endpoints alive")
-        if b in self.attach_adj.get(a, ()):
+        adj = self.attach_adj
+        if b in adj.get(a, ()):
             return
-        self.attach_adj[a].add(b)
-        self.attach_adj[b].add(a)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
         self.charge_edges(formed=1, category=category)
 
     # -- the round loop --------------------------------------------------------------
@@ -186,7 +188,10 @@ class World:
             self.departed_round[node] = self.round
             self._row.churn_out += 1
             for peer in self.attach_adj.pop(node, ()):
-                self.attach_adj[peer].discard(node)
+                peers = self.attach_adj[peer]
+                peers.remove(node)
+                if not peers:
+                    del self.attach_adj[peer]
                 self._row.edges_deleted += 1
                 self.ledger.category_totals["other"] += 1
             if self.on_depart is not None:

@@ -7,22 +7,46 @@ pool and set regimes of ``Random.sample`` written out. These are the
 generators it replaced, unchanged: ``randrange``, ``sample`` and
 ``random`` per draw. Both must give equal rounds, lifetimes and query
 lists for every seed, n, rate, strategy and density.
+
+The reference keeps the lifetimes as it did, in two dicts keyed by id that
+hold only the ids that joined or left, and answers ``lifetime`` and
+``ever_known`` from them; ``ChurnSchedule`` keeps id-indexed lists.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 
-from churnskip.adversary import ChurnSchedule, Query, RoundChurn
+from churnskip.adversary import Query, RoundChurn
 from churnskip.errors import HorizonTooShort, RateTooHigh
 from churnskip.params import STRATEGIES, SimParams, ceil_log2
+
+
+@dataclass
+class ReferenceSchedule:
+    n: int
+    seed: int
+    strategy: str
+    rate: int
+    bootstrap: int
+    rounds: list[RoundChurn]
+    join_round: dict[int, int] = field(default_factory=dict)
+    leave_round: dict[int, int] = field(default_factory=dict)
+
+    def lifetime(self, key: int) -> tuple[int, int | None]:
+        start = self.join_round.get(key, 0)
+        return start, self.leave_round.get(key)
+
+    def ever_known(self, key: int) -> bool:
+        return key < self.n or key in self.join_round
 
 
 def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
                  strategy: str = "uniform_random",
                  bootstrap: int | None = None,
-                 params: SimParams | None = None) -> ChurnSchedule:
+                 params: SimParams | None = None) -> ReferenceSchedule:
     params = params or SimParams(n=n, seed_adv=seed_adv)
     bootstrap = params.bootstrap_rounds if bootstrap is None else bootstrap
     if rate > params.churn_cap:
@@ -33,7 +57,7 @@ def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     rng = random.Random(seed_adv)
-    sched = ChurnSchedule(n, seed_adv, strategy, rate, bootstrap, [])
+    sched = ReferenceSchedule(n, seed_adv, strategy, rate, bootstrap, [])
     # swap-remove alive list keeps every per-round operation O(rate)
     alive_list = list(range(n))
     alive_pos = {node: i for i, node in enumerate(alive_list)}
@@ -103,7 +127,7 @@ def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
     return sched
 
 
-def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
+def gen_queries(seed_adv: int, schedule: ReferenceSchedule, density: float
                 ) -> list[Query]:
     """Membership queries over alive sources; targets mix present, departed,
     not-yet-joined, and never-existing keys so that every ground-truth class

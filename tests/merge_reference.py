@@ -67,7 +67,8 @@ def preprocess(buf: SkipNet) -> Preprocessed:
                           formed=sum(len(g) * (len(g) - 1) // 2 for g in groups)))
     rows.append(uniform_round(parents, 2))     # parent discovery
     rows.append(uniform_round(top_members))   # state init
-    return Preprocessed(groups, parents, children, top_members, rows)
+    fanout = {u: len(kids) for u, kids in children.items()}
+    return Preprocessed(groups, parents, children, fanout, top_members, rows)
 
 
 @dataclass

@@ -153,8 +153,7 @@ def test_criterion_3_wave_equivalence():
     clean, heights = merge_instance()
     buf, _ = raise_levels(sorted(heights), heights)
     _, _, events = wave_merge(clean, buf)
-    got = [(e["round"], e["group_leader"], e["event"], e["level"])
-           for e in events]
+    got = [e[1:5] for e in events]      # round, group_leader, event, level
     assert got == MERGE_GOLDEN_TRACE     # event-for-event golden trace
     narrative = [(e, key_name(leader), lv) for _, leader, e, lv in got]
     idx = 0

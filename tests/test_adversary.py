@@ -10,6 +10,7 @@ from churnskip.adversary import ChurnSchedule, gen_queries, gen_schedule
 from churnskip.errors import HorizonTooShort, RateTooHigh
 from churnskip.maintenance import Simulation
 from churnskip.params import STRATEGIES, SimParams
+from churnskip.skiplist import BUF_LS, BUF_RS, LS, RS
 
 
 def test_zero_rate_schedule_is_empty():
@@ -28,9 +29,12 @@ def test_uniform_schedule_properties():
     for rc in maintenance:
         hosts = [h for _, h in rc.joins]
         assert len(set(hosts)) == 10
-    # one int object per joined id, shared by the rounds and the lifetimes
-    held = {id(node) for node in sched.join_round}
-    assert all(id(node) in held for rc in maintenance for node, _ in rc.joins)
+    # the lifetimes are indexed by id, and the joined ids run on from n
+    joined = [node for rc in sched.rounds for node, _ in rc.joins]
+    assert joined == list(range(n, len(sched.join_round)))
+    for rnd, rc in enumerate(sched.rounds):
+        assert all(sched.join_round[node] == rnd for node, _ in rc.joins)
+        assert all(sched.leave_round[node] == rnd for node in rc.leaves)
 
 
 def test_rate_cap_enforced():
@@ -64,6 +68,15 @@ def test_schedule_serialization_roundtrip():
     assert again.serialize() == text
     assert again.validate() == "OK"
     assert again.rounds == sched.rounds
+    assert again.join_round == sched.join_round
+    assert again.leave_round == sched.leave_round
+
+
+def test_deserialize_rejects_a_joiner_out_of_id_order():
+    text = gen_schedule(11, 128, 4, horizon=200).serialize()
+    first = text.index("128@")      # the first joiner
+    with pytest.raises(ValueError, match="not the next id"):
+        ChurnSchedule.deserialize(text[:first] + "999" + text[first + 3:])
 
 
 def test_schedule_frozen_after_replay():
@@ -124,6 +137,12 @@ def test_schedule_oblivious_to_algorithm_seed():
     assert s1.schedule.serialize() == s2.schedule.serialize()
 
 
+def _keyed(rounds: list[int | None]) -> dict[int, int]:
+    """An id-indexed lifetime list as the reference's dict of the ids that
+    have a round."""
+    return {key: r for key, r in enumerate(rounds) if r is not None}
+
+
 def _generate(module, seed, n, rate, horizon, strategy):
     try:
         return module.gen_schedule(seed, n, rate, horizon, strategy)
@@ -152,8 +171,9 @@ def test_generators_match_reference(seed, n, rate, extra, strategy):
         assert new == old
         return
     assert new.rounds == old.rounds
-    assert new.leave_round == old.leave_round
-    assert new.join_round == old.join_round
+    assert _keyed(new.leave_round) == old.leave_round
+    assert _keyed(new.join_round) == old.join_round
+    assert len(new.join_round) == len(new.leave_round) == n + len(old.join_round)
     for density in (0.01, 0.3, 1.0):
         assert gen_queries(seed, new, density) == \
             adversary_reference.gen_queries(seed, old, density)
@@ -180,8 +200,12 @@ def test_round_past_the_end_extends_the_schedule():
         assert short.churn_for(650) == long.rounds[650]
         assert short.horizon == 800
         assert short.rounds == long.rounds[:800]
-        assert short.join_round == {k: r for k, r in long.join_round.items() if r < 800}
-        assert short.leave_round == {k: r for k, r in long.leave_round.items() if r < 800}
+        assert _keyed(short.join_round) == \
+            {k: r for k, r in _keyed(long.join_round).items() if r < 800}
+        assert _keyed(short.leave_round) == \
+            {k: r for k, r in _keyed(long.leave_round).items() if r < 800}
+        assert len(short.join_round) == len(short.leave_round) == \
+            128 + sum(len(rc.joins) for rc in short.rounds)
 
 
 def test_edited_schedule_is_not_extended():
@@ -207,3 +231,22 @@ def test_run_past_the_nominal_horizon_completes_every_cycle():
     assert sim.world.round > nominal
     assert sim.schedule.validate() == "OK"
     assert len(sim.query_log) == queries
+
+
+def test_lifetime_lookups_match_reference_at_the_edges():
+    # every id up to the last, the four sentinels, every ghost id and ids
+    # past the end: a bare list index would answer a negative sentinel from
+    # the end of the lists and raise past it
+    n = 64
+    horizon = SimParams(n=n).bootstrap_rounds + 200
+    for strategy in STRATEGIES:
+        new = gen_schedule(8, n, 3, horizon, strategy)
+        old = adversary_reference.gen_schedule(8, n, 3, horizon, strategy)
+        last = len(new.join_round)
+        assert last == n + len(old.join_round) > n
+        ghost = n ** 3 // 2
+        keys = [*range(last), LS, BUF_LS, BUF_RS, RS,
+                *range(ghost, ghost + n), last, last + 1, 2 * last, 10 ** 9]
+        for key in keys:
+            assert new.lifetime(key) == old.lifetime(key), (strategy, key)
+            assert new.ever_known(key) == old.ever_known(key), (strategy, key)

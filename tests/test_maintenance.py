@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -367,3 +368,21 @@ def test_key_whose_cover_failed_is_deleted_at_next_delete_phase(monkeypatch):
     assert sim.clean.validate().ok and live_equals_clean(sim.clean)
     stalls = [f.round for f in sim.world.failures if f.kind == STALLED]
     assert stalls and max(stalls) < sim.removed_clean[key]
+
+
+def test_run_records_stay_compact():
+    # what a run keeps for its whole length: merge events as exact tuples of
+    # atomic values (the collector untracks them), attachment edges with no
+    # empty entry, and lifetime lists as long as the ids allocated
+    sim = small_sim(n=256, rate=2, cycles=3)
+    sim.run()
+    assert sim.merge_events
+    gc.collect()
+    for event in sim.merge_events:
+        assert type(event) is tuple
+        assert not gc.is_tracked(event)
+    assert sim.world.attach_adj
+    assert all(sim.world.attach_adj.values())
+    schedule = sim.schedule
+    allocated = 256 + sum(len(rc.joins) for rc in schedule.rounds)
+    assert len(schedule.join_round) == len(schedule.leave_round) == allocated

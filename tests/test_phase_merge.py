@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from churnskip.fixtures import MERGE_NARRATIVE, merge_instance
 from churnskip.phase_buffer import raise_levels
-from churnskip.phase_merge import WaveEngine, preprocess, wave_merge
+from churnskip.phase_merge import WaveEngine, event_record, preprocess, wave_merge
 from churnskip.skiplist import (
     BUF_LS,
     BUF_RS,
@@ -109,7 +109,7 @@ def test_wave_monotone_activation():
         # a group keeps its leader for life, and no key leads two groups
         groups = {g.leader: g for g in engine.active}
         groups.update((g.leader, g) for g, _, _ in engine.group_spans)
-        for ev in engine.events[seen:]:
+        for ev in map(event_record, engine.events[seen:]):
             if ev["event"] == "merged_at_level":
                 for key in groups[ev["group_leader"]].members:
                     merged_at.setdefault((key, ev["level"]), ev["round"])
@@ -134,7 +134,7 @@ def test_wave_monotone_activation():
 def test_split_events_record_dichotomy():
     clean, buf, c_keys, b_keys, heights = random_pair(256, 256, 5)
     summary, _, events = wave_merge(clean, buf)
-    assert summary.splits == sum(1 for e in events if e["event"] == "split")
+    assert summary.splits == sum(1 for e in events if e[3] == "split")
     assert summary.splits > 0
 
 
@@ -172,7 +172,7 @@ def test_golden_merge_narrative():
     clean, heights = merge_instance()
     buf = make_buffer(sorted(heights), heights)
     summary, _, events = wave_merge(clean, buf)
-    seq = [(e["event"], key_name(e["group_leader"]), e["level"]) for e in events]
+    seq = [(event, key_name(leader), level) for _, _, leader, event, level, *_ in events]
     idx = 0
     for want in MERGE_NARRATIVE:
         while idx < len(seq) and seq[idx] != want:
@@ -187,6 +187,7 @@ def test_golden_event_details():
     clean, heights = merge_instance()
     buf = make_buffer(sorted(heights), heights)
     summary, _, events = wave_merge(clean, buf)
+    events = [event_record(e) for e in events]
     splits = [e for e in events if e["event"] == "split"]
     assert splits[0]["level"] == 3 and splits[0]["z"] == 13
     assert splits[0]["new_leader"] == 23
@@ -255,8 +256,8 @@ def geometry_keys(kind, rnd, nc, nb):
 
 
 def _walk_state(walks):
-    return {k: (w.height, w.lp, w.rp, w.vpos, w.vlevel, w.indep_lp, w.indep_rp,
-                w.activated) for k, w in walks.items()}
+    return {k: (w.height, w.lp, w.rp, w.vpos, w.vlevel, w.indep_lp, w.indep_rp)
+            for k, w in walks.items()}
 
 
 @settings(max_examples=80, deadline=None,
@@ -278,14 +279,19 @@ def test_wave_matches_reference_engine(kind, nc, nb, live_share, rnd):
         clean.live = set(live)
         buf = make_buffer(b_keys, {k: heights[k] for k in b_keys})
         engine = engine_cls(clean, buf, cycle=3)
+        # the wave drops each child from its parents' lists as it activates
+        wiring = {u: list(kids) for u, kids in engine.pre.children.items()}
         rows = list(engine.rounds())
-        runs.append((engine, clean, rows))
-    (new, clean, rows), (ref, ref_clean, ref_rows) = runs
-    assert new.events == ref.events
+        runs.append((engine, clean, rows, wiring))
+    (new, clean, rows, wiring), (ref, ref_clean, ref_rows, ref_wiring) = runs
+    assert [event_record(e) for e in new.events] == ref.events
+    assert all(type(e) is tuple for e in new.events)
     assert rows == ref_rows    # every field, peak and busiest included
     assert new.pre.groups == ref.pre.groups
     assert new.pre.parents == ref.pre.parents
-    assert new.pre.children == ref.pre.children
+    assert wiring == ref_wiring
+    assert new.pre.fanout == {u: len(kids) for u, kids in ref_wiring.items()}
+    assert not any(new.children.values())     # every child activated
     assert new.pre.top_members == ref.pre.top_members
     assert new.pre.rows == ref.pre.rows
     assert new.summary == ref.summary
