@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 from .errors import HorizonTooShort, RateTooHigh
 from .params import STRATEGIES, SimParams, ceil_log2
+from .simcore import collection_paused
 
 
 class RoundChurn(NamedTuple):
@@ -171,6 +172,7 @@ class ChurnSchedule:
         return "OK"
 
 
+@collection_paused
 def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
                  strategy: str = "uniform_random",
                  bootstrap: int | None = None,
@@ -306,6 +308,7 @@ class Query(NamedTuple):
     s: int
 
 
+@collection_paused
 def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
                 ) -> list[Query]:
     """Membership queries over alive sources; targets mix present, departed,

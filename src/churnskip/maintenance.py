@@ -22,7 +22,7 @@ from .phase_buffer import create_buffer
 from .phase_delete import delete_phase
 from .phase_merge import WaveEngine
 from .phase_update import live_equals_clean, update_phase
-from .simcore import MAINTENANCE, World
+from .simcore import MAINTENANCE, World, collection_paused
 from .skiplist import BUF_LS, BUF_RS, SkipNet, search
 from .overlay import bootstrap_overlay, route_hops
 from .work import RoundWork
@@ -73,6 +73,7 @@ class CoveringAudit:
 
 
 class Simulation:
+    @collection_paused
     def __init__(self, params: SimParams, schedule: ChurnSchedule | None = None,
                  queries: list[Query] | None = None):
         self.params = params
@@ -105,8 +106,6 @@ class Simulation:
         # departed nodes whose cover failed, until the delete phase removes
         # them: the only keys a relay can stall on
         self.uncovered: set[int] = set()
-        self.world.on_depart = self._on_depart
-        self.world.on_join = self._on_join
 
     # -- churn hooks --------------------------------------------------------------
 
@@ -138,7 +137,8 @@ class Simulation:
         world.cycle_phase = phase
         for q in self.queries_by_round.pop(world.round, ()):
             self._serve_query(q)
-        world.run_round(self.schedule)
+        # bound per call: a hook stored on the world would make a cycle
+        world.run_round(self.schedule, self._on_depart, self._on_join)
         if world.phase_tag == MAINTENANCE and \
                 world.round % self.params.tick_period == 0:
             self.overlay.maintenance_tick(world.alive, world.rng_alg, world.round)
@@ -160,6 +160,7 @@ class Simulation:
 
     # -- bootstrap --------------------------------------------------------------------
 
+    @collection_paused
     def bootstrap_all(self) -> None:
         params = self.params
         for node in range(params.n):
@@ -188,6 +189,7 @@ class Simulation:
 
     # -- one cycle ----------------------------------------------------------------------
 
+    @collection_paused
     def run_cycle(self) -> CycleSummary:
         world = self.world
         cycle_no = len(self.cycles)
@@ -260,6 +262,7 @@ class Simulation:
             self.run_cycle()
         self.finalize()
 
+    @collection_paused
     def finalize(self) -> None:
         """Recompute per-cycle q_violations against the final Q budget."""
         bad_rounds = {}

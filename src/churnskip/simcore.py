@@ -7,14 +7,18 @@ empty records behind. Protocol phases charge their work by playing
 back their work rows, one per round (play_row); churn plumbing and queries charge
 single messages and edges directly (charge_msgs/charge_edges/form_edge).
 Both paths check the per-node send cap, and every charge lands in the row
-of the round the clock is in.
+of the round the clock is in. The churn hooks that react to a departure
+or a join are passed to each run_round call, never stored on the world,
+so a world and its owner hold no reference cycle.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from dataclasses import dataclass
+from functools import wraps
 
 from .errors import FailureEvent, InconsistentWorld, MessageBudgetExceeded, PeerDeparted
 from .params import SimParams
@@ -73,6 +77,23 @@ class WorkLedger:
         return t["messages_sent"] + t["edges_formed"] + t["edges_deleted"]
 
 
+def collection_paused(fn):
+    """Run fn with automatic cyclic collection off, and restore the
+    collector's state on return or raise. The simulator's object graph is
+    acyclic, so reference counting frees all its garbage. The pause is
+    process-wide: another thread's cyclic garbage waits for the return."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 class World:
     def __init__(self, params: SimParams):
         self.params = params
@@ -81,14 +102,11 @@ class World:
         self.cycle_phase = "-"
         self.rng_alg = random.Random(params.seed_alg)
         self.alive: set[int] = set()
-        self.joined_round: dict[int, int] = {}
         self.departed_round: dict[int, int] = {}
         self.heights: dict[int, int] = {}
         self.ledger = WorkLedger()
         self.failures: list[FailureEvent] = []
         self.attach_adj: dict[int, list[int]] = {}
-        self.on_depart = None
-        self.on_join = None
         self._row = LedgerRow(0)
         self._sent_this_round: dict[int, int] = {}
 
@@ -102,7 +120,6 @@ class World:
         if node in self.departed_round:
             raise InconsistentWorld(f"departed node {node} rejoins")
         self.alive.add(node)
-        self.joined_round[node] = self.round
         if height is None:
             height = sample_height(self.rng_alg, self.params.p)
         self.heights[node] = height
@@ -168,15 +185,10 @@ class World:
 
     # -- the round loop --------------------------------------------------------------
 
-    def validate_world(self) -> None:
-        """O(n) sweep of what spawn guarantees, for tests."""
-        if not self.alive.isdisjoint(self.departed_round):
-            raise InconsistentWorld("departed node still alive")
-        for node in self.alive:
-            if node not in self.joined_round:
-                raise InconsistentWorld(f"alive node {node} never joined")
-
-    def run_round(self, adversary=None) -> "World":
+    def run_round(self, adversary=None, on_depart=None, on_join=None) -> "World":
+        """Apply the round's churn, calling on_depart(node) after each
+        departure and on_join(node, host) after each join, then seal the
+        round's row and advance the clock."""
         # (1) churn
         leaves, joins = ((), ())
         if adversary is not None:
@@ -194,15 +206,15 @@ class World:
                     del self.attach_adj[peer]
                 self._row.edges_deleted += 1
                 self.ledger.category_totals["other"] += 1
-            if self.on_depart is not None:
-                self.on_depart(node)
+            if on_depart is not None:
+                on_depart(node)
         for node, host in joins:
             self.spawn(node)
             self._row.churn_in += 1
             if host in self.alive:
                 self.form_edge(node, host, category="covering")
-            if self.on_join is not None:
-                self.on_join(node, host)
+            if on_join is not None:
+                on_join(node, host)
 
         # (2) seal row, advance
         self._row.phase_tag = self.phase_tag

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from churnskip import maintenance, metrics
-from churnskip.adversary import Query
-from churnskip.errors import COMMITTEE_DESTROYED, LIVE_MISMATCH, STALLED, DirtyLabels
+from churnskip.adversary import Query, gen_queries, gen_schedule
+from churnskip.errors import (COMMITTEE_DESTROYED, LIVE_MISMATCH, STALLED, DirtyLabels,
+                              RateTooHigh)
 from churnskip.maintenance import Simulation
 from churnskip.overlay import CommitteeOverlay
 from churnskip.params import SimParams
@@ -68,7 +69,7 @@ def test_churned_keys_eventually_leave_clean():
             assert key not in keys
     # a key joining in cycle c that survives is live by end of cycle c+1
     for key in alive:
-        joined = sim.world.joined_round[key]
+        joined, _ = sim.schedule.lifetime(key)
         if joined < sim.cycles[-2].start_round:
             assert key in sim.clean.live
 
@@ -386,3 +387,54 @@ def test_run_records_stay_compact():
     schedule = sim.schedule
     allocated = 256 + sum(len(rc.joins) for rc in schedule.rounds)
     assert len(schedule.join_round) == len(schedule.leave_round) == allocated
+
+
+def test_simulation_makes_no_cyclic_garbage():
+    # reference counting frees everything a simulation makes, so the
+    # collector can stay paused while it builds and runs
+    gc.collect()
+    sim = small_sim(n=256, rate=2, cycles=3, density=0.01)
+    assert sim.queries_by_round
+    assert gc.collect() == 0
+    sim.bootstrap_all()
+    assert gc.collect() == 0
+    for _ in range(3):
+        sim.run_cycle()
+        assert gc.collect() == 0
+    sim.finalize()
+    assert gc.collect() == 0
+    del sim
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_entry_points_leave_the_collector_as_found(monkeypatch, enabled):
+    params = SimParams(n=64, seed_adv=1, seed_alg=2, churn_rate=1,
+                       horizon_cycles=1, query_density=0.05)
+    during = []
+    on_depart = Simulation._on_depart
+
+    def recording(self, node):
+        during.append(gc.isenabled())
+        on_depart(self, node)
+
+    monkeypatch.setattr(Simulation, "_on_depart", recording)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        sim = Simulation(params)
+        assert gc.isenabled() is enabled
+        schedule = gen_schedule(1, 64, 1, sim.schedule.horizon)
+        assert gc.isenabled() is enabled
+        assert gen_queries(1, schedule, 0.05)
+        assert gc.isenabled() is enabled
+        for step in (sim.bootstrap_all, sim.run_cycle, sim.finalize):
+            step()
+            assert gc.isenabled() is enabled
+        with pytest.raises(RateTooHigh):
+            gen_schedule(1, 64, params.churn_cap + 1, sim.schedule.horizon)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # the churn hooks ran inside run_cycle, with collection paused
+    assert during and not any(during)

@@ -4,6 +4,7 @@ from churnskip.errors import InconsistentWorld, MessageBudgetExceeded, PeerDepar
 from churnskip.params import SimParams
 from churnskip.simcore import World
 from churnskip.work import RoundWork
+from world_reference import validate_world
 
 
 def fresh_world(n=16, **kw):
@@ -55,7 +56,7 @@ def test_rejoin_of_departed_id_raises_in_its_round():
                       [((), ((5, 1),))])
     for _ in range(10):
         world.run_round(adv)
-    world.validate_world()
+    validate_world(world)
     with pytest.raises(InconsistentWorld, match="departed node 5"):
         world.run_round(adv)
     assert world.round == 10 and 5 not in world.alive
