@@ -1,11 +1,13 @@
 """Oblivious churn schedules and query workloads.
 
 A schedule never reads algorithm state: it is drawn from its own RNG stream,
-so replaying it is byte-stable. It is generated before round zero to the
-nominal horizon. A round past that end regenerates a longer schedule from
-the header (seed, n, rate, strategy, bootstrap), whose draws repeat the
-existing rounds exactly, and appends the new tail; the query stream stays
-the one drawn from the schedule at the nominal horizon.
+so replaying it is byte-stable. It is drawn as it is read, up to a nominal
+horizon: a run draws each round when it reaches it, and whatever reads the
+schedule whole (its rounds, lifetimes, serialization, the query pools)
+first draws it to that horizon. A round past that end regenerates a longer
+schedule from the header (seed, n, rate, strategy, bootstrap), whose draws
+repeat the existing rounds exactly, and appends the new tail; the query
+stream stays the one drawn from the schedule at the nominal horizon.
 
 A schedule keeps each id's lifetime for the whole run, in two lists indexed
 by node id: ``join_round`` and ``leave_round``, with None where the id
@@ -31,8 +33,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from itertools import compress, repeat
+from collections.abc import Iterator
+from itertools import compress, count, cycle, islice, repeat
 from operator import is_not
 from typing import NamedTuple
 
@@ -51,44 +53,93 @@ NO_CHURN = RoundChurn((), ())
 # builds a NamedTuple without the frame of its Python-level __new__
 _new = tuple.__new__
 
+# rounds a run draws at once: a round drawn alone between the run's other
+# work costs about twice as much as one drawn in a block
+_DRAW_AHEAD = 1024
 
-@dataclass
+
 class ChurnSchedule:
-    n: int
-    seed: int
-    strategy: str
-    rate: int
-    bootstrap: int
-    rounds: list[RoundChurn]
-    # round of each id's join and leave, indexed by id; None where it has
-    # none. Both lists are as long as the ids allocated so far
-    join_round: list[int | None] = field(default_factory=list)
-    leave_round: list[int | None] = field(default_factory=list)
+    """The churn of every round, drawn from the header as it is read.
+
+    ``churn_for(r)`` for a round not yet drawn draws a block of rounds from
+    round r on, and keeps the draw state (the stream, the alive list, the
+    next id, the victims) for the next block. ``rounds``, the lifetimes,
+    ``serialize`` and ``validate`` read the schedule whole: they first draw
+    it to its nominal horizon."""
+
+    def __init__(self, n: int, seed: int, strategy: str, rate: int,
+                 bootstrap: int, horizon: int = 0, id_cap: int = 0):
+        self.n, self.seed, self.strategy = n, seed, strategy
+        self.rate, self.bootstrap = rate, bootstrap
+        self.nominal = horizon      # the rounds it is drawn to when read whole
+        self._rounds: list[RoundChurn] = []
+        # round of each id's join and leave, indexed by id; None where it
+        # has none. Both lists are as long as the ids allocated so far
+        self._join_round: list[int | None] = [None] * n
+        self._leave_round: list[int | None] = [None] * n
+        # holds the lists, never the schedule, so no cycle forms
+        self._drawer = _draw_rounds(n, seed, strategy, rate, bootstrap, id_cap,
+                                    self._join_round, self._leave_round) \
+            if horizon else None
+
+    @property
+    def rounds(self) -> list[RoundChurn]:
+        """Every round to the nominal horizon, or past it once extended."""
+        return self._drawn_whole()
+
+    @property
+    def join_round(self) -> list[int | None]:
+        self._drawn_whole()
+        return self._join_round
+
+    @property
+    def leave_round(self) -> list[int | None]:
+        self._drawn_whole()
+        return self._leave_round
+
+    def _drawn_whole(self) -> list[RoundChurn]:
+        if self._drawer is not None:
+            self._draw(self.nominal)
+        return self._rounds
 
     @property
     def horizon(self) -> int:
-        return len(self.rounds)
+        return max(self.nominal, len(self._rounds))
 
     def churn_for(self, round_no: int) -> RoundChurn:
-        """(leaves, joins) of a round; a round past the end extends the
-        schedule."""
-        if round_no >= len(self.rounds):
-            self._extend(round_no + 1)
-        return self.rounds[round_no]
+        """(leaves, joins) of a round; a round past the nominal horizon
+        extends the schedule."""
+        rounds = self._rounds
+        if round_no >= len(rounds):
+            if round_no < self.nominal:
+                self._draw(min(self.nominal, round_no + _DRAW_AHEAD))
+            else:
+                self._extend(round_no + 1)
+            rounds = self._rounds
+        return rounds[round_no]
+
+    @collection_paused
+    def _draw(self, upto: int) -> None:
+        """Draw rounds until `upto` are drawn; `upto` is at most nominal."""
+        rounds = self._rounds
+        rounds.extend(islice(self._drawer, upto - len(rounds)))
+        if len(rounds) == self.nominal:
+            self._drawer = None     # frees the draw state
 
     def _extend(self, horizon: int) -> None:
         """Regenerate the schedule from its header to at least `horizon`
         rounds, and twice its length, so that a long overrun regenerates
         only a few times. The regenerated prefix must equal the rounds."""
-        done = len(self.rounds)
+        rounds = self.rounds
+        done = len(rounds)
         longer = ChurnSchedule(self.n, self.seed, self.strategy, self.rate,
-                               self.bootstrap, [])
-        _draw_rounds(longer, max(horizon, 2 * done), SimParams(n=self.n).id_space)
-        if longer.rounds[:done] != self.rounds:
+                               self.bootstrap, max(horizon, 2 * done),
+                               SimParams(n=self.n).id_space)
+        if longer.rounds[:done] != rounds:
             raise HorizonTooShort(f"round {horizon - 1} beyond horizon {done}, "
                                   "and the header does not regenerate the rounds")
-        self.rounds, self.join_round, self.leave_round = \
-            longer.rounds, longer.join_round, longer.leave_round
+        self._rounds, self._join_round, self._leave_round = \
+            longer._rounds, longer._join_round, longer._leave_round
 
     def lifetime(self, key: int) -> tuple[int, int | None]:
         """(join round, leave round or None); an original node joined in
@@ -120,11 +171,18 @@ class ChurnSchedule:
     @classmethod
     def deserialize(cls, text: str) -> "ChurnSchedule":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0]
-        fields = dict(part.split("=") for part in head.lstrip("#schedule ").split())
+        head = lines[0] if lines else ""
+        if not head.startswith("#schedule "):
+            raise ValueError("schedule text does not start with '#schedule '")
+        fields = dict(part.split("=", 1)
+                      for part in head.removeprefix("#schedule ").split())
+        for name in ("n", "seed", "strategy", "rate", "bootstrap"):
+            if name not in fields:
+                raise ValueError(f"schedule header has no {name}=")
         sched = cls(n=int(fields["n"]), seed=int(fields["seed"]),
                     strategy=fields["strategy"], rate=int(fields["rate"]),
-                    bootstrap=int(fields["bootstrap"]), rounds=[])
+                    bootstrap=int(fields["bootstrap"]))
+        rounds = sched._rounds
         for ln in lines[1:]:
             _, leaves_s, joins_s = ln.split("|")
             leaves = tuple(int(x) for x in leaves_s.split(",") if x)
@@ -132,13 +190,14 @@ class ChurnSchedule:
                 (int(pair.split("@")[0]), int(pair.split("@")[1]))
                 for pair in joins_s.split(",") if pair
             )
-            sched.rounds.append(RoundChurn(leaves, joins))
+            rounds.append(RoundChurn(leaves, joins))
+        sched.nominal = len(rounds)
         sched._rebuild_lifetimes()
         return sched
 
     def _rebuild_lifetimes(self) -> None:
         join_round, leave_round = [None] * self.n, [None] * self.n
-        for i, rc in enumerate(self.rounds):
+        for i, rc in enumerate(self._rounds):
             for node in rc.leaves:
                 leave_round[node] = i
             for node, _ in rc.joins:
@@ -147,7 +206,7 @@ class ChurnSchedule:
                                      f"{len(join_round)}")
                 join_round.append(i)
                 leave_round.append(None)
-        self.join_round, self.leave_round = join_round, leave_round
+        self._join_round, self._leave_round = join_round, leave_round
 
     # -- invariants ----------------------------------------------------------------
 
@@ -172,7 +231,6 @@ class ChurnSchedule:
         return "OK"
 
 
-@collection_paused
 def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
                  strategy: str = "uniform_random",
                  bootstrap: int | None = None,
@@ -185,9 +243,23 @@ def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
         raise HorizonTooShort(f"horizon {horizon} < bootstrap {bootstrap}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    sched = ChurnSchedule(n, seed_adv, strategy, rate, bootstrap, [])
-    _draw_rounds(sched, horizon, params.id_space)
-    return sched
+    churning = sum(islice(_churn_flags(n, strategy, rate), horizon - bootstrap))
+    if n + rate * churning > params.id_space:
+        raise RateTooHigh("id space exhausted")
+    return ChurnSchedule(n, seed_adv, strategy, rate, bootstrap, horizon,
+                         params.id_space)
+
+
+def _churn_flags(n: int, strategy: str, rate: int) -> Iterator[bool]:
+    """Whether each round from the bootstrap on has churn, which allocates
+    `rate` ids: every round at a nonzero rate, but under burst only the
+    first ceil(log2 n) rounds of every 2 ceil(log2 n)."""
+    block = ceil_log2(n) if strategy == "burst" else 0
+    if not rate:
+        return repeat(False)
+    if not block:
+        return repeat(True)
+    return cycle((True,) * block + (False,) * block)
 
 
 def _fill(getrandbits, population: list[int], picks: list[int], count: int) -> None:
@@ -230,21 +302,18 @@ def _setsize(k: int) -> int:
     return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
 
 
-def _draw_rounds(sched: ChurnSchedule, horizon: int, id_cap: int) -> None:
-    """Fill the empty `sched` with rounds 0 .. `horizon` - 1 as its header
-    draws them, and with their lifetimes."""
-    n, rate, bootstrap = sched.n, sched.rate, sched.bootstrap
-    rounds = sched.rounds
-    join_round, leave_round = sched.join_round, sched.leave_round
-    join_round += [None] * n
-    leave_round += [None] * n
-    getrandbits = random.Random(sched.seed).getrandbits
+def _draw_rounds(n: int, seed: int, strategy: str, rate: int, bootstrap: int,
+                 id_cap: int, join_round: list[int | None],
+                 leave_round: list[int | None]) -> Iterator[RoundChurn]:
+    """Rounds 0, 1, ... as the header draws them, one per step. Each joined
+    id's lifetime is appended to the lists, which start with the n
+    original ids."""
+    getrandbits = random.Random(seed).getrandbits
     # swap-remove alive list keeps every per-round operation O(rate); it
     # keeps n members, since a round has as many joins as leaves
     alive = list(range(n))
     pos = {node: i for i, node in enumerate(alive)}
-    targeted = sched.strategy == "targeted_committee"
-    burst_block = ceil_log2(n) if sched.strategy == "burst" else 0
+    targeted = strategy == "targeted_committee"
     cluster_size = math.ceil(2 * math.log2(max(2, n)))
     if targeted:
         k = min(cluster_size, n)
@@ -254,10 +323,10 @@ def _draw_rounds(sched: ChurnSchedule, horizon: int, id_cap: int) -> None:
     bits = n.bit_length()
     twice = 2 * rate
     next_id = n
-    rounds += [NO_CHURN] * min(bootstrap, horizon)
-    for rnd in range(bootstrap, horizon):
-        if not rate or burst_block and (rnd - bootstrap) // burst_block % 2:
-            rounds.append(NO_CHURN)
+    yield from repeat(NO_CHURN, bootstrap)
+    for rnd, churns in zip(count(bootstrap), _churn_flags(n, strategy, rate)):
+        if not churns:
+            yield NO_CHURN
             continue
         if next_id + rate > id_cap:
             raise RateTooHigh("id space exhausted")
@@ -299,7 +368,7 @@ def _draw_rounds(sched: ChurnSchedule, horizon: int, id_cap: int) -> None:
         if targeted:
             victims = victims[rate:]
             victims += [node for node, _ in joins][:cluster_size - len(victims)]
-        rounds.append(_new(RoundChurn, (leaves, tuple(joins))))
+        yield _new(RoundChurn, (leaves, tuple(joins)))
 
 
 class Query(NamedTuple):
@@ -324,7 +393,8 @@ def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
     n, bootstrap = schedule.n, schedule.bootstrap
     alive = list(range(n))
     pos = {node: i for i, node in enumerate(alive)}
-    # the pools of the schedule as drawn so far; extending it later adds
+    # the pools of the schedule read whole: drawn to the nominal horizon,
+    # or further if a run already extended it. Extending it later adds
     # rounds but changes no query
     leave_round = schedule.leave_round
     gone = list(compress(range(len(leave_round)),

@@ -238,22 +238,6 @@ class CommitteeOverlay:
         self.census_log.append(census)
         return census
 
-    # -- validators -----------------------------------------------------------
-
-    def validate_cliques(self) -> str:
-        for addr in self.addrs:
-            members = self.members(addr)
-            for node in members:
-                if self.address_of(node) != addr:
-                    return f"clique: stale assignment for node {node}"
-            if len(members) != self.size(addr):
-                return f"clique: size count off at {addr}"
-        return "OK"
-
-    def sizes_within_band(self, params: SimParams) -> bool:
-        lo, hi = params.committee_lo, params.committee_hi
-        return all(lo <= s <= hi for s in self._size)
-
 
 def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
                       allow_degenerate: bool = False

@@ -46,10 +46,6 @@ class ComparatorNetwork:
     def depth(self) -> int:
         return len(self.layers)
 
-    @property
-    def comparator_count(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
     def apply(self, values) -> list:
         """Run the network; returns the first `width` outputs, sorted."""
         if len(values) != self.width:

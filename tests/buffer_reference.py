@@ -18,6 +18,11 @@ from churnskip.skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet
 from churnskip.work import ParallelSends, RoundWork
 
 
+def comparator_count(net) -> int:
+    """The comparators of a ``ComparatorNetwork``, over all its layers."""
+    return sum(len(layer) for layer in net.layers)
+
+
 def bridge_chain(chain: list[int], red: set[int], lvl: int = 0
                  ) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """Run the boundary-message protocol over a balanced tree on a chain.

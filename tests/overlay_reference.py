@@ -6,11 +6,31 @@ This is the membership it replaced: one set per committee, cleared and
 refilled node by node on every tick, with the speaker taken as the minimum
 of the set. Both must agree on assignments, members, sizes, speakers,
 censuses and the random draws they make.
+
+``validate_cliques`` and ``sizes_within_band`` check a ``CommitteeOverlay``
+as a whole.
 """
 
 from __future__ import annotations
 
 from churnskip.overlay import Census, CommitteeOverlay
+from churnskip.params import SimParams
+
+
+def validate_cliques(overlay: CommitteeOverlay) -> str:
+    for addr in overlay.addrs:
+        members = overlay.members(addr)
+        for node in members:
+            if overlay.address_of(node) != addr:
+                return f"clique: stale assignment for node {node}"
+        if len(members) != overlay.size(addr):
+            return f"clique: size count off at {addr}"
+    return "OK"
+
+
+def sizes_within_band(overlay: CommitteeOverlay, params: SimParams) -> bool:
+    lo, hi = params.committee_lo, params.committee_hi
+    return all(lo <= s <= hi for s in overlay.sizes())
 
 
 class EagerOverlay:

@@ -5,8 +5,12 @@ pass lines; tolerances are frozen here and nowhere else.
 """
 
 import math
+import multiprocessing
+import os
 import random
 import time
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 import pytest
@@ -23,19 +27,20 @@ from churnskip.params import SimParams
 from churnskip.phase_buffer import build_bitonic, raise_levels
 from churnskip.phase_delete import delete_phase
 from churnskip.phase_merge import WaveEngine, wave_merge
+from churnskip.phase_update import live_equals_clean
 from churnskip.skiplist import (
     LS,
     RS,
     key_name,
     oracle_build,
-    oracle_delete,
-    oracle_merge,
     sample_height,
     search,
 )
 from churnskip.overlay import bootstrap_overlay
 from delete_reference import expected_bridges
+from overlay_reference import validate_cliques
 from overlay_reshape import committee_opinions, reshape
+from skiplist_reference import oracle_delete, oracle_merge
 
 
 def verdict(num, ok, text):
@@ -52,19 +57,49 @@ SEEDS5 = 20
 CYCLES5 = 50
 
 
+def corpus_figures(seed: int) -> dict:
+    """Run seed `seed` of the churn corpus and return what criteria 5-8
+    read of it."""
+    params = SimParams(n=N5, seed_adv=100 + seed, seed_alg=500 + seed,
+                       churn_rate=RATE5, horizon_cycles=CYCLES5,
+                       query_density=0.0006)
+    sim = Simulation(params)
+    sim.run()
+    budget = sim.q_budget()
+    reports = metrics.cycle_windows(sim)
+    # a departure in the final round is never audited
+    audits = [a for a in sim.covering_log if a.ok is not None]
+    return {
+        "failures": len(sim.world.failures),
+        "stalled": sum(1 for q in sim.query_log if q.stalled),
+        "violations": len(sim.query_violations()),
+        "queries": len(sim.query_log),
+        "classes": Counter(sim.classify_query(q, budget) for q in sim.query_log),
+        "worst_ratio": max((r.ratio for r in reports), default=0.0),
+        "flagged": sum(1 for r in reports if r.flagged),
+        "ledger_complete": metrics.ledger_complete(sim),
+        "update_work": sim.world.ledger.category_totals["update"],
+        "update_by_cycle": [work["update"] for work in sim.phase_work.values()],
+        "live_equals_clean": live_equals_clean(sim.clean),
+        "audits": len(audits),
+        "late_audits": sum(1 for a in audits
+                           if not a.ok or a.verified_round != a.round + 1),
+    }
+
+
 @pytest.fixture(scope="module")
 def churn_corpus():
-    sims = []
+    """The figures of each seed, from runs built in at most two worker
+    processes, and the wall time of building them all."""
     start = time.time()
-    for seed in range(SEEDS5):
-        params = SimParams(n=N5, seed_adv=100 + seed, seed_alg=500 + seed,
-                           churn_rate=RATE5, horizon_cycles=CYCLES5,
-                           query_density=0.0006)
-        sim = Simulation(params)
-        sim.run()
-        sims.append(sim)
+    workers = min(2, os.cpu_count() or 1)
+    # spawned workers import this module afresh and share no state with
+    # the test process
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        figures = list(pool.map(corpus_figures, range(SEEDS5)))
     elapsed = time.time() - start
-    return sims, elapsed
+    return figures, elapsed
 
 
 # -- criterion 1: sorting network ----------------------------------------------
@@ -200,16 +235,15 @@ def test_criterion_4_merge_round_scaling():
 
 
 def test_criterion_5_end_to_end_churn(churn_corpus):
-    sims, elapsed = churn_corpus
-    failures = sum(len(s.world.failures) for s in sims)
-    stalled = sum(1 for s in sims for q in s.query_log if q.stalled)
-    violations = sum(len(s.query_violations()) for s in sims)
-    queries = sum(len(s.query_log) for s in sims)
+    figures, elapsed = churn_corpus
+    failures = sum(f["failures"] for f in figures)
+    stalled = sum(f["stalled"] for f in figures)
+    violations = sum(f["violations"] for f in figures)
+    queries = sum(f["queries"] for f in figures)
     assert queries >= 10_000
     # the correctness claim is not vacuous: both checked classes occur often
-    budget = sims[0].q_budget()
-    classes = [sims[0].classify_query(q, budget) for q in sims[0].query_log]
-    assert classes.count("present") > 100 and classes.count("absent") > 100
+    classes = figures[0]["classes"]
+    assert classes["present"] > 100 and classes["absent"] > 100
     verdict(5, failures == 0 and stalled == 0 and violations == 0
             and elapsed < 300.0,
             f"20 seeds x 50 cycles at n={N5}, rate {RATE5}/round: "
@@ -218,14 +252,13 @@ def test_criterion_5_end_to_end_churn(churn_corpus):
 
 
 def test_criterion_6_competitiveness(churn_corpus):
-    sims, _ = churn_corpus
+    figures, _ = churn_corpus
     t0 = time.time()
     worst = 0.0
-    for sim in sims:
-        for report in metrics.cycle_windows(sim):
-            worst = max(worst, report.ratio)
-            assert not report.flagged
-        assert metrics.ledger_complete(sim)
+    for f in figures:
+        worst = max(worst, f["worst_ratio"])
+        assert not f["flagged"]
+        assert f["ledger_complete"]
 
     # burst schedule: a quiet window bearing delayed work flags at alpha=0
     # and passes with the back-shift
@@ -264,32 +297,17 @@ def test_criterion_6_competitiveness(churn_corpus):
 
 
 def test_criterion_7_update_zero_work(churn_corpus):
-    sims, _ = churn_corpus
-    ok = True
-    for sim in sims:
-        if sim.world.ledger.category_totals["update"] != 0:
-            ok = False
-        for cycle, work in sim.phase_work.items():
-            if work["update"] != 0:
-                ok = False
-        from churnskip.phase_update import live_equals_clean
-        if not live_equals_clean(sim.clean):
-            ok = False
+    figures, _ = churn_corpus
+    ok = all(f["update_work"] == 0 and not any(f["update_by_cycle"])
+             and f["live_equals_clean"] for f in figures)
     verdict(7, ok, "update phase charged 0 messages and 0 edges in every "
                    "cycle; live equals clean as labeled edge sets")
 
 
 def test_criterion_8_covering_latency(churn_corpus):
-    sims, _ = churn_corpus
-    total = 0
-    bad = 0
-    for sim in sims:
-        for audit in sim.covering_log:
-            if audit.ok is None:
-                continue  # departure in the final round, never audited
-            total += 1
-            if not audit.ok or audit.verified_round != audit.round + 1:
-                bad += 1
+    figures, _ = churn_corpus
+    total = sum(f["audits"] for f in figures)
+    bad = sum(f["late_audits"] for f in figures)
     verdict(8, total > 0 and bad == 0,
             f"every one of {total} departures had its committee speaker "
             f"reachable by all former neighbors within 1 round")
@@ -344,7 +362,7 @@ def test_criterion_10_reshaping():
     assert set(opinions.values()) == {"grow"}
     grown, rounds_g, _ = reshape(state, opinions, params, rng, 2 * n)
     ok = grown.k == k0 + 1
-    ok &= grown.validate_cliques() == "OK"
+    ok &= validate_cliques(grown) == "OK"
     ok &= rounds_g <= 8 * math.log2(2 * n)
     target = math.ceil(0.75 * math.log2(2 * n))
     ok &= min(grown.sizes()) >= target - 1
@@ -355,7 +373,7 @@ def test_criterion_10_reshaping():
     opinions = {addr: "shrink" for addr in grown.addrs}
     shrunk, rounds_s, _ = reshape(grown, opinions, params, rng, n)
     ok &= shrunk.k == k0
-    ok &= shrunk.validate_cliques() == "OK"
+    ok &= validate_cliques(shrunk) == "OK"
     ok &= rounds_s <= 8 * math.log2(n)
     ok &= min(shrunk.sizes()) >= math.ceil(0.75 * math.log2(n)) - 1
     ok &= set(shrunk.assignment) == set(range(n))

@@ -72,6 +72,23 @@ def test_schedule_serialization_roundtrip():
     assert again.leave_round == sched.leave_round
 
 
+def test_deserialize_reads_header_fields_in_any_order():
+    sched = gen_schedule(3, 64, 1, horizon=150)
+    text = sched.serialize()
+    body = text.split("\n", 1)[1]
+    # seed= and strategy= lead: stripping "#schedule " as a set of
+    # characters, not as a prefix, would eat their first letters
+    head = f"#schedule seed=3 n=64 strategy={sched.strategy} rate=1 " \
+           f"bootstrap={sched.bootstrap}\n"
+    again = ChurnSchedule.deserialize(head + body)
+    assert again.serialize() == text
+    assert again.rounds == sched.rounds
+    with pytest.raises(ValueError, match="seed="):
+        ChurnSchedule.deserialize(text.replace(" seed=3", "", 1))
+    with pytest.raises(ValueError, match="#schedule"):
+        ChurnSchedule.deserialize(body)
+
+
 def test_deserialize_rejects_a_joiner_out_of_id_order():
     text = gen_schedule(11, 128, 4, horizon=200).serialize()
     first = text.index("128@")      # the first joiner
@@ -250,3 +267,52 @@ def test_lifetime_lookups_match_reference_at_the_edges():
         for key in keys:
             assert new.lifetime(key) == old.lifetime(key), (strategy, key)
             assert new.ever_known(key) == old.ever_known(key), (strategy, key)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_schedule_drawn_on_demand_reads_whole_like_reference(strategy):
+    n, rate = 128, 3
+    ahead = adversary._DRAW_AHEAD
+    horizon = SimParams(n=n).bootstrap_rounds + 3 * ahead
+    old = adversary_reference.gen_schedule(6, n, rate, horizon, strategy)
+    new = gen_schedule(6, n, rate, horizon, strategy)
+    # round by round as a run reads it: only the first block is drawn
+    reached = new.bootstrap + 40
+    for rnd in range(reached):
+        assert new.churn_for(rnd) == old.rounds[rnd]
+    assert len(new._rounds) == ahead
+    assert new.horizon == horizon
+    # a jump ahead draws through the block from there; a look back, then
+    # the whole schedule
+    jump = reached + ahead + 150
+    assert new.churn_for(jump) == old.rounds[jump]
+    assert len(new._rounds) == jump + ahead < horizon
+    assert new.churn_for(3) == old.rounds[3]
+    assert new.rounds == old.rounds
+    assert _keyed(new.leave_round) == old.leave_round
+    assert _keyed(new.join_round) == old.join_round
+    # the lifetimes and the queries read a partly drawn schedule whole
+    for reader in ("lifetime", "queries"):
+        fresh = gen_schedule(6, n, rate, horizon, strategy)
+        fresh.churn_for(fresh.bootstrap + 10)
+        if reader == "lifetime":
+            for key in range(n + len(old.join_round) + 2):
+                assert fresh.lifetime(key) == old.lifetime(key), (strategy, key)
+                assert fresh.ever_known(key) == old.ever_known(key), (strategy, key)
+        else:
+            assert gen_queries(6, fresh, 0.05) == \
+                adversary_reference.gen_queries(6, old, 0.05)
+        assert fresh.rounds == old.rounds
+        assert fresh.serialize() == new.serialize()
+
+
+def test_id_space_exhaustion_is_raised_at_construction():
+    # no round is drawn: the ids the nominal horizon allocates are counted
+    n = 64
+    params = SimParams(n=n)
+    last = params.bootstrap_rounds + params.id_space - n   # one id per round
+    assert gen_schedule(1, n, 1, horizon=last).horizon == last
+    with pytest.raises(RateTooHigh, match="id space exhausted"):
+        gen_schedule(1, n, 1, horizon=last + 1)
+    # burst churns in only half the rounds, so the same horizon has ids left
+    gen_schedule(1, n, 1, horizon=last + 1, strategy="burst")

@@ -6,15 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from churnskip import maintenance, metrics
+from churnskip import adversary, maintenance, metrics
 from churnskip.adversary import Query, gen_queries, gen_schedule
 from churnskip.errors import (COMMITTEE_DESTROYED, LIVE_MISMATCH, STALLED, DirtyLabels,
                               RateTooHigh)
 from churnskip.maintenance import Simulation
 from churnskip.overlay import CommitteeOverlay
-from churnskip.params import SimParams
+from churnskip.params import STRATEGIES, SimParams
 from churnskip.phase_update import UpdateSummary, live_equals_clean, update_phase
 from churnskip.skiplist import is_sentinel, oracle_build, search
+import adversary_reference
 from search_reference import reference_search
 
 
@@ -391,20 +392,24 @@ def test_run_records_stay_compact():
 
 def test_simulation_makes_no_cyclic_garbage():
     # reference counting frees everything a simulation makes, so the
-    # collector can stay paused while it builds and runs
-    gc.collect()
-    sim = small_sim(n=256, rate=2, cycles=3, density=0.01)
-    assert sim.queries_by_round
-    assert gc.collect() == 0
-    sim.bootstrap_all()
-    assert gc.collect() == 0
-    for _ in range(3):
-        sim.run_cycle()
+    # collector can stay paused while it builds and runs; the schedule is
+    # drawn as the run reaches it, from state that holds no reference back.
+    # At density 0, every round is drawn in the run
+    for density in (0.01, 0.0):
+        gc.collect()
+        sim = small_sim(n=256, rate=2, cycles=3, density=density)
+        assert bool(sim.queries_by_round) == (density > 0)
         assert gc.collect() == 0
-    sim.finalize()
-    assert gc.collect() == 0
-    del sim
-    assert gc.collect() == 0
+        sim.bootstrap_all()
+        assert gc.collect() == 0
+        for _ in range(3):
+            sim.run_cycle()
+            assert gc.collect() == 0
+        sim.finalize()
+        assert gc.collect() == 0
+        assert bool(sim.query_log) == (density > 0)
+        del sim
+        assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -438,3 +443,51 @@ def test_entry_points_leave_the_collector_as_found(monkeypatch, enabled):
         (gc.enable if was_enabled else gc.disable)()
     # the churn hooks ran inside run_cycle, with collection paused
     assert during and not any(during)
+
+
+def test_query_free_run_draws_only_the_rounds_it_reaches():
+    params = SimParams(n=1024, seed_adv=3, seed_alg=4, churn_rate=1,
+                       horizon_cycles=500)
+    sim = Simulation(params)
+    nominal = sim.schedule.horizon
+    assert nominal == params.bootstrap_rounds + 500 * params.cycle_budget + 8
+    sim.bootstrap_all()
+    for _ in range(3):
+        sim.run_cycle()
+    reached = sim.world.round
+    # what the schedule holds, read without drawing it whole: the rounds
+    # reached and at most one block past them
+    drawn = len(sim.schedule._rounds)
+    assert reached <= drawn < reached + adversary._DRAW_AHEAD
+    assert drawn < nominal // 50
+    assert len(sim.schedule._join_round) == \
+        params.n + params.churn_rate * (drawn - params.bootstrap_rounds)
+
+
+def test_query_free_simulation_schedule_gives_the_eager_queries():
+    # perfbench's reads workload draws its queries this way, from the
+    # schedule of a query-free simulation, which has drawn no round yet
+    params = SimParams(n=128, seed_adv=100, seed_alg=500, churn_rate=3,
+                       horizon_cycles=3, query_density=0.05)
+    schedule = Simulation(params.with_overrides(query_density=0.0)).schedule
+    assert not schedule._rounds
+    queries = maintenance.gen_queries(7, schedule, params.query_density)
+    horizon = params.bootstrap_rounds + 3 * params.cycle_budget + 8
+    eager = adversary_reference.gen_schedule(100, 128, 3, horizon)
+    assert queries
+    assert queries == adversary_reference.gen_queries(7, eager, params.query_density)
+    assert Simulation(params).schedule.rounds == eager.rounds
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_served_queries_are_the_drawn_list(strategy):
+    sim = small_sim(n=128, rate=3, cycles=3, density=0.05, seed=5,
+                    strategy=strategy)
+    p = sim.params
+    eager = gen_schedule(p.seed_adv, p.n, p.churn_rate, sim.schedule.horizon,
+                         p.strategy, p.bootstrap_rounds, p)
+    drawn = gen_queries(p.seed_adv, eager, p.query_density)
+    sim.run()
+    served = [Query(q.x, q.r, q.s) for q in sim.query_log]
+    assert served
+    assert served == [q for q in drawn if q.r < sim.world.round]

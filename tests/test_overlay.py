@@ -14,7 +14,7 @@ from churnskip.overlay import (
     butterfly_edge_set,
     route_hops,
 )
-from overlay_reference import eager_bootstrap
+from overlay_reference import eager_bootstrap, sizes_within_band, validate_cliques
 from overlay_reshape import NoAgreement, committee_opinions, reshape
 
 
@@ -45,7 +45,7 @@ def test_bootstrap_small_and_too_few():
     assert state.k == 1
     assert len(state.addrs) == 2
     assert sorted(len(state.members(a)) for a in state.addrs) != [0, 16]
-    assert state.validate_cliques() == "OK"
+    assert validate_cliques(state) == "OK"
     with pytest.raises(TooFewNodes):
         bootstrap_overlay(range(8), SimParams(n=8), random.Random(0))
     degenerate, _ = bootstrap_overlay(range(8), SimParams(n=8), random.Random(0),
@@ -58,7 +58,7 @@ def test_bootstrap_1024_sizes():
     params = SimParams(n=1024)
     state, rows = bootstrap_overlay(range(1024), params, random.Random(3))
     assert len(state.addrs) == 24
-    assert state.sizes_within_band(params)
+    assert sizes_within_band(state, params)
     assert len(rows) <= 4 * math.log2(1024) + 4
 
 
@@ -194,7 +194,7 @@ def test_reshape_grow_then_shrink_roundtrip():
     opinions = {addr: "grow" for addr in state.addrs}
     grown, rounds, _ = reshape(state, opinions, params, rng, 512)
     assert grown.k == k0 + 1
-    assert grown.validate_cliques() == "OK"
+    assert validate_cliques(grown) == "OK"
     assert rounds <= 8 * math.log2(512)
     lo = math.ceil(0.75 * math.log2(512)) - 1
     assert min(grown.sizes()) >= max(2, lo - 1)
@@ -208,7 +208,7 @@ def test_reshape_grow_then_shrink_roundtrip():
     _assert_addresses(grown, range(600))
     shrunk, rounds, _ = reshape(grown, opinions, params, rng, 256)
     assert shrunk.k == k0
-    assert shrunk.validate_cliques() == "OK"
+    assert validate_cliques(shrunk) == "OK"
     assert rounds <= 8 * math.log2(256)
     assert set(shrunk.assignment) == set(range(256))
     _assert_addresses(shrunk, range(600))
@@ -329,7 +329,7 @@ def test_membership_matches_eager_reference(n, seed, data):
         _assert_same_membership(state, ref, speakers, pool)
         for node in ref.covered_index:
             assert state.covering_speaker(node) == ref.covering_speaker(node)
-        assert state.validate_cliques() == "OK"
+        assert validate_cliques(state) == "OK"
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -364,7 +364,7 @@ def test_speaker_skips_placed_nodes_only_when_they_are_larger():
     assert (addr, state.covering_speaker(covered), edges) == ref.cover_node(covered, 2)
     assert state.covering_speaker(covered) == drawn
     assert drawn in state.members(addr)
-    assert state.validate_cliques() == "OK"
+    assert validate_cliques(state) == "OK"
 
 
 def test_hot_path_builds_no_assignment_map(monkeypatch):

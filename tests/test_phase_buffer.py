@@ -24,7 +24,7 @@ from work_reference import rewire_recount
 def test_width_four_matches_reference_shape():
     net = build_bitonic(4)
     assert net.depth == 3
-    assert net.comparator_count == 6
+    assert reference.comparator_count(net) == 6
     assert all(i < j for layer in net.layers for i, j in layer)
 
 

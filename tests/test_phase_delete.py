@@ -14,9 +14,10 @@ from churnskip.phase_delete import (
     fold_tree,
     form_tree,
 )
-from churnskip.skiplist import LS, RS, oracle_build, oracle_delete, sample_height
+from churnskip.skiplist import LS, RS, oracle_build, sample_height
 from churnskip.work import totals
 from buffer_reference import bridge_chain
+from skiplist_reference import oracle_delete
 import delete_reference as reference
 from delete_reference import expected_bridges
 

@@ -11,10 +11,10 @@ from churnskip.skiplist import (
     BUF_RS,
     key_name,
     oracle_build,
-    oracle_merge,
     sample_height,
     search,
 )
+from skiplist_reference import oracle_merge
 from churnskip.work import totals
 import merge_reference as reference
 

@@ -9,13 +9,11 @@ from churnskip.skiplist import (
     RS,
     SkipNet,
     oracle_build,
-    oracle_delete,
-    oracle_insert,
-    oracle_merge,
     sample_height,
     search,
 )
 from search_reference import reference_search, reference_walk
+from skiplist_reference import oracle_delete, oracle_insert, oracle_merge
 
 
 def test_height_law_small_probabilities():
