@@ -1,13 +1,14 @@
 """Oblivious churn schedules and query workloads.
 
 A schedule never reads algorithm state: it is drawn from its own RNG stream,
-so replaying it is byte-stable. It is drawn as it is read, up to a nominal
-horizon: a run draws each round when it reaches it, and whatever reads the
-schedule whole (its rounds, lifetimes, serialization, the query pools)
-first draws it to that horizon. A round past that end regenerates a longer
-schedule from the header (seed, n, rate, strategy, bootstrap), whose draws
-repeat the existing rounds exactly, and appends the new tail; the query
-stream stays the one drawn from the schedule at the nominal horizon.
+so its header (seed, n, rate, strategy, bootstrap) fixes every round. One
+generator draws the rounds as they are read, for the schedule's whole life:
+a run draws each round when it reaches it, and whatever reads the schedule
+whole (its rounds, lifetimes, serialization) first draws it to a nominal
+horizon. A run past that horizon draws on to the rounds it reaches. The
+query stream reads only the rounds to the nominal horizon, so it is the
+same however far a run goes. Schedule text is loaded by redrawing its
+header and checking every round of the text against the redraw.
 
 A schedule keeps each id's lifetime for the whole run, in two lists indexed
 by node id: ``join_round`` and ``leave_round``, with None where the id
@@ -33,9 +34,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import compress, count, cycle, islice, repeat
-from operator import is_not
+from itertools import count, cycle, islice, repeat
 from typing import NamedTuple
 
 from .errors import HorizonTooShort, RateTooHigh
@@ -61,14 +62,14 @@ _DRAW_AHEAD = 1024
 class ChurnSchedule:
     """The churn of every round, drawn from the header as it is read.
 
+    One generator draws every round for the schedule's whole life.
     ``churn_for(r)`` for a round not yet drawn draws a block of rounds from
-    round r on, and keeps the draw state (the stream, the alive list, the
-    next id, the victims) for the next block. ``rounds``, the lifetimes,
-    ``serialize`` and ``validate`` read the schedule whole: they first draw
-    it to its nominal horizon."""
+    round r on below the nominal horizon, and exactly through round r past
+    it. ``rounds``, the lifetimes, ``serialize`` and ``validate`` read the
+    schedule whole: they first draw it to its nominal horizon."""
 
     def __init__(self, n: int, seed: int, strategy: str, rate: int,
-                 bootstrap: int, horizon: int = 0, id_cap: int = 0):
+                 bootstrap: int, horizon: int, id_cap: int):
         self.n, self.seed, self.strategy = n, seed, strategy
         self.rate, self.bootstrap = rate, bootstrap
         self.nominal = horizon      # the rounds it is drawn to when read whole
@@ -79,12 +80,12 @@ class ChurnSchedule:
         self._leave_round: list[int | None] = [None] * n
         # holds the lists, never the schedule, so no cycle forms
         self._drawer = _draw_rounds(n, seed, strategy, rate, bootstrap, id_cap,
-                                    self._join_round, self._leave_round) \
-            if horizon else None
+                                    self._join_round, self._leave_round)
 
     @property
     def rounds(self) -> list[RoundChurn]:
-        """Every round to the nominal horizon, or past it once extended."""
+        """Every round to the nominal horizon, or to the last one reached
+        past it."""
         return self._drawn_whole()
 
     @property
@@ -98,7 +99,7 @@ class ChurnSchedule:
         return self._leave_round
 
     def _drawn_whole(self) -> list[RoundChurn]:
-        if self._drawer is not None:
+        if len(self._rounds) < self.nominal:
             self._draw(self.nominal)
         return self._rounds
 
@@ -108,38 +109,17 @@ class ChurnSchedule:
 
     def churn_for(self, round_no: int) -> RoundChurn:
         """(leaves, joins) of a round; a round past the nominal horizon
-        extends the schedule."""
+        extends the schedule to it."""
         rounds = self._rounds
         if round_no >= len(rounds):
-            if round_no < self.nominal:
-                self._draw(min(self.nominal, round_no + _DRAW_AHEAD))
-            else:
-                self._extend(round_no + 1)
-            rounds = self._rounds
+            self._draw(max(round_no + 1, min(self.nominal, round_no + _DRAW_AHEAD)))
         return rounds[round_no]
 
     @collection_paused
     def _draw(self, upto: int) -> None:
-        """Draw rounds until `upto` are drawn; `upto` is at most nominal."""
+        """Draw rounds until `upto` are drawn."""
         rounds = self._rounds
         rounds.extend(islice(self._drawer, upto - len(rounds)))
-        if len(rounds) == self.nominal:
-            self._drawer = None     # frees the draw state
-
-    def _extend(self, horizon: int) -> None:
-        """Regenerate the schedule from its header to at least `horizon`
-        rounds, and twice its length, so that a long overrun regenerates
-        only a few times. The regenerated prefix must equal the rounds."""
-        rounds = self.rounds
-        done = len(rounds)
-        longer = ChurnSchedule(self.n, self.seed, self.strategy, self.rate,
-                               self.bootstrap, max(horizon, 2 * done),
-                               SimParams(n=self.n).id_space)
-        if longer.rounds[:done] != rounds:
-            raise HorizonTooShort(f"round {horizon - 1} beyond horizon {done}, "
-                                  "and the header does not regenerate the rounds")
-        self._rounds, self._join_round, self._leave_round = \
-            longer._rounds, longer._join_round, longer._leave_round
 
     def lifetime(self, key: int) -> tuple[int, int | None]:
         """(join round, leave round or None); an original node joined in
@@ -160,53 +140,45 @@ class ChurnSchedule:
 
     def serialize(self) -> str:
         head = f"#schedule n={self.n} seed={self.seed} strategy={self.strategy} " \
-               f"rate={self.rate} bootstrap={self.bootstrap}\n"
+               f"rate={self.rate} bootstrap={self.bootstrap} horizon={self.nominal}\n"
+        return head + "\n".join(self._lines()) + "\n"
+
+    def _lines(self) -> list[str]:
         lines = []
         for i, rc in enumerate(self.rounds):
             joins = ",".join(f"{node}@{host}" for node, host in rc.joins)
             leaves = ",".join(str(x) for x in rc.leaves)
             lines.append(f"{i}|{leaves}|{joins}")
-        return head + "\n".join(lines) + "\n"
+        return lines
 
     @classmethod
     def deserialize(cls, text: str) -> "ChurnSchedule":
+        """The schedule its header draws, drawn as far as the text goes.
+        Every round of the text must be the one the header draws."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         head = lines[0] if lines else ""
         if not head.startswith("#schedule "):
             raise ValueError("schedule text does not start with '#schedule '")
         fields = dict(part.split("=", 1)
                       for part in head.removeprefix("#schedule ").split())
-        for name in ("n", "seed", "strategy", "rate", "bootstrap"):
+        for name in ("n", "seed", "strategy", "rate", "bootstrap", "horizon"):
             if name not in fields:
                 raise ValueError(f"schedule header has no {name}=")
-        sched = cls(n=int(fields["n"]), seed=int(fields["seed"]),
-                    strategy=fields["strategy"], rate=int(fields["rate"]),
-                    bootstrap=int(fields["bootstrap"]))
-        rounds = sched._rounds
-        for ln in lines[1:]:
-            _, leaves_s, joins_s = ln.split("|")
-            leaves = tuple(int(x) for x in leaves_s.split(",") if x)
-            joins = tuple(
-                (int(pair.split("@")[0]), int(pair.split("@")[1]))
-                for pair in joins_s.split(",") if pair
-            )
-            rounds.append(RoundChurn(leaves, joins))
-        sched.nominal = len(rounds)
-        sched._rebuild_lifetimes()
+        if fields["strategy"] not in STRATEGIES:
+            raise ValueError(f"unknown strategy {fields['strategy']!r}")
+        n = int(fields["n"])
+        sched = cls(n, int(fields["seed"]), fields["strategy"], int(fields["rate"]),
+                    int(fields["bootstrap"]), int(fields["horizon"]),
+                    SimParams(n=n).id_space)
+        body = lines[1:]
+        sched._draw(len(body))
+        drawn = sched._lines()
+        if body != drawn:
+            first = next((i for i, (line, want) in enumerate(zip(body, drawn))
+                          if line != want), min(len(body), len(drawn)))
+            raise ValueError(f"round {first} of the schedule text is not the "
+                             "round its header draws")
         return sched
-
-    def _rebuild_lifetimes(self) -> None:
-        join_round, leave_round = [None] * self.n, [None] * self.n
-        for i, rc in enumerate(self._rounds):
-            for node in rc.leaves:
-                leave_round[node] = i
-            for node, _ in rc.joins:
-                if node != len(join_round):
-                    raise ValueError(f"round {i}: joiner {node} is not the next id "
-                                     f"{len(join_round)}")
-                join_round.append(i)
-                leave_round.append(None)
-        self._join_round, self._leave_round = join_round, leave_round
 
     # -- invariants ----------------------------------------------------------------
 
@@ -310,9 +282,12 @@ def _draw_rounds(n: int, seed: int, strategy: str, rate: int, bootstrap: int,
     original ids."""
     getrandbits = random.Random(seed).getrandbits
     # swap-remove alive list keeps every per-round operation O(rate); it
-    # keeps n members, since a round has as many joins as leaves
+    # keeps n members, since a round has as many joins as leaves. pos holds
+    # each id's index in it, indexed by id (stale once the id has left): the
+    # draw state lives as long as the schedule, and a list of ids takes
+    # about half the memory of a dict
     alive = list(range(n))
-    pos = {node: i for i, node in enumerate(alive)}
+    pos = list(alive)
     targeted = strategy == "targeted_committee"
     cluster_size = math.ceil(2 * math.log2(max(2, n)))
     if targeted:
@@ -350,7 +325,7 @@ def _draw_rounds(n: int, seed: int, strategy: str, rate: int, bootstrap: int,
                     need -= 1
         leaves = tuple(picks[:rate])
         for node in leaves:
-            i = pos.pop(node)
+            i = pos[node]
             last = alive.pop()
             if last != node:
                 alive[i] = last
@@ -360,7 +335,7 @@ def _draw_rounds(n: int, seed: int, strategy: str, rate: int, bootstrap: int,
         for host in picks[rate:]:
             node = next_id
             next_id += 1
-            pos[node] = len(alive)
+            pos.append(len(alive))
             alive.append(node)
             join_round.append(rnd)      # node is the next id
             leave_round.append(None)
@@ -390,16 +365,15 @@ def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
         return queries
     rng = random.Random(seed_adv ^ 0x5EED)
     roll_next, getrandbits = rng.random, rng.getrandbits
-    n, bootstrap = schedule.n, schedule.bootstrap
+    n, bootstrap, nominal = schedule.n, schedule.bootstrap, schedule.nominal
     alive = list(range(n))
     pos = {node: i for i, node in enumerate(alive)}
-    # the pools of the schedule read whole: drawn to the nominal horizon,
-    # or further if a run already extended it. Extending it later adds
-    # rounds but changes no query
-    leave_round = schedule.leave_round
-    gone = list(compress(range(len(leave_round)),
-                         map(is_not, leave_round, repeat(None))))
-    joined = range(n, len(schedule.join_round))
+    # the rounds and pools to the nominal horizon: a run that went past it
+    # has drawn more, which changes no query
+    join_round = schedule.join_round
+    joined = range(n, bisect_left(join_round, nominal, lo=n))
+    gone = [key for key, r in enumerate(schedule.leave_round[:joined.stop])
+            if r is not None and r < nominal]
     ghosts = range(n ** 3 // 2, n ** 3 // 2 + n)  # ids no schedule ever allocates
     gone_draw = gone, len(gone), len(gone).bit_length()
     joined_draw = joined, len(joined), len(joined).bit_length()
@@ -407,7 +381,7 @@ def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
     expected = density * n
     whole, frac = int(expected), expected % 1
     append = queries.append
-    for rnd, (leaves, joins) in enumerate(schedule.rounds):
+    for rnd, (leaves, joins) in enumerate(islice(schedule.rounds, nominal)):
         for node in leaves:
             i = pos.pop(node)
             last = alive.pop()

@@ -302,10 +302,6 @@ class Simulation:
         self.query_log.append(outcome)
         return outcome
 
-    def answer_query(self, q: Query) -> QueryOutcome:
-        """Serve one ad-hoc query immediately (spec surface)."""
-        return self._serve_query(q)
-
     # -- ground truth -------------------------------------------------------------------
 
     def q_budget(self) -> int:

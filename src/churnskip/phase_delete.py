@@ -35,10 +35,6 @@ class OrphanLeaf(ChurnSkipError):
 Pair = tuple[int, bool, int, bool]
 
 
-def _leaf_pair(key: int, left_red: bool, right_red: bool) -> Pair:
-    return (key, left_red, key, right_red)
-
-
 def _merge_pairs(below: Pair, right: Pair, bridges: list, lvl: int) -> Pair:
     w, wd, x, xd = below
     y, yd, z, zd = right

@@ -13,9 +13,10 @@ labels and rows, field by field.
 
 from __future__ import annotations
 
-from churnskip.phase_delete import Pair, _leaf_pair, _merge_pairs
+from churnskip.phase_delete import Pair, _merge_pairs
 from churnskip.skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet
 from churnskip.work import ParallelSends, RoundWork
+from delete_reference import leaf_pair
 
 
 def comparator_count(net) -> int:
@@ -38,7 +39,7 @@ def bridge_chain(chain: list[int], red: set[int], lvl: int = 0
         lred = i > 0 and chain[i - 1] in red
         rred = i + 1 < len(chain) and chain[i + 1] in red
         if lred or rred:
-            leaves.append(_leaf_pair(key, lred, rred))
+            leaves.append(leaf_pair(key, lred, rred))
     bridges: list[tuple[int, int]] = []
     if not leaves:
         return bridges, []

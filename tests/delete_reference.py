@@ -13,10 +13,16 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from churnskip.phase_delete import (DeleteSummary, MessageShapeViolation, OrphanLeaf,
-                                    Pair, _leaf_pair, _merge_pairs)
+                                    Pair, _merge_pairs)
 from churnskip.skiplist import LS, RS, SkipNet
 from churnskip.work import RoundWork, totals
 from work_reference import RoundAcc, pad
+
+
+def leaf_pair(key: int, left_red: bool, right_red: bool) -> Pair:
+    """The boundary message a black leaf sends: itself at both ends,
+    dotted on each side that has a red neighbour."""
+    return (key, left_red, key, right_red)
 
 
 def expected_bridges(chain: list[int], red: set[int]) -> list[tuple[int, int]]:
@@ -111,7 +117,7 @@ def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
         if l == lvl and key in leaf_set:
             nxt = right_of.get(key)
             prev = net.left(key, lvl) if key != LS else None
-            inputs.append(_leaf_pair(key, prev in red, nxt in red))
+            inputs.append(leaf_pair(key, prev in red, nxt in red))
         kids = children.get(node, {})
         when = 0
         if "below" in kids:
@@ -130,7 +136,7 @@ def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
     kids = children.get(tree.root, {})
     inputs = []
     if tree.root[1] == lvl and tree.root[0] in leaf_set:
-        inputs.append(_leaf_pair(LS, False, right_of.get(LS) in red))
+        inputs.append(leaf_pair(LS, False, right_of.get(LS) in red))
     inputs += [pair_at[k] for k in (kids.get("below"), kids.get("right")) if k is not None]
     if inputs:
         pair = inputs[0]

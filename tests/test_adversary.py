@@ -78,22 +78,40 @@ def test_deserialize_reads_header_fields_in_any_order():
     body = text.split("\n", 1)[1]
     # seed= and strategy= lead: stripping "#schedule " as a set of
     # characters, not as a prefix, would eat their first letters
-    head = f"#schedule seed=3 n=64 strategy={sched.strategy} rate=1 " \
-           f"bootstrap={sched.bootstrap}\n"
+    head = f"#schedule seed=3 horizon=150 n=64 strategy={sched.strategy} " \
+           f"rate=1 bootstrap={sched.bootstrap}\n"
     again = ChurnSchedule.deserialize(head + body)
     assert again.serialize() == text
     assert again.rounds == sched.rounds
     with pytest.raises(ValueError, match="seed="):
         ChurnSchedule.deserialize(text.replace(" seed=3", "", 1))
+    with pytest.raises(ValueError, match="horizon="):
+        ChurnSchedule.deserialize(text.replace(" horizon=150", "", 1))
+    with pytest.raises(ValueError, match="unknown strategy"):
+        ChurnSchedule.deserialize(text.replace("uniform_random", "uniform", 1))
     with pytest.raises(ValueError, match="#schedule"):
         ChurnSchedule.deserialize(body)
 
 
 def test_deserialize_rejects_a_joiner_out_of_id_order():
-    text = gen_schedule(11, 128, 4, horizon=200).serialize()
-    first = text.index("128@")      # the first joiner
-    with pytest.raises(ValueError, match="not the next id"):
-        ChurnSchedule.deserialize(text[:first] + "999" + text[first + 3:])
+    # or any other round that is not the one the header draws: an edited
+    # joiner, leave or host, or a text that stops short of the horizon
+    sched = gen_schedule(11, 128, 4, horizon=200)
+    lines = sched.serialize().splitlines()
+    first = sched.bootstrap             # the first round with churn
+    rnd, leaves, joins = lines[1 + first].split("|")
+    leave = leaves.split(",")[0]
+    joiner, host = joins.split(",")[0].split("@")
+    assert joiner == "128"
+    for edited in (f"{rnd}|{leaves}|999@{joins[len(joiner) + 1:]}",
+                   f"{rnd}|{int(leave) ^ 1}{leaves[len(leave):]}|{joins}",
+                   f"{rnd}|{leaves}|{joiner}@{int(host) ^ 1}"
+                   f"{joins[len(joiner) + 1 + len(host):]}"):
+        text = "\n".join([*lines[:1 + first], edited, *lines[2 + first:]])
+        with pytest.raises(ValueError, match=f"round {first} of the schedule text"):
+            ChurnSchedule.deserialize(text)
+    with pytest.raises(ValueError, match="round 150 of the schedule text"):
+        ChurnSchedule.deserialize("\n".join(lines[:1 + 150]))
 
 
 def test_schedule_frozen_after_replay():
@@ -213,23 +231,16 @@ def test_round_past_the_end_extends_the_schedule():
         short = gen_schedule(4, 128, 3, horizon=200, strategy=strategy)
         long = gen_schedule(4, 128, 3, horizon=900, strategy=strategy)
         assert short.churn_for(300) == long.rounds[300]
-        assert short.horizon == 400              # at least doubled
+        assert short.horizon == 301              # drawn through the round read
         assert short.churn_for(650) == long.rounds[650]
-        assert short.horizon == 800
-        assert short.rounds == long.rounds[:800]
+        assert short.horizon == 651
+        assert short.rounds == long.rounds[:651]
         assert _keyed(short.join_round) == \
-            {k: r for k, r in _keyed(long.join_round).items() if r < 800}
+            {k: r for k, r in _keyed(long.join_round).items() if r < 651}
         assert _keyed(short.leave_round) == \
-            {k: r for k, r in _keyed(long.leave_round).items() if r < 800}
+            {k: r for k, r in _keyed(long.leave_round).items() if r < 651}
         assert len(short.join_round) == len(short.leave_round) == \
             128 + sum(len(rc.joins) for rc in short.rounds)
-
-
-def test_edited_schedule_is_not_extended():
-    sched = gen_schedule(4, 128, 3, horizon=200)
-    sched.rounds[-1] = sched.rounds[-2]
-    with pytest.raises(HorizonTooShort):
-        sched.churn_for(200)
 
 
 def test_run_past_the_nominal_horizon_completes_every_cycle():
@@ -246,6 +257,7 @@ def test_run_past_the_nominal_horizon_completes_every_cycle():
     sim.finalize()
     assert len(sim.cycles) == 5 and not sim.world.failures
     assert sim.world.round > nominal
+    assert len(sim.schedule.rounds) == sim.world.round
     assert sim.schedule.validate() == "OK"
     assert len(sim.query_log) == queries
 

@@ -86,12 +86,12 @@ def test_queries_served_during_phases():
     assert served_phases & phases   # queries interleave with phase traffic
 
 
-def test_answer_query_surface():
+def test_serve_query_answers_present_and_ghost_keys():
     sim = small_sim(n=64, rate=0, cycles=1)
     sim.run()
-    out = sim.answer_query(Query(x=10, r=sim.world.round, s=0))
+    out = sim._serve_query(Query(x=10, r=sim.world.round, s=0))
     assert out.answer is True
-    ghost = sim.answer_query(Query(x=999_999, r=sim.world.round, s=0))
+    ghost = sim._serve_query(Query(x=999_999, r=sim.world.round, s=0))
     assert ghost.answer is False
 
 
@@ -149,16 +149,22 @@ def test_cycle_round_budget():
 
 
 def test_replayed_schedule_gives_identical_run():
-    params = SimParams(n=128, seed_adv=9, seed_alg=10, churn_rate=2,
-                       horizon_cycles=4, query_density=0.005)
-    a = Simulation(params)
-    a.run()
+    # the second run goes past its nominal horizon of 1100 rounds, to 1241,
+    # and its queries come from the rounds to the nominal horizon only
     from churnskip.adversary import ChurnSchedule
-    replay = ChurnSchedule.deserialize(a.schedule.serialize())
-    b = Simulation(params, schedule=replay)
-    b.run()
-    assert list(a.world.trace_lines()) == list(b.world.trace_lines())
-    assert a.clean.same_structure(b.clean)
+    for params in (SimParams(n=128, seed_adv=9, seed_alg=10, churn_rate=2,
+                             horizon_cycles=4, query_density=0.005),
+                   SimParams(n=128, seed_adv=1, seed_alg=2, churn_rate=3,
+                             horizon_cycles=5, query_density=0.05)):
+        a = Simulation(params)
+        a.run()
+        text = a.schedule.serialize()
+        replay = ChurnSchedule.deserialize(text)
+        assert replay.serialize() == text
+        b = Simulation(params, schedule=replay)
+        b.run()
+        assert list(a.world.trace_lines()) == list(b.world.trace_lines())
+        assert a.clean.same_structure(b.clean)
 
 
 def test_targeted_strategy_full_run():
@@ -221,10 +227,10 @@ def test_covered_key_answers_until_deleted():
     sim.world.departed_round[key] = sim.world.round
     sim._on_depart(key)
     assert key in sim.overlay.covered_index
-    before = sim.answer_query(Query(x=key, r=sim.world.round, s=0))
+    before = sim._serve_query(Query(x=key, r=sim.world.round, s=0))
     assert before.answer is True and not before.stalled
     sim.run_cycle()
-    after = sim.answer_query(Query(x=key, r=sim.world.round, s=0))
+    after = sim._serve_query(Query(x=key, r=sim.world.round, s=0))
     assert after.answer is False
     assert key not in sim.clean.heights
 

@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from churnskip.phase_delete import (
     MessageShapeViolation,
-    _leaf_pair,
     _merge_pairs,
     delete_phase,
     fold_pairs,
@@ -19,7 +18,7 @@ from churnskip.work import totals
 from buffer_reference import bridge_chain
 from skiplist_reference import oracle_delete
 import delete_reference as reference
-from delete_reference import expected_bridges
+from delete_reference import expected_bridges, leaf_pair
 
 
 def build_random(n, seed):
@@ -148,7 +147,7 @@ def test_bridge_chain_matches_scan():
         chain = [LS, *keys, RS]
         # the blacks next to a red run, left to right, are the fold's leaves
         red = [False, *(k in reds for k in chain), False]
-        leaves = [_leaf_pair(k, red[i], red[i + 2]) for i, k in enumerate(chain)
+        leaves = [leaf_pair(k, red[i], red[i + 2]) for i, k in enumerate(chain)
                   if not red[i + 1] and (red[i] or red[i + 2])]
         bridges, senders = fold_pairs(leaves)
         bridges.sort()
