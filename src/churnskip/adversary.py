@@ -10,10 +10,13 @@ query stream reads only the rounds to the nominal horizon, so it is the
 same however far a run goes. Schedule text is loaded by redrawing its
 header and checking every round of the text against the redraw.
 
-A schedule keeps each id's lifetime for the whole run, in two lists indexed
-by node id: ``join_round`` and ``leave_round``, with None where the id
-never joined (an original node) or never left. Joined ids run consecutively
-from n, so an id at or past the end of the lists was never allocated.
+A schedule keeps its draw in flat integer arrays, with no object per round,
+join or id. A churn event is one departure and one join. Each event keeps
+its leaving id and its joiner's attach host; its joiner is ``n + event
+index``, since joined ids run consecutively from n. An offset array gives
+each round's first event. Every churning round has ``rate`` events, so
+event e falls in the (e // rate)-th round that churns. The round tuples and
+the lifetimes are built when asked for.
 Strategies:
 
 * uniform_random: departures sampled uniformly among the alive.
@@ -34,9 +37,11 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
-from collections.abc import Iterator
-from itertools import count, cycle, islice, repeat
+from array import array
+from collections import deque
+from collections.abc import Generator, Iterator
+from itertools import chain, compress, cycle, islice, repeat
+from operator import ne
 from typing import NamedTuple
 
 from .errors import HorizonTooShort, RateTooHigh
@@ -48,8 +53,6 @@ class RoundChurn(NamedTuple):
     leaves: tuple[int, ...]
     joins: tuple[tuple[int, int], ...]  # (new node, attach host)
 
-
-NO_CHURN = RoundChurn((), ())
 
 # builds a NamedTuple without the frame of its Python-level __new__
 _new = tuple.__new__
@@ -63,78 +66,113 @@ class ChurnSchedule:
     """The churn of every round, drawn from the header as it is read.
 
     One generator draws every round for the schedule's whole life.
-    ``churn_for(r)`` for a round not yet drawn draws a block of rounds from
-    round r on below the nominal horizon, and exactly through round r past
-    it. ``rounds``, the lifetimes, ``serialize`` and ``validate`` read the
-    schedule whole: they first draw it to its nominal horizon."""
+    ``churn_events(r)`` for a round not yet drawn draws a block of rounds
+    from round r on below the nominal horizon, and exactly through round r
+    past it. ``rounds``, the lifetimes, ``serialize`` and ``validate`` read
+    the schedule whole: they first draw it to its nominal horizon."""
 
     def __init__(self, n: int, seed: int, strategy: str, rate: int,
                  bootstrap: int, horizon: int, id_cap: int):
         self.n, self.seed, self.strategy = n, seed, strategy
         self.rate, self.bootstrap = rate, bootstrap
         self.nominal = horizon      # the rounds it is drawn to when read whole
-        self._rounds: list[RoundChurn] = []
-        # round of each id's join and leave, indexed by id; None where it
-        # has none. Both lists are as long as the ids allocated so far
-        self._join_round: list[int | None] = [None] * n
-        self._leave_round: list[int | None] = [None] * n
-        # holds the lists, never the schedule, so no cycle forms
+        # round r's events are first[r] to first[r + 1]; event e is the
+        # departure of leaves[e] and the join of id n + e at hosts[e]
+        self._first = array("q", [0])
+        self._leaves = array("q")
+        self._hosts = array("q")
+        # the rounds that have churn, and each allocated id's leaving event
+        # (-1 where it has none), built when a lifetime is asked for
+        self._churning = array("q")
+        self._left = array("q")
+        # holds the arrays, never the schedule, so no cycle forms
         self._drawer = _draw_rounds(n, seed, strategy, rate, bootstrap, id_cap,
-                                    self._join_round, self._leave_round)
+                                    self._first, self._leaves, self._hosts)
+        self._recent = next(self._drawer)
+
+    @property
+    def drawn(self) -> int:
+        """The rounds drawn so far."""
+        return len(self._first) - 1
 
     @property
     def rounds(self) -> list[RoundChurn]:
         """Every round to the nominal horizon, or to the last one reached
         past it."""
-        return self._drawn_whole()
+        return [self.churn_for(r) for r in range(self._drawn_whole())]
 
-    @property
-    def join_round(self) -> list[int | None]:
-        self._drawn_whole()
-        return self._join_round
+    def _lifetimes(self) -> tuple[array, array]:
+        """`_churning` and `_left` over the schedule read whole, built again
+        once a run has drawn more events."""
+        first, leaves = self._first, self._leaves
+        if len(self._left) < self.n + len(leaves) or len(first) <= self.nominal:
+            rounds = range(self._drawn_whole())
+            self._churning = array("q", compress(rounds, map(ne, first[1:], first)))
+            left = self._left = array("q", [-1]) * (self.n + len(leaves))
+            deque(map(left.__setitem__, leaves, range(len(leaves))), 0)
+        return self._churning, self._left
 
-    @property
-    def leave_round(self) -> list[int | None]:
-        self._drawn_whole()
-        return self._leave_round
-
-    def _drawn_whole(self) -> list[RoundChurn]:
-        if len(self._rounds) < self.nominal:
+    def _drawn_whole(self) -> int:
+        if len(self._first) <= self.nominal:
             self._draw(self.nominal)
-        return self._rounds
+        return self.drawn
 
     @property
     def horizon(self) -> int:
-        return max(self.nominal, len(self._rounds))
+        return max(self.nominal, self.drawn)
+
+    def churn_events(self, round_no: int):
+        """A round's leaves and its (new node, attach host) pairs, as
+        iterables over slices of the stored events; a round past the nominal
+        horizon extends the schedule to it."""
+        first = self._first
+        try:
+            hi = first[round_no + 1]
+        except IndexError:
+            self._draw(max(round_no + 1, min(self.nominal, round_no + _DRAW_AHEAD)))
+            hi = first[round_no + 1]
+        lo = first[round_no]
+        # a round of the block drawn last is read from the draw's own lists:
+        # the world then keeps the ints the draw made, so a leaving id is the
+        # object its join gave, and no id is boxed twice. A run that draws
+        # as it goes reads every round so (2% less run time on writes-8192)
+        start, gone, joined, hosted = self._recent
+        if start <= lo and hi - start <= len(gone):
+            lo -= start
+            hi -= start
+            return gone[lo:hi], zip(joined[lo:hi], hosted[lo:hi])
+        return self._leaves[lo:hi], enumerate(self._hosts[lo:hi], self.n + lo)
 
     def churn_for(self, round_no: int) -> RoundChurn:
-        """(leaves, joins) of a round; a round past the nominal horizon
-        extends the schedule to it."""
-        rounds = self._rounds
-        if round_no >= len(rounds):
-            self._draw(max(round_no + 1, min(self.nominal, round_no + _DRAW_AHEAD)))
-        return rounds[round_no]
+        """(leaves, joins) of a round, as tuples."""
+        leaves, joins = self.churn_events(round_no)
+        return _new(RoundChurn, (tuple(leaves), tuple(joins)))
 
     @collection_paused
     def _draw(self, upto: int) -> None:
-        """Draw rounds until `upto` are drawn."""
-        rounds = self._rounds
-        rounds.extend(islice(self._drawer, upto - len(rounds)))
+        """Draw rounds until `upto` are drawn, a block at a time."""
+        while self.drawn < upto:
+            self._recent = self._drawer.send(min(upto - self.drawn, _DRAW_AHEAD))
 
     def lifetime(self, key: int) -> tuple[int, int | None]:
         """(join round, leave round or None); an original node joined in
         round 0, and a key no id has, a sentinel or a ghost, is (0, None)."""
-        # a negative sentinel would index from the end of the lists
-        if 0 <= key < len(self.join_round):
-            start = self.join_round[key]
-            return 0 if start is None else start, self.leave_round[key]
-        return 0, None
+        churning, left = self._lifetimes()
+        # a negative sentinel would index from the end of the array
+        if not 0 <= key < len(left):
+            return 0, None
+        # a joined id is n + the index of its event, and every churning
+        # round has `rate` events
+        rate, event = self.rate, left[key]
+        start = churning[(key - self.n) // rate] if key >= self.n else 0
+        return start, None if event < 0 else churning[event // rate]
 
     def ever_known(self, key: int) -> bool:
-        # the ids below the lists' end were all allocated: the original
-        # nodes below n, and the joined ones from n on. A negative sentinel
-        # counts too, as every key below n does
-        return key < len(self.join_round)
+        # the ids below the end were all allocated: the original nodes below
+        # n, and the joined ones from n on. A negative sentinel counts too,
+        # as every key below n does
+        self._drawn_whole()
+        return key < self.n + len(self._hosts)
 
     # -- serialization: one round per line -------------------------------------
 
@@ -145,7 +183,9 @@ class ChurnSchedule:
 
     def _lines(self) -> list[str]:
         lines = []
-        for i, rc in enumerate(self.rounds):
+        # a round's tuples at a time: the list of them all would take the
+        # bytes the arrays save
+        for i, rc in enumerate(map(self.churn_for, range(self._drawn_whole()))):
             joins = ",".join(f"{node}@{host}" for node, host in rc.joins)
             leaves = ",".join(str(x) for x in rc.leaves)
             lines.append(f"{i}|{leaves}|{joins}")
@@ -184,7 +224,7 @@ class ChurnSchedule:
 
     def validate(self) -> str:
         alive = set(range(self.n))
-        for i, rc in enumerate(self.rounds):
+        for i, rc in enumerate(map(self.churn_for, range(self._drawn_whole()))):
             if i < self.bootstrap and (rc.leaves or rc.joins):
                 return f"round {i}: churn during bootstrap"
             if len(rc.leaves) != len(rc.joins):
@@ -275,17 +315,19 @@ def _setsize(k: int) -> int:
 
 
 def _draw_rounds(n: int, seed: int, strategy: str, rate: int, bootstrap: int,
-                 id_cap: int, join_round: list[int | None],
-                 leave_round: list[int | None]) -> Iterator[RoundChurn]:
-    """Rounds 0, 1, ... as the header draws them, one per step. Each joined
-    id's lifetime is appended to the lists, which start with the n
-    original ids."""
+                 id_cap: int, first: array, leaves: array, hosts: array
+                 ) -> Generator[tuple[int, list[int], list[int], list[int]], int, None]:
+    """Rounds 0, 1, ... as the header draws them: each ``send(k)`` draws k
+    more. A round appends its events to `leaves` and `hosts` and its end to
+    `first`; a send gives its first event and its events' leaving ids,
+    joined ids and attach hosts as lists of the ids' own objects."""
     getrandbits = random.Random(seed).getrandbits
     # swap-remove alive list keeps every per-round operation O(rate); it
     # keeps n members, since a round has as many joins as leaves. pos holds
     # each id's index in it, indexed by id (stale once the id has left): the
-    # draw state lives as long as the schedule, and a list of ids takes
-    # about half the memory of a dict
+    # draw state lives as long as the schedule, and at n = 16384 a list of
+    # ids takes 1 MB less than a dict of the alive ones (0.1 MB more at
+    # n = 1024, whose schedules allocate 20 n ids)
     alive = list(range(n))
     pos = list(alive)
     targeted = strategy == "targeted_committee"
@@ -298,52 +340,60 @@ def _draw_rounds(n: int, seed: int, strategy: str, rate: int, bootstrap: int,
     bits = n.bit_length()
     twice = 2 * rate
     next_id = n
-    yield from repeat(NO_CHURN, bootstrap)
-    for rnd, churns in zip(count(bootstrap), _churn_flags(n, strategy, rate)):
-        if not churns:
-            yield NO_CHURN
-            continue
-        if next_id + rate > id_cap:
-            raise RateTooHigh("id space exhausted")
-        # the leaves, then as many attach hosts: distinct alive nodes. The
-        # victims are alive when a round starts, and the round's leaves are
-        # its first `rate` victims; other leaves come only once all are taken
-        if targeted:
-            picks = victims[:rate]
-        else:
-            picks = _pool_sample(getrandbits, alive, rate) if pooled else []
-        # _fill(getrandbits, alive, picks, twice), inlined: it runs every round
-        used = set(picks)
-        need = twice - len(picks)
-        while need:
-            j = getrandbits(bits)
-            if j < n:
-                node = alive[j]
-                if node not in used:
-                    used.add(node)
-                    picks.append(node)
-                    need -= 1
-        leaves = tuple(picks[:rate])
-        for node in leaves:
-            i = pos[node]
-            last = alive.pop()
-            if last != node:
-                alive[i] = last
-                pos[last] = i
-            leave_round[node] = rnd
-        joins = []
-        for host in picks[rate:]:
-            node = next_id
-            next_id += 1
-            pos.append(len(alive))
-            alive.append(node)
-            join_round.append(rnd)      # node is the next id
-            leave_round.append(None)
-            joins.append((node, host))
-        if targeted:
-            victims = victims[rate:]
-            victims += [node for node, _ in joins][:cluster_size - len(victims)]
-        yield _new(RoundChurn, (leaves, tuple(joins)))
+    rounds = chain(repeat(False, bootstrap), _churn_flags(n, strategy, rate))
+    wanted = yield 0, [], [], []
+    while True:
+        # the rounds of one send go to the arrays in one call each
+        ends, gone, joiners, hosted = [], [], [], []
+        start = events = len(leaves)
+        for churns in islice(rounds, wanted):
+            if churns:
+                if next_id + rate > id_cap:
+                    raise RateTooHigh("id space exhausted")
+                # the leaves, then as many attach hosts: distinct alive
+                # nodes. The victims are alive when a round starts, and the
+                # round's leaves are its first `rate` victims; other leaves
+                # come only once all are taken
+                if targeted:
+                    picks = victims[:rate]
+                else:
+                    picks = _pool_sample(getrandbits, alive, rate) if pooled else []
+                # _fill(getrandbits, alive, picks, twice), inlined: it runs
+                # every round
+                used = set(picks)
+                need = twice - len(picks)
+                while need:
+                    j = getrandbits(bits)
+                    if j < n:
+                        node = alive[j]
+                        if node not in used:
+                            used.add(node)
+                            picks.append(node)
+                            need -= 1
+                out = picks[:rate]
+                for node in out:
+                    i = pos[node]
+                    last = alive.pop()
+                    if last != node:
+                        alive[i] = last
+                        pos[last] = i
+                joined = range(next_id, next_id + rate)
+                next_id += rate
+                for node in joined:
+                    pos.append(len(alive))
+                    alive.append(node)
+                    joiners.append(node)
+                gone += out
+                hosted += picks[rate:]
+                events += rate
+                if targeted:
+                    victims = victims[rate:]
+                    victims += joined[:cluster_size - len(victims)]
+            ends.append(events)
+        first.fromlist(ends)
+        leaves.fromlist(gone)
+        hosts.fromlist(hosted)
+        wanted = yield start, gone, joiners, hosted
 
 
 class Query(NamedTuple):
@@ -366,14 +416,21 @@ def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
     rng = random.Random(seed_adv ^ 0x5EED)
     roll_next, getrandbits = rng.random, rng.getrandbits
     n, bootstrap, nominal = schedule.n, schedule.bootstrap, schedule.nominal
-    alive = list(range(n))
-    pos = {node: i for i, node in enumerate(alive)}
     # the rounds and pools to the nominal horizon: a run that went past it
     # has drawn more, which changes no query
-    join_round = schedule.join_round
-    joined = range(n, bisect_left(join_round, nominal, lo=n))
-    gone = [key for key, r in enumerate(schedule.leave_round[:joined.stop])
-            if r is not None and r < nominal]
+    schedule._drawn_whole()
+    first, leaves = schedule._first, schedule._leaves
+    events = first[nominal]
+    # swap-remove alive list, and each id's index in it (stale once the id
+    # has left): a list by id is faster than a dict, and lives only here
+    alive = list(range(n))
+    pos = alive + [0] * events
+    joined = range(n, n + events)
+    # the ids that leave before it, in id order
+    left = bytearray(n + events)
+    for node in leaves[:events]:
+        left[node] = 1
+    gone = list(compress(range(n + events), left))
     ghosts = range(n ** 3 // 2, n ** 3 // 2 + n)  # ids no schedule ever allocates
     gone_draw = gone, len(gone), len(gone).bit_length()
     joined_draw = joined, len(joined), len(joined).bit_length()
@@ -381,16 +438,22 @@ def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
     expected = density * n
     whole, frac = int(expected), expected % 1
     append = queries.append
-    for rnd, (leaves, joins) in enumerate(islice(schedule.rounds, nominal)):
-        for node in leaves:
-            i = pos.pop(node)
+    event = 0
+    # an index walk over the events: a slice per round would cost more
+    for rnd, end in zip(range(nominal), islice(first, 1, None)):
+        joiner = n + event
+        while event < end:
+            node = leaves[event]
+            i = pos[node]
             last = alive.pop()
             if last != node:
                 alive[i] = last
                 pos[last] = i
-        for node, _ in joins:
-            pos[node] = len(alive)
-            alive.append(node)
+            event += 1
+        while joiner < n + end:
+            pos[joiner] = len(alive)
+            alive.append(joiner)
+            joiner += 1
         if rnd < bootstrap:
             continue
         count = whole + (1 if roll_next() < frac else 0)

@@ -31,7 +31,9 @@ from .work import totals
 _OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
     ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
-    ast.Pow: operator.pow, ast.USub: operator.neg,
+    # a float power overflows at once where an integer one would grow
+    # without bound: 2^2^40 has 2^40 bits
+    ast.Pow: math.pow, ast.USub: operator.neg,
 }
 _FUNCS = {"log2": math.log2, "log": math.log, "floor": math.floor,
           "ceil": math.ceil, "sqrt": math.sqrt, "min": min, "max": max}
@@ -62,7 +64,10 @@ def eval_rate_expr(expr: str, n: int) -> int:
             return _FUNCS[node.func.id](*(ev(a) for a in node.args))
         raise ConfigError("churn_rate_expr", f"disallowed syntax: {ast.dump(node)}")
 
-    return int(math.floor(ev(tree)))
+    try:
+        return int(math.floor(ev(tree)))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise ConfigError("churn_rate_expr", f"cannot evaluate {expr!r}: {exc}") from exc
 
 
 # The config keys are the SimParams fields, each read as its declared type,

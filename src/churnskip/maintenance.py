@@ -10,9 +10,12 @@ departed node answerable throughout.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from itertools import chain
+from operator import itemgetter
 
 from .adversary import ChurnSchedule, Query, gen_queries, gen_schedule
 from .errors import (COMMITTEE_DESTROYED, LIVE_MISMATCH, QUERY_TIMEOUT, STALLED,
@@ -86,9 +89,16 @@ class Simulation:
         if queries is None and params.query_density > 0:
             queries = gen_queries(params.seed_adv, self.schedule,
                                   params.query_density)
-        self.queries_by_round: dict[int, list[Query]] = {}
-        for q in queries or []:
-            self.queries_by_round.setdefault(q.r, []).append(q)
+        # the queries in the order they are served: by round, and in the
+        # given order within a round. _next_query is the first not served,
+        # and _query_round its round (-1 once all are); the clock starts at
+        # round 0, so a query of a negative round is never served
+        queries = sorted(queries or (), key=itemgetter(1))
+        xs, rs, ss = zip(*queries) if queries else ((), (), ())
+        self.query_x, self.query_r, self.query_s = (
+            array("q", xs), array("q", rs), array("q", ss))
+        i = self._next_query = bisect_left(rs, 0)
+        self._query_round = rs[i] if i < len(rs) else -1
         self.clean = SkipNet("C")
         self.overlay = None
         self.joiner_backlog: list[int] = []
@@ -135,8 +145,15 @@ class Simulation:
     def _advance(self, phase: str) -> None:
         world = self.world
         world.cycle_phase = phase
-        for q in self.queries_by_round.pop(world.round, ()):
-            self._serve_query(q)
+        if world.round == self._query_round:
+            # the round's queries, from the first not yet served
+            rnd, i = self._query_round, self._next_query
+            xs, rs, ss = self.query_x, self.query_r, self.query_s
+            while i < len(rs) and rs[i] == rnd:
+                self._serve_query(xs[i], rnd, ss[i])
+                i += 1
+            self._next_query = i
+            self._query_round = rs[i] if i < len(rs) else -1
         # bound per call: a hook stored on the world would make a cycle
         world.run_round(self.schedule, self._on_depart, self._on_join)
         if world.phase_tag == MAINTENANCE and \
@@ -278,27 +295,27 @@ class Simulation:
     def _representable(self, key: int) -> bool:
         return self.world.is_alive(key) or key in self.overlay.covered_index
 
-    def _serve_query(self, q: Query) -> QueryOutcome:
+    def _serve_query(self, x: int, r: int, s: int) -> QueryOutcome:
         world = self.world
-        addr = self.overlay.address_of(q.s) or (0, 0)
+        addr = self.overlay.address_of(s) or (0, 0)
         hops = self._hops_from.get(addr)
         if hops is None:
             hops = self._hops_from[addr] = route_hops(addr, (0, 0), self.overlay.k) + 1
         # every departure is covered until a cover fails, so until then
         # every key is representable and the search need not check
         representable = self._representable if self.uncovered else None
-        result = search(self.clean, q.x, representable=representable,
+        result = search(self.clean, x, representable=representable,
                         live_view=True)
         if result.stalled:
-            world.fail(STALLED, f"query {q.x} from {q.s}")
-        answer = result.found and q.x in self.clean.live and not result.stalled
+            world.fail(STALLED, f"query {x} from {s}")
+        answer = result.found and x in self.clean.live and not result.stalled
         latency = hops + result.path_rounds + 1
-        answered = q.r + latency
-        world.charge_msgs(q.s, 2, category="queries")
-        world.charge_msgs(q.s, hops - 1 + result.path_rounds, category="queries")
+        answered = r + latency
+        world.charge_msgs(s, 2, category="queries")
+        world.charge_msgs(s, hops - 1 + result.path_rounds, category="queries")
         if latency > self.params.cycle_budget:
-            world.fail(QUERY_TIMEOUT, f"query {q.x} took {latency}")
-        outcome = QueryOutcome(q.x, q.r, q.s, answer, answered, result.stalled)
+            world.fail(QUERY_TIMEOUT, f"query {x} took {latency}")
+        outcome = QueryOutcome(x, r, s, answer, answered, result.stalled)
         self.query_log.append(outcome)
         return outcome
 

@@ -186,13 +186,14 @@ class World:
     # -- the round loop --------------------------------------------------------------
 
     def run_round(self, adversary=None, on_depart=None, on_join=None) -> "World":
-        """Apply the round's churn, calling on_depart(node) after each
+        """Apply the round's churn, the leaves and (node, host) joins that
+        adversary.churn_events(round) gives, calling on_depart(node) after each
         departure and on_join(node, host) after each join, then seal the
         round's row and advance the clock."""
         # (1) churn
         leaves, joins = ((), ())
         if adversary is not None:
-            leaves, joins = adversary.churn_for(self.round)
+            leaves, joins = adversary.churn_events(self.round)
         for node in leaves:
             if node not in self.alive:
                 continue

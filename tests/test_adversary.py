@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,10 +32,11 @@ def test_uniform_schedule_properties():
         assert len(set(hosts)) == 10
     # the lifetimes are indexed by id, and the joined ids run on from n
     joined = [node for rc in sched.rounds for node, _ in rc.joins]
-    assert joined == list(range(n, len(sched.join_round)))
+    joins, leaves = join_rounds(sched), leave_rounds(sched)
+    assert joined == list(range(n, len(joins)))
     for rnd, rc in enumerate(sched.rounds):
-        assert all(sched.join_round[node] == rnd for node, _ in rc.joins)
-        assert all(sched.leave_round[node] == rnd for node in rc.leaves)
+        assert all(joins[node] == rnd for node, _ in rc.joins)
+        assert all(leaves[node] == rnd for node in rc.leaves)
 
 
 def test_rate_cap_enforced():
@@ -68,8 +70,8 @@ def test_schedule_serialization_roundtrip():
     assert again.serialize() == text
     assert again.validate() == "OK"
     assert again.rounds == sched.rounds
-    assert again.join_round == sched.join_round
-    assert again.leave_round == sched.leave_round
+    assert join_rounds(again) == join_rounds(sched)
+    assert leave_rounds(again) == leave_rounds(sched)
 
 
 def test_deserialize_reads_header_fields_in_any_order():
@@ -172,6 +174,23 @@ def test_schedule_oblivious_to_algorithm_seed():
     assert s1.schedule.serialize() == s2.schedule.serialize()
 
 
+def join_rounds(sched) -> list[int | None]:
+    """The join round of each id the schedule allocates when read whole,
+    None for an original node."""
+    return [None if key < sched.n else sched.lifetime(key)[0]
+            for key in range(_allocated(sched))]
+
+
+def leave_rounds(sched) -> list[int | None]:
+    """Each allocated id's leave round, None where it never left."""
+    return [sched.lifetime(key)[1] for key in range(_allocated(sched))]
+
+
+def _allocated(sched) -> int:
+    # joined ids run consecutively from n, so the first unknown id ends them
+    return next(key for key in count(sched.n) if not sched.ever_known(key))
+
+
 def _keyed(rounds: list[int | None]) -> dict[int, int]:
     """An id-indexed lifetime list as the reference's dict of the ids that
     have a round."""
@@ -206,9 +225,9 @@ def test_generators_match_reference(seed, n, rate, extra, strategy):
         assert new == old
         return
     assert new.rounds == old.rounds
-    assert _keyed(new.leave_round) == old.leave_round
-    assert _keyed(new.join_round) == old.join_round
-    assert len(new.join_round) == len(new.leave_round) == n + len(old.join_round)
+    assert _keyed(leave_rounds(new)) == old.leave_round
+    assert _keyed(join_rounds(new)) == old.join_round
+    assert len(join_rounds(new)) == len(leave_rounds(new)) == n + len(old.join_round)
     for density in (0.01, 0.3, 1.0):
         assert gen_queries(seed, new, density) == \
             adversary_reference.gen_queries(seed, old, density)
@@ -235,11 +254,11 @@ def test_round_past_the_end_extends_the_schedule():
         assert short.churn_for(650) == long.rounds[650]
         assert short.horizon == 651
         assert short.rounds == long.rounds[:651]
-        assert _keyed(short.join_round) == \
-            {k: r for k, r in _keyed(long.join_round).items() if r < 651}
-        assert _keyed(short.leave_round) == \
-            {k: r for k, r in _keyed(long.leave_round).items() if r < 651}
-        assert len(short.join_round) == len(short.leave_round) == \
+        assert _keyed(join_rounds(short)) == \
+            {k: r for k, r in _keyed(join_rounds(long)).items() if r < 651}
+        assert _keyed(leave_rounds(short)) == \
+            {k: r for k, r in _keyed(leave_rounds(long)).items() if r < 651}
+        assert len(join_rounds(short)) == len(leave_rounds(short)) == \
             128 + sum(len(rc.joins) for rc in short.rounds)
 
 
@@ -250,7 +269,7 @@ def test_run_past_the_nominal_horizon_completes_every_cycle():
                        horizon_cycles=5, query_density=0.05)
     sim = Simulation(params)
     nominal = sim.schedule.horizon
-    queries = sum(map(len, sim.queries_by_round.values()))   # drawn to round 1100
+    queries = len(sim.query_r)   # drawn to round 1100
     sim.bootstrap_all()
     for _ in range(params.horizon_cycles):
         sim.run_cycle()
@@ -271,7 +290,7 @@ def test_lifetime_lookups_match_reference_at_the_edges():
     for strategy in STRATEGIES:
         new = gen_schedule(8, n, 3, horizon, strategy)
         old = adversary_reference.gen_schedule(8, n, 3, horizon, strategy)
-        last = len(new.join_round)
+        last = len(join_rounds(new))
         assert last == n + len(old.join_round) > n
         ghost = n ** 3 // 2
         keys = [*range(last), LS, BUF_LS, BUF_RS, RS,
@@ -292,17 +311,17 @@ def test_schedule_drawn_on_demand_reads_whole_like_reference(strategy):
     reached = new.bootstrap + 40
     for rnd in range(reached):
         assert new.churn_for(rnd) == old.rounds[rnd]
-    assert len(new._rounds) == ahead
+    assert new.drawn == ahead
     assert new.horizon == horizon
     # a jump ahead draws through the block from there; a look back, then
     # the whole schedule
     jump = reached + ahead + 150
     assert new.churn_for(jump) == old.rounds[jump]
-    assert len(new._rounds) == jump + ahead < horizon
+    assert new.drawn == jump + ahead < horizon
     assert new.churn_for(3) == old.rounds[3]
     assert new.rounds == old.rounds
-    assert _keyed(new.leave_round) == old.leave_round
-    assert _keyed(new.join_round) == old.join_round
+    assert _keyed(leave_rounds(new)) == old.leave_round
+    assert _keyed(join_rounds(new)) == old.join_round
     # the lifetimes and the queries read a partly drawn schedule whole
     for reader in ("lifetime", "queries"):
         fresh = gen_schedule(6, n, rate, horizon, strategy)

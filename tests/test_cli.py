@@ -40,6 +40,22 @@ def test_rate_expression_arithmetic():
         eval_rate_expr("m + 1", 10)
 
 
+@pytest.mark.parametrize("expr", ["n/0", "log2(0)", "sqrt(-n)", "10.0**1000",
+                                  "floor()", "2^2^20"])
+def test_rate_expression_that_cannot_be_evaluated_is_config_error(
+        expr, tmp_path, capsys):
+    # a division by zero, a math domain error, an overflow, a bad call and
+    # a power too large for a rate: each is the config's fault, so exit 2
+    with pytest.raises(ConfigError) as exc:
+        eval_rate_expr(expr, 64)
+    assert exc.value.field == "churn_rate_expr"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"n = 64\nchurn_rate_expr = {expr}\nhorizon_cycles = 1\n")
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "churn_rate_expr: cannot evaluate" in capsys.readouterr().err
+
+
 def test_parse_config_and_field_errors():
     cfg = parse_config(CFG)
     assert cfg["n"] == 256 and cfg["strategy"] == "uniform_random"
@@ -136,6 +152,11 @@ def test_simulate_churning_run_is_deterministic_and_pinned(tmp_path):
         "c1140ef44df01a0c54fd05cd611a4d2644bd1425bcfa034961dc596253b11a0d"
     assert hashlib.sha256((out / "dump.jsonl").read_bytes()).hexdigest() == \
         "cc483bbd160a3b21611ab59db037afad879586ba681927b50b6a659d695cb509"
+    # the churn schedule as drawn, one line per round
+    schedule = (out / "schedule.txt").read_bytes()
+    assert len(schedule.splitlines()) == 709
+    assert hashlib.sha256(schedule).hexdigest() == \
+        "0ff91cb5165af20cc89ec8fb0816d58d5dd440a206f8e9bc1bfc5c70ece0a130"
 
 
 def test_unknown_strategy_is_config_error(tmp_path, capsys):

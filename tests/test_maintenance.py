@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -89,9 +90,9 @@ def test_queries_served_during_phases():
 def test_serve_query_answers_present_and_ghost_keys():
     sim = small_sim(n=64, rate=0, cycles=1)
     sim.run()
-    out = sim._serve_query(Query(x=10, r=sim.world.round, s=0))
+    out = sim._serve_query(*Query(x=10, r=sim.world.round, s=0))
     assert out.answer is True
-    ghost = sim._serve_query(Query(x=999_999, r=sim.world.round, s=0))
+    ghost = sim._serve_query(*Query(x=999_999, r=sim.world.round, s=0))
     assert ghost.answer is False
 
 
@@ -227,10 +228,10 @@ def test_covered_key_answers_until_deleted():
     sim.world.departed_round[key] = sim.world.round
     sim._on_depart(key)
     assert key in sim.overlay.covered_index
-    before = sim._serve_query(Query(x=key, r=sim.world.round, s=0))
+    before = sim._serve_query(*Query(x=key, r=sim.world.round, s=0))
     assert before.answer is True and not before.stalled
     sim.run_cycle()
-    after = sim._serve_query(Query(x=key, r=sim.world.round, s=0))
+    after = sim._serve_query(*Query(x=key, r=sim.world.round, s=0))
     assert after.answer is False
     assert key not in sim.clean.heights
 
@@ -393,7 +394,46 @@ def test_run_records_stay_compact():
     assert all(sim.world.attach_adj.values())
     schedule = sim.schedule
     allocated = 256 + sum(len(rc.joins) for rc in schedule.rounds)
-    assert len(schedule.join_round) == len(schedule.leave_round) == allocated
+    assert schedule.ever_known(allocated - 1) and not schedule.ever_known(allocated)
+    assert len(schedule._lifetimes()[1]) == allocated
+
+
+def _held(build):
+    """What build() returns, and the bytes it still holds (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept, held
+
+
+def test_schedule_and_query_store_hold_few_bytes_per_event():
+    # a run's inputs are flat integer arrays: no tuple per round, join or
+    # query. This schedule, with its draw state, holds about 41 B per churn
+    # event (a leave and a join) and the query store 24 B per query; held
+    # as tuples, they took about 314 B and 249 B
+    params = SimParams(n=1024, seed_adv=100, churn_rate=1)
+    horizon = 20_168
+
+    def drawn_whole():
+        schedule = gen_schedule(100, 1024, 1, horizon, params=params)
+        assert schedule.ever_known(0)       # reads it whole: draws every round
+        return schedule
+
+    schedule, held = _held(drawn_whole)
+    events = horizon - params.bootstrap_rounds
+    assert schedule.horizon == horizon
+    assert held / events < 48, held / events
+    _, empty = _held(lambda: Simulation(params, schedule, []))
+    _, held = _held(lambda: Simulation(params, schedule,
+                                       gen_queries(100, schedule, 0.0006)))
+    queries = len(gen_queries(100, schedule, 0.0006))
+    assert queries > 10_000
+    assert (held - empty) / queries < 40, (held - empty) / queries
 
 
 def test_simulation_makes_no_cyclic_garbage():
@@ -404,7 +444,7 @@ def test_simulation_makes_no_cyclic_garbage():
     for density in (0.01, 0.0):
         gc.collect()
         sim = small_sim(n=256, rate=2, cycles=3, density=density)
-        assert bool(sim.queries_by_round) == (density > 0)
+        assert bool(sim.query_r) == (density > 0)
         assert gc.collect() == 0
         sim.bootstrap_all()
         assert gc.collect() == 0
@@ -463,10 +503,10 @@ def test_query_free_run_draws_only_the_rounds_it_reaches():
     reached = sim.world.round
     # what the schedule holds, read without drawing it whole: the rounds
     # reached and at most one block past them
-    drawn = len(sim.schedule._rounds)
+    drawn = sim.schedule.drawn
     assert reached <= drawn < reached + adversary._DRAW_AHEAD
     assert drawn < nominal // 50
-    assert len(sim.schedule._join_round) == \
+    assert params.n + len(sim.schedule._hosts) == \
         params.n + params.churn_rate * (drawn - params.bootstrap_rounds)
 
 
@@ -476,7 +516,7 @@ def test_query_free_simulation_schedule_gives_the_eager_queries():
     params = SimParams(n=128, seed_adv=100, seed_alg=500, churn_rate=3,
                        horizon_cycles=3, query_density=0.05)
     schedule = Simulation(params.with_overrides(query_density=0.0)).schedule
-    assert not schedule._rounds
+    assert not schedule.drawn
     queries = maintenance.gen_queries(7, schedule, params.query_density)
     horizon = params.bootstrap_rounds + 3 * params.cycle_budget + 8
     eager = adversary_reference.gen_schedule(100, 128, 3, horizon)

@@ -19,7 +19,7 @@ class StaticChurn:
     def __init__(self, rounds):
         self.rounds = rounds
 
-    def churn_for(self, rnd):
+    def churn_events(self, rnd):
         if rnd < len(self.rounds):
             return self.rounds[rnd]
         return (), ()
