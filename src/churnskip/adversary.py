@@ -72,7 +72,7 @@ class ChurnSchedule:
     the schedule whole: they first draw it to its nominal horizon."""
 
     def __init__(self, n: int, seed: int, strategy: str, rate: int,
-                 bootstrap: int, horizon: int, id_cap: int):
+                 bootstrap: int, horizon: int):
         self.n, self.seed, self.strategy = n, seed, strategy
         self.rate, self.bootstrap = rate, bootstrap
         self.nominal = horizon      # the rounds it is drawn to when read whole
@@ -86,7 +86,7 @@ class ChurnSchedule:
         self._churning = array("q")
         self._left = array("q")
         # holds the arrays, never the schedule, so no cycle forms
-        self._drawer = _draw_rounds(n, seed, strategy, rate, bootstrap, id_cap,
+        self._drawer = _draw_rounds(n, seed, strategy, rate, bootstrap,
                                     self._first, self._leaves, self._hosts)
         self._recent = next(self._drawer)
 
@@ -206,10 +206,9 @@ class ChurnSchedule:
                 raise ValueError(f"schedule header has no {name}=")
         if fields["strategy"] not in STRATEGIES:
             raise ValueError(f"unknown strategy {fields['strategy']!r}")
-        n = int(fields["n"])
-        sched = cls(n, int(fields["seed"]), fields["strategy"], int(fields["rate"]),
-                    int(fields["bootstrap"]), int(fields["horizon"]),
-                    SimParams(n=n).id_space)
+        sched = cls(int(fields["n"]), int(fields["seed"]), fields["strategy"],
+                    int(fields["rate"]), int(fields["bootstrap"]),
+                    int(fields["horizon"]))
         body = lines[1:]
         sched._draw(len(body))
         drawn = sched._lines()
@@ -244,11 +243,9 @@ class ChurnSchedule:
 
 
 def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
-                 strategy: str = "uniform_random",
-                 bootstrap: int | None = None,
-                 params: SimParams | None = None) -> ChurnSchedule:
-    params = params or SimParams(n=n, seed_adv=seed_adv)
-    bootstrap = params.bootstrap_rounds if bootstrap is None else bootstrap
+                 strategy: str = "uniform_random") -> ChurnSchedule:
+    params = SimParams(n=n)
+    bootstrap = params.bootstrap_rounds
     if rate > params.churn_cap:
         raise RateTooHigh(f"rate {rate} exceeds cap {params.churn_cap}")
     if horizon < bootstrap:
@@ -258,8 +255,7 @@ def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,
     churning = sum(islice(_churn_flags(n, strategy, rate), horizon - bootstrap))
     if n + rate * churning > params.id_space:
         raise RateTooHigh("id space exhausted")
-    return ChurnSchedule(n, seed_adv, strategy, rate, bootstrap, horizon,
-                         params.id_space)
+    return ChurnSchedule(n, seed_adv, strategy, rate, bootstrap, horizon)
 
 
 def _churn_flags(n: int, strategy: str, rate: int) -> Iterator[bool]:
@@ -315,7 +311,7 @@ def _setsize(k: int) -> int:
 
 
 def _draw_rounds(n: int, seed: int, strategy: str, rate: int, bootstrap: int,
-                 id_cap: int, first: array, leaves: array, hosts: array
+                 first: array, leaves: array, hosts: array
                  ) -> Generator[tuple[int, list[int], list[int], list[int]], int, None]:
     """Rounds 0, 1, ... as the header draws them: each ``send(k)`` draws k
     more. A round appends its events to `leaves` and `hosts` and its end to
@@ -340,6 +336,7 @@ def _draw_rounds(n: int, seed: int, strategy: str, rate: int, bootstrap: int,
     bits = n.bit_length()
     twice = 2 * rate
     next_id = n
+    id_cap = SimParams(n=n).id_space
     rounds = chain(repeat(False, bootstrap), _churn_flags(n, strategy, rate))
     wanted = yield 0, [], [], []
     while True:

@@ -108,7 +108,7 @@ def params_from_config(cfg: dict, seed_adv=None, seed_alg=None) -> SimParams:
     if seed_alg is not None:
         cfg["seed_alg"] = seed_alg
     rate = eval_rate_expr(expr, cfg["n"])
-    probe = SimParams(n=cfg["n"], c_churn=cfg.get("c_churn", 1.0))
+    probe = SimParams(n=cfg["n"])
     if rate > probe.churn_cap:
         raise RateTooHigh(
             f"churn_rate_expr gives {rate}/round, cap {probe.churn_cap}")
@@ -127,24 +127,27 @@ def _parse_key(name: str) -> int:
 
 def load_dump(lines) -> SkipNet:
     net = None
-    for line in lines:
-        rec = json.loads(line)
-        if "net" in rec:
-            net = SkipNet(rec["net"])
-            net.ensure_height(rec["height"])
-            continue
-        if net is None:
-            raise ConfigError("dump", 'a key comes before the {"net": ...} line')
-        key = _parse_key(rec["key"])
-        net.add_key(key, rec["height"])
-        for lvl, ports in enumerate(rec["levels"]):
-            net.links[key][lvl][0] = _parse_key(ports["left"])
-            net.links[key][lvl][1] = _parse_key(ports["right"])
-            if ports["label"] == "10":
-                a, b = sorted((key, net.links[key][lvl][1]))
-                net.pending.add((lvl, a, b))
-        if rec.get("live"):
-            net.live.add(key)
+    for lineno, line in enumerate(lines, 1):
+        try:
+            rec = json.loads(line)
+            if "net" in rec:
+                net = SkipNet(rec["net"])
+                net.ensure_height(rec["height"])
+                continue
+            if net is None:
+                raise ConfigError("dump", 'a key comes before the {"net": ...} line')
+            key = _parse_key(rec["key"])
+            net.add_key(key, rec["height"])
+            for lvl, ports in enumerate(rec["levels"]):
+                net.links[key][lvl][0] = _parse_key(ports["left"])
+                net.links[key][lvl][1] = _parse_key(ports["right"])
+                if ports["label"] == "10":
+                    a, b = sorted((key, net.links[key][lvl][1]))
+                    net.pending.add((lvl, a, b))
+            if rec.get("live"):
+                net.live.add(key)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"dump line {lineno}", f"unreadable record: {exc!r}") from exc
     if net is None:
         raise ConfigError("dump", 'no {"net": ...} line')
     # sentinel ports are not dumped per key; rebuild them from the edges
@@ -198,8 +201,15 @@ def run_fixture(name: str) -> str:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(path, f"cannot read: {exc}") from exc
+
+
 def cmd_simulate(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(_read(args.config))
     params = params_from_config(cfg, args.seed_adv, args.seed_alg)
     sim = Simulation(params)
     sim.run()
@@ -223,12 +233,11 @@ def cmd_simulate(args) -> int:
     (out / "summary.csv").write_text("\n".join(metrics.csv_rows([sim])) + "\n")
     report = metrics.whp_report([sim])
     (out / "metrics.txt").write_text("\n".join(report.lines()) + "\n")
-    violations = sim.query_violations()
     print(f"rounds={sim.world.round} cycles={len(sim.cycles)} "
           f"failures={len(sim.world.failures)} "
-          f"queries={len(sim.query_log)} q_violations={len(violations)} "
+          f"queries={len(sim.query_log)} q_violations={report.q_violations} "
           f"ledger_complete={metrics.ledger_complete(sim)}")
-    ok = not sim.world.failures and not violations
+    ok = not sim.world.failures and not report.q_violations
     return 0 if ok else 1
 
 
@@ -237,8 +246,7 @@ def cmd_validate(args) -> int:
         verdict = run_fixture(args.fixture)
         print(verdict)
         return 0 if verdict == "OK" else 1
-    lines = Path(args.path).read_text().splitlines()
-    net = load_dump(lines)
+    net = load_dump(_read(args.path).splitlines())
     report = net.validate()
     print(report)
     return 0 if report.ok else 1

@@ -33,10 +33,6 @@ class HorizonTooShort(ChurnSkipError):
     pass
 
 
-class TooFewNodes(ChurnSkipError):
-    pass
-
-
 class UnsortedInput(ChurnSkipError):
     pass
 

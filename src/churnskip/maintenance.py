@@ -85,7 +85,7 @@ class Simulation:
             max(1, params.horizon_cycles) * params.cycle_budget + 8
         self.schedule = schedule if schedule is not None else gen_schedule(
             params.seed_adv, params.n, params.churn_rate, horizon,
-            params.strategy, params.bootstrap_rounds, params)
+            params.strategy)
         if queries is None and params.query_density > 0:
             queries = gen_queries(params.seed_adv, self.schedule,
                                   params.query_density)
@@ -183,7 +183,7 @@ class Simulation:
         for node in range(params.n):
             self.world.spawn(node)
         self.overlay, overlay_rows = bootstrap_overlay(
-            range(params.n), params, self.world.rng_alg, allow_degenerate=True)
+            range(params.n), self.world.rng_alg)
         self._play(overlay_rows, "bootstrap", "-")
         keys = list(range(params.n))
         buf, summary, rows = create_buffer(keys, self.world.heights)

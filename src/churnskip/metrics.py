@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from statistics import mean
 
 from .errors import EmptyWindow
+from .params import P
 from .simcore import WorkLedger
 
 
@@ -74,8 +75,8 @@ def ledger_complete(sim) -> bool:
 # -- distributional checks (the statistical test oracle suite) ---------------
 
 
-def max_height_ok(net, n: int, p: float = 0.5) -> bool:
-    bound = 4 * math.log(max(2, n), 1 / p) + 1
+def max_height_ok(net, n: int) -> bool:
+    bound = 4 * math.log(max(2, n), 1 / P) + 1
     return all(h <= bound for h in net.heights.values())
 
 
@@ -145,7 +146,7 @@ def whp_report(sims, search_probe: int = 0) -> WhpReport:
         for census in sim.overlay.census_log:
             if census.min_size < lo or census.max_size > hi:
                 excursions += 1
-        if not max_height_ok(sim.clean, params.n, params.p):
+        if not max_height_ok(sim.clean, params.n):
             height_viol += 1
         runs.append(mean_run_length(sim.clean))
         q_viol += len(sim.query_violations())

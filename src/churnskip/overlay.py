@@ -27,8 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from .errors import TooFewNodes
-from .params import SimParams, butterfly_k, ceil_log2
+from .params import butterfly_k, ceil_log2
 from .skiplist import RS
 from .work import RoundWork, uniform_round
 
@@ -239,17 +238,14 @@ class CommitteeOverlay:
         return census
 
 
-def bootstrap_overlay(nodes, params: SimParams, rng: random.Random,
-                      allow_degenerate: bool = False
+def bootstrap_overlay(nodes, rng: random.Random
                       ) -> tuple[CommitteeOverlay, list[RoundWork]]:
     """Six-step construction: leader, tree, leader cycle, butterfly,
     random fill, bipartite wiring. Charged as bootstrap work."""
     nodes = sorted(nodes)
     n = len(nodes)
-    k = butterfly_k(n, params.c_comm)
+    k = butterfly_k(n)
     if k < 1:
-        if not allow_degenerate:
-            raise TooFewNodes(f"n={n} cannot host a k=1 wrapped butterfly")
         state = CommitteeOverlay(0)
         state._load(nodes, [0] * n)
         return state, []

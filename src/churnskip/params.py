@@ -1,8 +1,8 @@
 """Simulation parameters and the constants derived from the network size.
 
-Every polylog constant used anywhere in the protocol or its audits is pinned
-here so that runs are reproducible and the acceptance tolerances are frozen
-in one place.
+Every polylog constant of the protocol and its audits is a module constant
+here, so that runs are reproducible and the acceptance tolerances are frozen
+in one place; ``SimParams`` holds only what a run sets.
 """
 
 from __future__ import annotations
@@ -16,6 +16,15 @@ from .errors import ConfigError
 # the churn strategies of adversary.gen_schedule
 STRATEGIES = ("uniform_random", "targeted_committee", "burst")
 
+P = 0.5                 # level-promotion coin
+C_MSG = 4.0             # per-node per-round message cap factor (x log^2 n)
+C_COMM = 2.0            # committee size target factor (x log n)
+C_LO = 1.0              # committee lower audit bound factor (x log n)
+C_HI_MEAN = 2.0         # committee upper audit bound factor (x mean size)
+BETA_BOOTSTRAP = 16.0   # bootstrap rounds B = beta * log2 n
+C_CHURN = 1.0           # admissible churn-rate cap factor (x n / log n)
+C_CYCLE = 4.0           # cycle round budget factor (x log^2 n)
+
 
 def log2n(n: int) -> float:
     return math.log2(max(2, n))
@@ -25,13 +34,13 @@ def ceil_log2(n: int) -> int:
     return max(1, math.ceil(log2n(n)))
 
 
-def butterfly_k(n: int, c_comm: float) -> int:
-    """Largest k with k * 2^k committees of ~c_comm*log2(n) members, or 0.
+def butterfly_k(n: int) -> int:
+    """Largest k with k * 2^k committees of ~C_COMM*log2(n) members, or 0.
 
     k = 0 means the degenerate single-committee overlay used below the
     smallest viable size.
     """
-    budget = n / (c_comm * log2n(n))
+    budget = n / (C_COMM * log2n(n))
     k = 0
     while (k + 1) * 2 ** (k + 1) <= budget:
         k += 1
@@ -43,15 +52,6 @@ class SimParams:
     n: int
     seed_adv: int = 1
     seed_alg: int = 2
-    p: float = 0.5                 # level-promotion coin
-    c_msg: float = 4.0             # per-node per-round message cap factor (x log^2 n)
-    c_comm: float = 2.0            # committee size target factor (x log n)
-    c_lo: float = 1.0              # committee lower audit bound factor (x log n)
-    c_hi_mean: float = 2.0         # committee upper audit bound factor (x mean size)
-    beta_bootstrap: float = 16.0   # bootstrap rounds B = beta * log2 n
-    c_churn: float = 1.0           # admissible churn-rate cap factor (x n / log n)
-    c_cycle: float = 4.0           # cycle round budget factor (x log^2 n)
-
     strategy: str = "uniform_random"
     churn_rate: int = 0
     horizon_cycles: int = 10
@@ -60,8 +60,6 @@ class SimParams:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("n", "must be >= 1")
-        if not 0.0 < self.p < 1.0:
-            raise ConfigError("p", "must be in (0, 1)")
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy", f"unknown strategy {self.strategy!r}, "
                               f"expected one of {', '.join(STRATEGIES)}")
@@ -79,19 +77,19 @@ class SimParams:
     @cached_property
     def message_cap(self) -> int:
         """Per-node per-round send cap."""
-        return max(16, int(self.c_msg * log2n(self.n) ** 2))
+        return max(16, int(C_MSG * log2n(self.n) ** 2))
 
     @cached_property
     def churn_cap(self) -> int:
-        return math.floor(self.c_churn * self.n / log2n(self.n))
+        return math.floor(C_CHURN * self.n / log2n(self.n))
 
     @cached_property
     def bootstrap_rounds(self) -> int:
-        return math.ceil(self.beta_bootstrap * log2n(self.n))
+        return math.ceil(BETA_BOOTSTRAP * log2n(self.n))
 
     @cached_property
     def k(self) -> int:
-        return butterfly_k(self.n, self.c_comm)
+        return butterfly_k(self.n)
 
     @cached_property
     def committee_count(self) -> int:
@@ -104,11 +102,11 @@ class SimParams:
 
     @cached_property
     def committee_lo(self) -> int:
-        return max(1, math.floor(self.c_lo * log2n(self.n)))
+        return max(1, math.floor(C_LO * log2n(self.n)))
 
     @cached_property
     def committee_hi(self) -> int:
-        return math.ceil(self.c_hi_mean * self.committee_mean)
+        return math.ceil(C_HI_MEAN * self.committee_mean)
 
     @cached_property
     def tick_period(self) -> int:
@@ -130,7 +128,7 @@ class SimParams:
 
     @cached_property
     def cycle_budget(self) -> int:
-        return math.ceil(self.c_cycle * log2n(self.n) ** 2)
+        return math.ceil(C_CYCLE * log2n(self.n) ** 2)
 
     def with_overrides(self, **kw) -> "SimParams":
         return replace(self, **kw)

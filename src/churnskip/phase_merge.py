@@ -380,7 +380,7 @@ class WaveEngine:
             if m not in heights:
                 heights[m] = self.buf.heights[m]
                 links[m] = self.buf.links[m]
-        formed = self.clean.splice_run(v, g.members, z, lvl, pending=True)
+        formed = self.clean.splice_run(v, g.members, z, lvl)
         self._formed += formed
         self._deleted += 1
         # the group waiting just right of v, at this level, has a new left

@@ -112,7 +112,7 @@ class World:
 
     # -- population -------------------------------------------------------------
 
-    def spawn(self, node: int, height: int | None = None) -> None:
+    def spawn(self, node: int) -> None:
         """The only way into ``alive``: a node joins once, and an id that
         departed never comes back."""
         if node in self.alive:
@@ -120,9 +120,7 @@ class World:
         if node in self.departed_round:
             raise InconsistentWorld(f"departed node {node} rejoins")
         self.alive.add(node)
-        if height is None:
-            height = sample_height(self.rng_alg, self.params.p)
-        self.heights[node] = height
+        self.heights[node] = sample_height(self.rng_alg)
 
     def is_alive(self, node: int) -> bool:
         return node in self.alive

@@ -9,9 +9,10 @@ everywhere:
 The buffer's own sentinels (BUF_LS / BUF_RS) ride through a merge as
 ordinary members and are unlinked at the end, per the merge protocol.
 
-``SkipNet`` is the linked structure the distributed phases mutate; the
-``oracle_*`` functions are the independent sequential implementations every
-equivalence test compares against.
+``SkipNet`` is the linked structure the distributed phases mutate;
+``oracle_build`` is the independent sequential construction every
+equivalence test compares against (the sequential delete, insert and merge
+references live in ``tests/skiplist_reference.py``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import UnsortedInput
+from .params import P
 
 LS = -2
 BUF_LS = -1
@@ -40,10 +42,10 @@ def is_sentinel(key: int) -> bool:
     return key in SENTINELS
 
 
-def sample_height(rng: random.Random, p: float = 0.5) -> int:
+def sample_height(rng: random.Random) -> int:
     """Tower height: number of successful promotions before the first miss."""
     h = 0
-    while rng.random() < p:
+    while rng.random() < P:
         h += 1
     return h
 
@@ -161,9 +163,9 @@ class SkipNet:
             a, b = b, a
         self.pending.discard((lvl, a, b))
 
-    def splice_run(self, v: int, members: list[int], z: int, lvl: int,
-                   pending: bool = True) -> int:
-        """Insert sorted members between adjacent v and z; returns new links."""
+    def splice_run(self, v: int, members: list[int], z: int, lvl: int) -> int:
+        """Insert sorted members between adjacent v and z as pending edges;
+        returns new links."""
         if self.links[v][lvl][1] != z:
             raise ValueError(f"splice target not adjacent: {v}..{z} at {lvl}")
         self._drop_pending(v, z, lvl)
@@ -174,7 +176,7 @@ class SkipNet:
         for b in chain(members, (z,)):
             links[a][lvl][1] = b
             links[b][lvl][0] = a
-            if pending and (a not in SENTINELS or b not in SENTINELS):
+            if a not in SENTINELS or b not in SENTINELS:
                 marks.add((lvl, a, b))
             a = b
         return len(members) + 1
@@ -217,12 +219,15 @@ class SkipNet:
 
     def validate(self) -> ValidationReport:
         keys_by_height = sorted(self.heights)
+        for key, h in self.heights.items():  # taller than the net: levels no walk reaches
+            if h > self.height:
+                return ValidationReport(False, "height-violation", key, h)
         for lvl in range(self.height + 1):
             expect = [k for k in keys_by_height if self.height_of(k) >= lvl]
             pos, seen = LS, []
             while True:
                 nxt = self.links[pos][lvl][1]
-                if nxt is None:
+                if len(self.links.get(nxt, ())) <= lvl:  # none, or a key below lvl
                     return ValidationReport(False, "missing-link", pos, lvl)
                 if self.links[nxt][lvl][0] != pos:
                     return ValidationReport(False, "doubly-linked-violation", nxt, lvl)
@@ -339,13 +344,13 @@ def search(net: SkipNet, target: int, representable=None,
 # -- sequential oracles ------------------------------------------------------
 
 
-def oracle_build(keys: list[int], heights: list[int], tag: str = "oracle") -> SkipNet:
+def oracle_build(keys: list[int], heights: list[int]) -> SkipNet:
     """Reference construction: level l holds exactly the keys of height >= l."""
     if list(keys) != sorted(set(keys)):
         raise UnsortedInput("keys must be strictly increasing")
     if len(keys) != len(heights):
         raise UnsortedInput("heights length mismatch")
-    net = SkipNet(tag)
+    net = SkipNet("oracle")
     top = max(heights, default=0)
     net.ensure_height(top)
     for k, h in zip(keys, heights):

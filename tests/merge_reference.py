@@ -276,7 +276,7 @@ class WaveEngine:
             if m not in self.clean.heights:
                 self.clean.add_key(m, self.buf.height_of(m)
                                    if m in (BUF_LS, BUF_RS) else self.buf.heights[m])
-        formed = self.clean.splice_run(v, g.members, z, lvl, pending=True)
+        formed = self.clean.splice_run(v, g.members, z, lvl)
         acc.edges(formed=formed, deleted=1)
         self._emit(g.leader, "merged_at_level", lvl, left=v, right=z)
         for m in g.members:

@@ -15,11 +15,11 @@ from collections import Counter
 
 from churnskip.errors import ChurnSkipError
 from churnskip.overlay import Address, CommitteeOverlay, butterfly_edge_set
-from churnskip.params import SimParams, ceil_log2, log2n
+from churnskip.params import C_COMM, SimParams, ceil_log2, log2n
 from churnskip.work import RoundWork, sends_row
 
-GROW_AT = 1.5     # grow threshold (x c_comm log n)
-SHRINK_AT = 0.5   # shrink threshold (x c_comm log n)
+GROW_AT = 1.5     # grow threshold (x C_COMM log n)
+SHRINK_AT = 0.5   # shrink threshold (x C_COMM log n)
 
 
 class NoAgreement(ChurnSkipError):
@@ -28,8 +28,8 @@ class NoAgreement(ChurnSkipError):
 
 def committee_opinions(state: CommitteeOverlay, params: SimParams, n_ref: int
                        ) -> dict[Address, str]:
-    grow_at = GROW_AT * params.c_comm * log2n(n_ref)
-    shrink_at = SHRINK_AT * params.c_comm * log2n(n_ref)
+    grow_at = GROW_AT * C_COMM * log2n(n_ref)
+    shrink_at = SHRINK_AT * C_COMM * log2n(n_ref)
     out = {}
     for addr in state.addrs:
         if state.size(addr) > grow_at:

@@ -36,11 +36,11 @@ def oracle_delete(net: SkipNet, keys) -> None:
             net.unlink_tower(key)
 
 
-def oracle_merge(clean: SkipNet, keys: list[int], heights: dict[int, int],
-                 tag: str = "oracle") -> SkipNet:
+def oracle_merge(clean: SkipNet, keys: list[int], heights: dict[int, int]
+                 ) -> SkipNet:
     """One-by-one fixed-height insertion of keys into a copy of clean."""
     out = oracle_build(sorted(clean.heights),
-                       [clean.heights[k] for k in sorted(clean.heights)], tag)
+                       [clean.heights[k] for k in sorted(clean.heights)])
     for key in keys:
         oracle_insert(out, key, heights[key])
     return out

@@ -352,7 +352,7 @@ def test_criterion_10_reshaping():
     t0 = time.time()
     n = 256
     params = SimParams(n=n)
-    state, _ = bootstrap_overlay(range(n), params, random.Random(0))
+    state, _ = bootstrap_overlay(range(n), random.Random(0))
     k0 = state.k
     rng = random.Random(9)
     addrs = state.addresses(state.k)

@@ -78,14 +78,25 @@ def test_parse_config_and_field_errors():
         parse_config("n = 16\nhorizon_cycles = 2.5")
     assert err.value.field == "horizon_cycles"
     with pytest.raises(ConfigError) as err:
-        parse_config("n = 16\nc_comm = wide")
-    assert str(err.value) == "c_comm: expected number, got 'wide'"
+        parse_config("n = 16\nquery_density = wide")
+    assert str(err.value) == "query_density: expected number, got 'wide'"
     for unknown in ("bogus_field", "alpha_reshape", "churn_rate"):
         with pytest.raises(ConfigError) as err:
             parse_config(f"{unknown} = 1.5\nn = 16")
         assert str(err.value) == f"{unknown}: unknown config field"
     with pytest.raises(ConfigError):
         parse_config("seed_adv = 1")   # n required
+
+
+@pytest.mark.parametrize("key", ["p", "c_msg", "c_comm", "c_lo", "c_hi_mean",
+                                 "beta_bootstrap", "c_churn", "c_cycle"])
+def test_pinned_constant_is_not_a_config_key(tmp_path, capsys, key):
+    # the paper's polylog factors are constants of params.py, not settings
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"n = 64\n{key} = 1.0\n")
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {key}: unknown config field" in capsys.readouterr().err
 
 
 def test_rate_too_high_rejected_before_simulation():
@@ -196,6 +207,46 @@ def test_validate_dump_without_header_is_config_error(tmp_path, capsys, text):
     assert 'error: dump: ' in capsys.readouterr().err
 
 
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["simulate", "--config", str(missing),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {missing}: cannot read" in capsys.readouterr().err
+
+
+_HEAD = '{"net":"C","height":0}\n'
+
+
+@pytest.mark.parametrize("text, why", [
+    (_HEAD + '{"key":"5","levels":[],"live":true}\n',
+     "dump line 2: unreadable record: KeyError('height')"),
+    (_HEAD + "not json\n", "dump line 2: unreadable record: JSONDecodeError"),
+], ids=["no-height", "not-json"])
+def test_unreadable_dump_line_exits_2(tmp_path, capsys, text, why):
+    path = tmp_path / "dump.jsonl"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert f"error: {why}" in capsys.readouterr().err
+
+
+def _key(name, height, rights):
+    levels = [{"left": "-inf", "right": r, "label": "11"} for r in rights]
+    return json.dumps({"key": name, "height": height, "levels": levels, "live": True})
+
+
+@pytest.mark.parametrize("text, verdict", [
+    # the port names key 999, which the net does not hold
+    (_HEAD + _key("5", 0, ["999"]), "missing-link key=5 level=0"),
+    # key 5 stands at level 1, above every level the sentinels have
+    (_HEAD + _key("5", 1, ["+inf", "+inf"]), "height-violation key=5 level=1"),
+], ids=["port-to-absent-key", "key-above-net-height"])
+def test_validate_fails_a_dump_it_cannot_walk(tmp_path, capsys, text, verdict):
+    path = tmp_path / "dump.jsonl"
+    path.write_text(text + "\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.strip() == verdict
+
+
 def test_fixture_subcommands():
     for name in ("delete", "create", "merge"):
         assert run_fixture(name) == "OK"
@@ -216,6 +267,10 @@ def test_validate_with_path_and_fixture_is_usage_error(capsys):
     assert "not both" in capsys.readouterr().err
 
 
-def test_bench_runs_and_empty_sweep():
+def test_bench_runs_and_empty_sweep(capsys):
     assert main(["bench", "--sizes", "64,128"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["n", "merge_rounds"]
+    assert [row.split()[0] for row in rows] == ["64", "128"]
+    assert all(int(row.split()[1]) > 0 for row in rows)
     assert main(["bench", "--sizes", ""]) == 0

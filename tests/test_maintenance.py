@@ -420,7 +420,7 @@ def test_schedule_and_query_store_hold_few_bytes_per_event():
     horizon = 20_168
 
     def drawn_whole():
-        schedule = gen_schedule(100, 1024, 1, horizon, params=params)
+        schedule = gen_schedule(100, 1024, 1, horizon)
         assert schedule.ever_known(0)       # reads it whole: draws every round
         return schedule
 
@@ -531,7 +531,7 @@ def test_served_queries_are_the_drawn_list(strategy):
                     strategy=strategy)
     p = sim.params
     eager = gen_schedule(p.seed_adv, p.n, p.churn_rate, sim.schedule.horizon,
-                         p.strategy, p.bootstrap_rounds, p)
+                         p.strategy)
     drawn = gen_queries(p.seed_adv, eager, p.query_density)
     sim.run()
     served = [Query(q.x, q.r, q.s) for q in sim.query_log]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import chi2
 
-from churnskip.errors import TooFewNodes
 from churnskip.maintenance import Simulation
 from churnskip.params import SimParams, butterfly_k
 from churnskip.overlay import (
@@ -19,9 +18,9 @@ from overlay_reshape import NoAgreement, committee_opinions, reshape
 
 
 def test_k_derivation_examples():
-    assert butterfly_k(16, 2.0) == 1
+    assert butterfly_k(16) == 1
     # n=1024: k*2^k <= 1024/20 = 51.2 -> k=3, 24 committees
-    assert butterfly_k(1024, 2.0) == 3
+    assert butterfly_k(1024) == 3
     p = SimParams(n=1024)
     assert p.committee_count == 24
     assert abs(p.committee_mean - 1024 / 24) < 1e-9
@@ -40,23 +39,19 @@ def test_butterfly_edge_rule():
 
 
 def test_bootstrap_small_and_too_few():
-    params = SimParams(n=16)
-    state, _ = bootstrap_overlay(range(16), params, random.Random(0))
+    state, _ = bootstrap_overlay(range(16), random.Random(0))
     assert state.k == 1
     assert len(state.addrs) == 2
     assert sorted(len(state.members(a)) for a in state.addrs) != [0, 16]
     assert validate_cliques(state) == "OK"
-    with pytest.raises(TooFewNodes):
-        bootstrap_overlay(range(8), SimParams(n=8), random.Random(0))
-    degenerate, _ = bootstrap_overlay(range(8), SimParams(n=8), random.Random(0),
-                                      allow_degenerate=True)
+    degenerate, _ = bootstrap_overlay(range(8), random.Random(0))
     assert degenerate.k == 0
     assert len(degenerate.members((0, 0))) == 8
 
 
 def test_bootstrap_1024_sizes():
     params = SimParams(n=1024)
-    state, rows = bootstrap_overlay(range(1024), params, random.Random(3))
+    state, rows = bootstrap_overlay(range(1024), random.Random(3))
     assert len(state.addrs) == 24
     assert sizes_within_band(state, params)
     assert len(rows) <= 4 * math.log2(1024) + 4
@@ -64,7 +59,7 @@ def test_bootstrap_1024_sizes():
 
 def test_tick_keeps_sizes_in_band():
     params = SimParams(n=1024)
-    state, _ = bootstrap_overlay(range(1024), params, random.Random(1))
+    state, _ = bootstrap_overlay(range(1024), random.Random(1))
     rng = random.Random(11)
     alive = set(range(1024))
     for tick in range(100):
@@ -75,8 +70,7 @@ def test_tick_keeps_sizes_in_band():
 
 
 def test_tick_reassignment_uniformity_chi_square():
-    params = SimParams(n=1024)
-    state, _ = bootstrap_overlay(range(1024), params, random.Random(2))
+    state, _ = bootstrap_overlay(range(1024), random.Random(2))
     rng = random.Random(5)
     alive = set(range(1024))
     counts = {addr: 0 for addr in state.addrs}
@@ -92,8 +86,7 @@ def test_tick_reassignment_uniformity_chi_square():
 
 
 def test_cover_and_uncover():
-    params = SimParams(n=64)
-    state, _ = bootstrap_overlay(range(64), params, random.Random(0))
+    state, _ = bootstrap_overlay(range(64), random.Random(0))
     node = 17
     addr = state.address_of(node)
     edges = state.cover_node(node, 2)
@@ -106,8 +99,7 @@ def test_cover_and_uncover():
 
 
 def test_two_departures_same_committee():
-    params = SimParams(n=64)
-    state, _ = bootstrap_overlay(range(64), params, random.Random(0))
+    state, _ = bootstrap_overlay(range(64), random.Random(0))
     addr = state.addrs[0]
     members = sorted(state.members(addr))[:2]
     for m in members:
@@ -123,7 +115,7 @@ def test_targeted_churn_never_empties_committee():
     failures = 0
     rate = 1024 // (10 * 10)
     for seed in range(50):
-        state, _ = bootstrap_overlay(range(1024), params, random.Random(seed))
+        state, _ = bootstrap_overlay(range(1024), random.Random(seed))
         adv = random.Random(seed + 1000)
         alg = random.Random(seed + 2000)
         alive = set(range(1024))
@@ -165,7 +157,7 @@ def test_route_hops_bounds():
 
 def test_reshape_stay_and_mixed():
     params = SimParams(n=256)
-    state, _ = bootstrap_overlay(range(256), params, random.Random(0))
+    state, _ = bootstrap_overlay(range(256), random.Random(0))
     opinions = {addr: "stay" for addr in state.addrs}
     new, rounds, _ = reshape(state, opinions, params, random.Random(1), 256)
     assert new is state
@@ -183,7 +175,7 @@ def _assert_addresses(state, nodes):
 
 def test_reshape_grow_then_shrink_roundtrip():
     params = SimParams(n=256)
-    state, _ = bootstrap_overlay(range(256), params, random.Random(0))
+    state, _ = bootstrap_overlay(range(256), random.Random(0))
     k0 = state.k
     rng = random.Random(42)
     # double the population: everyone opines grow
@@ -219,7 +211,7 @@ def test_reshape_carries_covers():
     # a covered node stays with its committee through a grow and a shrink,
     # and is spoken for wherever that committee has members
     params = SimParams(n=256)
-    state, _ = bootstrap_overlay(range(256), params, random.Random(0))
+    state, _ = bootstrap_overlay(range(256), random.Random(0))
     for node in range(256, 512):
         state.place(node, state.addrs[node % len(state.addrs)])
     covered = {}
@@ -241,8 +233,7 @@ def test_reshape_carries_covers():
             assert overlay.speaker(addr) in overlay.members(addr)
 
     # growing out of the single committee keeps covers in (0, 0)
-    single, _ = bootstrap_overlay(range(8), SimParams(n=8), random.Random(0),
-                                  allow_degenerate=True)
+    single, _ = bootstrap_overlay(range(8), random.Random(0))
     single.cover_node(3, 1)
     grown, _, _ = reshape(single, {(0, 0): "grow"}, params, rng, 16)
     assert grown.k == 1 and grown.covered_index == {3: (0, 0)}
@@ -251,7 +242,7 @@ def test_reshape_carries_covers():
 
 def test_opinions_thresholds():
     params = SimParams(n=256)
-    state, _ = bootstrap_overlay(range(256), params, random.Random(0))
+    state, _ = bootstrap_overlay(range(256), random.Random(0))
     ops = committee_opinions(state, params, 256)
     assert set(ops.values()) <= {"grow", "shrink", "stay"}
     # mean size 32 vs grow threshold 1.5*2*8 = 24: everyone says grow
@@ -281,7 +272,7 @@ def test_membership_matches_eager_reference(n, seed, data):
     # ticks interleaved with placements, removals, covers and uncovers;
     # after every step the draw-plus-deltas membership equals the eager one
     boot, ref_boot = random.Random(seed), random.Random(seed)
-    state, _ = bootstrap_overlay(range(n), SimParams(n=n), boot, allow_degenerate=True)
+    state, _ = bootstrap_overlay(range(n), boot)
     ref = eager_bootstrap(range(n), state.k, ref_boot)
     assert boot.getstate() == ref_boot.getstate()
     rng, ref_rng = random.Random(seed + 1), random.Random(seed + 1)
@@ -338,7 +329,7 @@ def test_speaker_skips_placed_nodes_only_when_they_are_larger():
     # tick is larger than its first drawn member, and found among the
     # placed nodes otherwise; both must match the eager reference
     n = 64
-    state, _ = bootstrap_overlay(range(n), SimParams(n=n), random.Random(3))
+    state, _ = bootstrap_overlay(range(n), random.Random(3))
     ref = eager_bootstrap(range(n), state.k, random.Random(3))
     alive = set(range(10, n + 10))
     state.maintenance_tick(alive, random.Random(4), 1)

@@ -19,9 +19,9 @@ from skiplist_reference import oracle_delete, oracle_insert, oracle_merge
 def test_height_law_small_probabilities():
     rng = random.Random(7)
     n = 200_000
-    ge1 = sum(sample_height(rng, 0.5) >= 1 for _ in range(n))
+    ge1 = sum(sample_height(rng) >= 1 for _ in range(n))
     rng = random.Random(7)
-    ge4 = sum(sample_height(rng, 0.5) >= 4 for _ in range(n))
+    ge4 = sum(sample_height(rng) >= 4 for _ in range(n))
     assert abs(ge1 / n - 0.5) < 0.01
     assert abs(ge4 / n - 1 / 16) < 0.005
 
@@ -29,7 +29,7 @@ def test_height_law_small_probabilities():
 def test_height_empirical_mean():
     rng = random.Random(11)
     n = 1_000_000
-    mean = sum(sample_height(rng, 0.5) for _ in range(n)) / n
+    mean = sum(sample_height(rng) for _ in range(n)) / n
     assert abs(mean - 1.0) <= 0.01
 
 
@@ -38,7 +38,7 @@ def test_height_max_bound_at_1024():
     violations = 0
     for seed in range(50):
         rng = random.Random(seed)
-        if max(sample_height(rng, 0.5) for _ in range(1024)) > 41:
+        if max(sample_height(rng) for _ in range(1024)) > 41:
             violations += 1
     assert violations == 0
 
@@ -183,7 +183,7 @@ def test_live_view_search_reads_displaced_edge():
     tail = list(range(21, 30))
     for key in tail:
         net.add_key(key, 0)
-    net.splice_run(20, tail, RS, 0, pending=True)
+    net.splice_run(20, tail, RS, 0)
     assert net.displaced == {(0, 20): RS}
     for target in (15, 20, 25, 30, RS):
         assert search(net, target, live_view=True) == \
@@ -215,7 +215,7 @@ def _splice_mid_merge(net: SkipNet, heights: dict, lowest: dict, rnd) -> None:
         if rnd.random() < 0.5:
             run = sorted(k for (l, k) in ops
                          if l == lvl and v < k < z and (l, k) not in done)
-        net.splice_run(v, run, z, lvl, pending=True)
+        net.splice_run(v, run, z, lvl)
         done.update((lvl, k) for k in run)
 
 

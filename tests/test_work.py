@@ -3,7 +3,6 @@ import random
 import pytest
 
 from churnskip.overlay import bootstrap_overlay
-from churnskip.params import SimParams
 from churnskip.phase_buffer import build_sorting_overlay, create_buffer, run_network_sort
 from churnskip.phase_merge import preprocess
 from churnskip.skiplist import sample_height
@@ -79,8 +78,7 @@ def test_buffer_profiles_equal_comparator_replay(m):
 def test_bootstrap_profile_equals_per_node_replay(n):
     rng = random.Random(n)
     nodes = rng.sample(range(5 * n), n)
-    state, rows = bootstrap_overlay(nodes, SimParams(n=n), random.Random(0),
-                                    allow_degenerate=True)
+    state, rows = bootstrap_overlay(nodes, random.Random(0))
     assert rows == bootstrap_replay(nodes, state)
     assert (state.k == 0) == (n == 8)     # the degenerate overlay is covered
 
