@@ -4,19 +4,20 @@ A schedule never reads algorithm state: it is drawn from its own RNG stream,
 so its header (seed, n, rate, strategy, bootstrap) fixes every round. One
 generator draws the rounds as they are read, for the schedule's whole life:
 a run draws each round when it reaches it, and whatever reads the schedule
-whole (its rounds, lifetimes, serialization) first draws it to a nominal
-horizon. A run past that horizon draws on to the rounds it reaches. The
-query stream reads only the rounds to the nominal horizon, so it is the
-same however far a run goes. Schedule text is loaded by redrawing its
-header and checking every round of the text against the redraw.
+whole (its lifetimes, serialization) first draws it to a nominal horizon. A
+run past that horizon draws on to the rounds it reaches. The query stream
+reads only the rounds to the nominal horizon, so it is the same however far
+a run goes. The tests load schedule text back by redrawing its header and
+checking every round of the text against the redraw
+(``tests/adversary_reference.py``).
 
 A schedule keeps its draw in flat integer arrays, with no object per round,
 join or id. A churn event is one departure and one join. Each event keeps
 its leaving id and its joiner's attach host; its joiner is ``n + event
 index``, since joined ids run consecutively from n. An offset array gives
 each round's first event. Every churning round has ``rate`` events, so
-event e falls in the (e // rate)-th round that churns. The round tuples and
-the lifetimes are built when asked for.
+event e falls in the (e // rate)-th round that churns. The lifetimes are
+built when asked for.
 Strategies:
 
 * uniform_random: departures sampled uniformly among the alive.
@@ -49,11 +50,6 @@ from .params import STRATEGIES, SimParams, ceil_log2
 from .simcore import collection_paused
 
 
-class RoundChurn(NamedTuple):
-    leaves: tuple[int, ...]
-    joins: tuple[tuple[int, int], ...]  # (new node, attach host)
-
-
 # builds a NamedTuple without the frame of its Python-level __new__
 _new = tuple.__new__
 
@@ -68,8 +64,8 @@ class ChurnSchedule:
     One generator draws every round for the schedule's whole life.
     ``churn_events(r)`` for a round not yet drawn draws a block of rounds
     from round r on below the nominal horizon, and exactly through round r
-    past it. ``rounds``, the lifetimes, ``serialize`` and ``validate`` read
-    the schedule whole: they first draw it to its nominal horizon."""
+    past it. The lifetimes and ``serialize`` read the schedule whole: they
+    first draw it to its nominal horizon."""
 
     def __init__(self, n: int, seed: int, strategy: str, rate: int,
                  bootstrap: int, horizon: int):
@@ -95,12 +91,6 @@ class ChurnSchedule:
         """The rounds drawn so far."""
         return len(self._first) - 1
 
-    @property
-    def rounds(self) -> list[RoundChurn]:
-        """Every round to the nominal horizon, or to the last one reached
-        past it."""
-        return [self.churn_for(r) for r in range(self._drawn_whole())]
-
     def _lifetimes(self) -> tuple[array, array]:
         """`_churning` and `_left` over the schedule read whole, built again
         once a run has drawn more events."""
@@ -116,10 +106,6 @@ class ChurnSchedule:
         if len(self._first) <= self.nominal:
             self._draw(self.nominal)
         return self.drawn
-
-    @property
-    def horizon(self) -> int:
-        return max(self.nominal, self.drawn)
 
     def churn_events(self, round_no: int):
         """A round's leaves and its (new node, attach host) pairs, as
@@ -142,11 +128,6 @@ class ChurnSchedule:
             hi -= start
             return gone[lo:hi], zip(joined[lo:hi], hosted[lo:hi])
         return self._leaves[lo:hi], enumerate(self._hosts[lo:hi], self.n + lo)
-
-    def churn_for(self, round_no: int) -> RoundChurn:
-        """(leaves, joins) of a round, as tuples."""
-        leaves, joins = self.churn_events(round_no)
-        return _new(RoundChurn, (tuple(leaves), tuple(joins)))
 
     @collection_paused
     def _draw(self, upto: int) -> None:
@@ -179,67 +160,12 @@ class ChurnSchedule:
     def serialize(self) -> str:
         head = f"#schedule n={self.n} seed={self.seed} strategy={self.strategy} " \
                f"rate={self.rate} bootstrap={self.bootstrap} horizon={self.nominal}\n"
-        return head + "\n".join(self._lines()) + "\n"
-
-    def _lines(self) -> list[str]:
         lines = []
-        # a round's tuples at a time: the list of them all would take the
-        # bytes the arrays save
-        for i, rc in enumerate(map(self.churn_for, range(self._drawn_whole()))):
-            joins = ",".join(f"{node}@{host}" for node, host in rc.joins)
-            leaves = ",".join(str(x) for x in rc.leaves)
-            lines.append(f"{i}|{leaves}|{joins}")
-        return lines
-
-    @classmethod
-    def deserialize(cls, text: str) -> "ChurnSchedule":
-        """The schedule its header draws, drawn as far as the text goes.
-        Every round of the text must be the one the header draws."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0] if lines else ""
-        if not head.startswith("#schedule "):
-            raise ValueError("schedule text does not start with '#schedule '")
-        fields = dict(part.split("=", 1)
-                      for part in head.removeprefix("#schedule ").split())
-        for name in ("n", "seed", "strategy", "rate", "bootstrap", "horizon"):
-            if name not in fields:
-                raise ValueError(f"schedule header has no {name}=")
-        if fields["strategy"] not in STRATEGIES:
-            raise ValueError(f"unknown strategy {fields['strategy']!r}")
-        sched = cls(int(fields["n"]), int(fields["seed"]), fields["strategy"],
-                    int(fields["rate"]), int(fields["bootstrap"]),
-                    int(fields["horizon"]))
-        body = lines[1:]
-        sched._draw(len(body))
-        drawn = sched._lines()
-        if body != drawn:
-            first = next((i for i, (line, want) in enumerate(zip(body, drawn))
-                          if line != want), min(len(body), len(drawn)))
-            raise ValueError(f"round {first} of the schedule text is not the "
-                             "round its header draws")
-        return sched
-
-    # -- invariants ----------------------------------------------------------------
-
-    def validate(self) -> str:
-        alive = set(range(self.n))
-        for i, rc in enumerate(map(self.churn_for, range(self._drawn_whole()))):
-            if i < self.bootstrap and (rc.leaves or rc.joins):
-                return f"round {i}: churn during bootstrap"
-            if len(rc.leaves) != len(rc.joins):
-                return f"round {i}: leaves != joins"
-            if len(rc.leaves) > self.rate:
-                return f"round {i}: churn above rate"
-            if not set(rc.leaves) <= alive:
-                return f"round {i}: departure of non-alive node"
-            survivors = alive - set(rc.leaves)
-            hosts = [h for _, h in rc.joins]
-            if len(set(hosts)) != len(hosts):
-                return f"round {i}: duplicate attach hosts"
-            if not set(hosts) <= survivors:
-                return f"round {i}: attach host not a pre-existing survivor"
-            alive = survivors | {node for node, _ in rc.joins}
-        return "OK"
+        for r in range(self._drawn_whole()):
+            leaves, joins = self.churn_events(r)
+            joined = ",".join(f"{node}@{host}" for node, host in joins)
+            lines.append(f"{r}|{','.join(map(str, leaves))}|{joined}")
+        return head + "\n".join(lines) + "\n"
 
 
 def gen_schedule(seed_adv: int, n: int, rate: int, horizon: int,

@@ -211,10 +211,14 @@ def _read(path: str) -> str:
 def cmd_simulate(args) -> int:
     cfg = parse_config(_read(args.config))
     params = params_from_config(cfg, args.seed_adv, args.seed_alg)
+    out = Path(args.out)
+    # before the run, which an unusable output path would otherwise waste
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(args.out, f"cannot create output directory: {exc}") from exc
     sim = Simulation(params)
     sim.run()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "trace.jsonl").write_text("\n".join(sim.world.trace_lines()) + "\n")
     (out / "schedule.txt").write_text(sim.schedule.serialize())
     (out / "cycles.jsonl").write_text(

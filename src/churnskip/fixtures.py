@@ -3,8 +3,10 @@
 The instances are small skip lists whose protocol runs exercise every
 interesting event: multi-level red runs against both sentinels for the
 deletion routine, fill-in rewiring for buffer creation, and a merge whose
-golden event narrative covers splits, pipelined waits, early activation,
-and virtual-walk anchoring.
+golden event trace covers splits, pipelined waits, early activation, and
+virtual-walk anchoring. `churnskip validate --fixture` runs them; the
+merge's event narrative, which only the tests read, is kept with them
+(``tests/merge_reference.py``).
 """
 
 from __future__ import annotations
@@ -43,29 +45,9 @@ def merge_instance() -> tuple[SkipNet, dict[int, int]]:
     return clean, dict(MERGE_BUFFER)
 
 
-# Frozen event narrative for the merge instance: (event, leader, level)
-# subsequence that any conforming run must produce in this order.
-MERGE_NARRATIVE = [
-    ("split", "b-inf", 3),            # top group splits on z=13
-    ("merged_at_level", "b-inf", 3),  # left sentinel merges ahead of 13
-    ("merged_at_level", "23", 3),     # {23,98,rs} between 13 and +inf
-    ("merged_at_level", "23", 2),
-    ("merged_at_level", "b-inf", 0),  # ls finishes its descent
-    ("split", "23", 1),               # {23,98,rs} splits on z=50
-    ("merged_at_level", "23", 1),     # 23 between 13 and 50
-    ("merged_at_level", "1", 0),      # 1 starts at ls, inserts in O(1)
-    ("merged_at_level", "23", 0),     # 23 completes; unblocks 25
-    ("merged_at_level", "25", 1),     # 25 from 23's position
-    ("merged_at_level", "98", 1),     # {98,rs} between 50 and +inf
-    ("merged_at_level", "25", 0),
-    ("merged_at_level", "55", 0),     # 55 anchored at 50
-    ("merged_at_level", "98", 0),
-]
-
-
 # Full golden event trace of the merge instance, frozen from a verified run
-# (round, group leader key, event, level). The narrative subsequence above
-# is derived from the protocol description independently of this freeze.
+# (round, group leader key, event, level). `validate --fixture merge`
+# checks a fresh run against it.
 MERGE_GOLDEN_TRACE = [
     (1, -1, "split", 3),
     (2, -1, "merged_at_level", 3),

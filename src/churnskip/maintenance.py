@@ -30,9 +30,6 @@ from .skiplist import BUF_LS, BUF_RS, SkipNet, search
 from .overlay import bootstrap_overlay, route_hops
 from .work import RoundWork
 
-PHASES = ("Delete", "BufferCreate", "Merge", "Update")
-
-
 @dataclass
 class CycleSummary:
     cycle: int

@@ -15,8 +15,8 @@ nodes placed since. A node's committee is looked up in the nodes placed
 since, else by bisection into the draw; sizes are counts and a committee's
 speaker is found in the draw. So the tick does nothing per node beyond the
 draw and its size count, and neither it nor covering builds a per-node map
-or a member set: ``CommitteeOverlay.members`` and ``assignment`` are
-copies built on demand for validators and tests.
+or a member set. The tests build those copies from the draw and the deltas
+(``tests/overlay_reference.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 
 from .params import butterfly_k, ceil_log2
 from .skiplist import RS
@@ -134,21 +134,6 @@ class CommitteeOverlay:
         if slot is None:
             slot = self._drawn_slot(node)
         return None if slot is None else self.addrs[slot]
-
-    @property
-    def assignment(self) -> dict[int, Address]:
-        """Every member and its committee: a copy built on demand."""
-        addrs = self.addrs
-        out = {node: addrs[slot] for node, slot in zip(self._nodes, self._picks)
-               if node not in self._gone}
-        out.update((node, addrs[slot]) for node, slot in self._placed.items())
-        return out
-
-    def members(self, addr: Address) -> set[int]:
-        """A copy built on demand; change membership through the overlay."""
-        slot = self._slot[addr]
-        drawn = compress(self._nodes, map(slot.__eq__, self._picks))
-        return set(drawn).difference(self._gone).union(self._placed_in(slot))
 
     def size(self, addr: Address) -> int:
         return self._size[self._slot[addr]]

@@ -122,9 +122,6 @@ class SkipNet:
         self.heights[key] = height
         self.links[key] = [[None, None] for _ in range(height + 1)]
 
-    def keys(self):
-        return self.heights.keys()
-
     def __contains__(self, key: int) -> bool:
         return key in self.heights
 
@@ -135,9 +132,6 @@ class SkipNet:
 
     def right(self, key: int, lvl: int) -> int:
         return self.links[key][lvl][1]
-
-    def left(self, key: int, lvl: int) -> int:
-        return self.links[key][lvl][0]
 
     def height_of(self, key: int) -> int:
         if key in (LS, RS):

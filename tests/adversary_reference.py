@@ -11,6 +11,10 @@ lists for every seed, n, rate, strategy and density.
 The reference keeps the lifetimes as it did, in two dicts keyed by id that
 hold only the ids that joined or left, and answers ``lifetime`` and
 ``ever_known`` from them; ``ChurnSchedule`` keeps id-indexed lists.
+
+``churn_for``, ``rounds``, ``horizon``, ``validate`` and ``deserialize``
+read a ``ChurnSchedule`` as tuples per round, check it against the rules of
+an oblivious schedule, and load its text back; no run needs them.
 """
 
 from __future__ import annotations
@@ -18,10 +22,87 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from churnskip.adversary import Query, RoundChurn
+from churnskip.adversary import ChurnSchedule, Query
 from churnskip.errors import HorizonTooShort, RateTooHigh
 from churnskip.params import STRATEGIES, SimParams, ceil_log2
+
+
+class RoundChurn(NamedTuple):
+    leaves: tuple[int, ...]
+    joins: tuple[tuple[int, int], ...]  # (new node, attach host)
+
+
+def churn_for(schedule: ChurnSchedule, round_no: int) -> RoundChurn:
+    """(leaves, joins) of a round, as tuples."""
+    leaves, joins = schedule.churn_events(round_no)
+    return RoundChurn(tuple(leaves), tuple(joins))
+
+
+def horizon(schedule: ChurnSchedule) -> int:
+    """The rounds a schedule holds when read whole: its nominal horizon, or
+    the rounds a run has drawn past it."""
+    return max(schedule.nominal, schedule.drawn)
+
+
+def rounds(schedule: ChurnSchedule) -> list[RoundChurn]:
+    """Every round to the nominal horizon, or to the last one reached past
+    it."""
+    return [churn_for(schedule, r) for r in range(horizon(schedule))]
+
+
+def validate(schedule: ChurnSchedule) -> str:
+    """"OK", or the first round that breaks the rules of an oblivious
+    schedule."""
+    alive = set(range(schedule.n))
+    for i, rc in enumerate(rounds(schedule)):
+        if i < schedule.bootstrap and (rc.leaves or rc.joins):
+            return f"round {i}: churn during bootstrap"
+        if len(rc.leaves) != len(rc.joins):
+            return f"round {i}: leaves != joins"
+        if len(rc.leaves) > schedule.rate:
+            return f"round {i}: churn above rate"
+        if not set(rc.leaves) <= alive:
+            return f"round {i}: departure of non-alive node"
+        survivors = alive - set(rc.leaves)
+        hosts = [h for _, h in rc.joins]
+        if len(set(hosts)) != len(hosts):
+            return f"round {i}: duplicate attach hosts"
+        if not set(hosts) <= survivors:
+            return f"round {i}: attach host not a pre-existing survivor"
+        alive = survivors | {node for node, _ in rc.joins}
+    return "OK"
+
+
+def deserialize(text: str) -> ChurnSchedule:
+    """The schedule the header of ``ChurnSchedule.serialize`` text draws,
+    drawn as far as the text goes. Every round of the text must be the one
+    the header draws."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    head = lines[0] if lines else ""
+    if not head.startswith("#schedule "):
+        raise ValueError("schedule text does not start with '#schedule '")
+    fields = dict(part.split("=", 1)
+                  for part in head.removeprefix("#schedule ").split())
+    for name in ("n", "seed", "strategy", "rate", "bootstrap", "horizon"):
+        if name not in fields:
+            raise ValueError(f"schedule header has no {name}=")
+    if fields["strategy"] not in STRATEGIES:
+        raise ValueError(f"unknown strategy {fields['strategy']!r}")
+    sched = ChurnSchedule(int(fields["n"]), int(fields["seed"]), fields["strategy"],
+                          int(fields["rate"]), int(fields["bootstrap"]),
+                          int(fields["horizon"]))
+    body = lines[1:]
+    if body:
+        sched.churn_events(len(body) - 1)     # draws through the text's last round
+    drawn = sched.serialize().splitlines()[1:]
+    if body != drawn:
+        first = next((i for i, (line, want) in enumerate(zip(body, drawn))
+                      if line != want), min(len(body), len(drawn)))
+        raise ValueError(f"round {first} of the schedule text is not the "
+                         "round its header draws")
+    return sched
 
 
 @dataclass

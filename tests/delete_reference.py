@@ -73,7 +73,7 @@ def tree_formation(net: SkipNet, lvl: int, red: set[int]) -> LevelTree:
             if key == LS or net.height_of(key) > l:
                 parent = (key, l + 1)
             else:
-                parent = (net.left(key, l), l)
+                parent = (net.links[key][l][0], l)
             parents[cur] = parent
             cur = parent
             hops += 1
@@ -116,7 +116,7 @@ def propagate_and_bridge(net: SkipNet, tree: LevelTree, red: set[int]
         inputs: list[Pair] = []
         if l == lvl and key in leaf_set:
             nxt = right_of.get(key)
-            prev = net.left(key, lvl) if key != LS else None
+            prev = net.links[key][lvl][0] if key != LS else None
             inputs.append(leaf_pair(key, prev in red, nxt in red))
         kids = children.get(node, {})
         when = 0

@@ -11,6 +11,9 @@ round. ``preprocess`` is the one it replaced too, which walks the levels
 through ``SkipNet.iter_level`` and ``height_of``. Both must give the same
 preprocessing (groups, parents, children, rows), events, rows, summary,
 group spans, structure and labels.
+
+``MERGE_NARRATIVE`` is the worked merge instance's event narrative, which
+the tests check the wave's events against.
 """
 
 from __future__ import annotations
@@ -24,6 +27,27 @@ from churnskip.phase_merge import CohesiveGroup, MergeSummary, Preprocessed, Spl
 from churnskip.skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, is_sentinel
 from churnskip.work import RoundWork, sends_row, totals, uniform_round
 from work_reference import RoundAcc
+
+# Frozen event narrative for ``fixtures.merge_instance``: (event, leader,
+# level) subsequence that any conforming run must produce in this order,
+# derived from the protocol description independently of
+# ``fixtures.MERGE_GOLDEN_TRACE``.
+MERGE_NARRATIVE = [
+    ("split", "b-inf", 3),            # top group splits on z=13
+    ("merged_at_level", "b-inf", 3),  # left sentinel merges ahead of 13
+    ("merged_at_level", "23", 3),     # {23,98,rs} between 13 and +inf
+    ("merged_at_level", "23", 2),
+    ("merged_at_level", "b-inf", 0),  # ls finishes its descent
+    ("split", "23", 1),               # {23,98,rs} splits on z=50
+    ("merged_at_level", "23", 1),     # 23 between 13 and 50
+    ("merged_at_level", "1", 0),      # 1 starts at ls, inserts in O(1)
+    ("merged_at_level", "23", 0),     # 23 completes; unblocks 25
+    ("merged_at_level", "25", 1),     # 25 from 23's position
+    ("merged_at_level", "98", 1),     # {98,rs} between 50 and +inf
+    ("merged_at_level", "25", 0),
+    ("merged_at_level", "55", 0),     # 55 anchored at 50
+    ("merged_at_level", "98", 0),
+]
 
 
 def preprocess(buf: SkipNet) -> Preprocessed:
@@ -45,7 +69,7 @@ def preprocess(buf: SkipNet) -> Preprocessed:
             groups.append(run)
     for g in groups:
         h = buf.height_of(g[0])
-        lp = buf.left(g[0], h)
+        lp = buf.links[g[0]][h][0]
         rp = buf.right(g[-1], h)
         lp = None if lp == LS else lp
         rp = None if rp == RS else rp
@@ -292,7 +316,7 @@ class WaveEngine:
             self._try_descend(g)
 
     def _try_descend(self, g: CohesiveGroup) -> None:
-        v = self.clean.left(g.leader, g.level)
+        v = self.clean.links[g.leader][g.level][0]
         blocked = (v in self.walks
                    and self.merged_level.get(v, g.level) > g.level - 1)
         if not blocked:

@@ -7,23 +7,43 @@ refilled node by node on every tick, with the speaker taken as the minimum
 of the set. Both must agree on assignments, members, sizes, speakers,
 censuses and the random draws they make.
 
+``assignment`` and ``members`` build a ``CommitteeOverlay``'s per-node map
+and member sets from its draw and deltas, copies that no run needs.
 ``validate_cliques`` and ``sizes_within_band`` check a ``CommitteeOverlay``
 as a whole.
 """
 
 from __future__ import annotations
 
-from churnskip.overlay import Census, CommitteeOverlay
+from itertools import compress
+
+from churnskip.overlay import Address, Census, CommitteeOverlay
 from churnskip.params import SimParams
+
+
+def assignment(overlay: CommitteeOverlay) -> dict[int, Address]:
+    """Every member and its committee."""
+    addrs = overlay.addrs
+    out = {node: addrs[slot] for node, slot in zip(overlay._nodes, overlay._picks)
+           if node not in overlay._gone}
+    out.update((node, addrs[slot]) for node, slot in overlay._placed.items())
+    return out
+
+
+def members(overlay: CommitteeOverlay, addr: Address) -> set[int]:
+    """The members of the committee at addr."""
+    slot = overlay._slot[addr]
+    drawn = compress(overlay._nodes, map(slot.__eq__, overlay._picks))
+    return set(drawn).difference(overlay._gone).union(overlay._placed_in(slot))
 
 
 def validate_cliques(overlay: CommitteeOverlay) -> str:
     for addr in overlay.addrs:
-        members = overlay.members(addr)
-        for node in members:
+        committee = members(overlay, addr)
+        for node in committee:
             if overlay.address_of(node) != addr:
                 return f"clique: stale assignment for node {node}"
-        if len(members) != overlay.size(addr):
+        if len(committee) != overlay.size(addr):
             return f"clique: size count off at {addr}"
     return "OK"
 

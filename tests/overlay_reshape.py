@@ -15,8 +15,9 @@ from collections import Counter
 
 from churnskip.errors import ChurnSkipError
 from churnskip.overlay import Address, CommitteeOverlay, butterfly_edge_set
-from churnskip.params import C_COMM, SimParams, ceil_log2, log2n
+from churnskip.params import C_COMM, ceil_log2, log2n
 from churnskip.work import RoundWork, sends_row
+from overlay_reference import members
 
 GROW_AT = 1.5     # grow threshold (x C_COMM log n)
 SHRINK_AT = 0.5   # shrink threshold (x C_COMM log n)
@@ -26,8 +27,7 @@ class NoAgreement(ChurnSkipError):
     pass
 
 
-def committee_opinions(state: CommitteeOverlay, params: SimParams, n_ref: int
-                       ) -> dict[Address, str]:
+def committee_opinions(state: CommitteeOverlay, n_ref: int) -> dict[Address, str]:
     grow_at = GROW_AT * C_COMM * log2n(n_ref)
     shrink_at = SHRINK_AT * C_COMM * log2n(n_ref)
     out = {}
@@ -78,7 +78,7 @@ def _recruit(state: CommitteeOverlay, needy: list[Address], pool: list[int],
 
 
 def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
-            params: SimParams, rng: random.Random, n_new: int
+            rng: random.Random, n_new: int
             ) -> tuple[CommitteeOverlay, int, list[RoundWork]]:
     """Agreement at C(0,0), then grow (k+1) or shrink (k-1).
 
@@ -104,20 +104,20 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
                 for r, lvl in state.addrs}
         carried: set[Address] = set()
         for addr in state.addrs:
-            for node in sorted(state.members(addr)):
+            for node in sorted(members(state, addr)):
                 new.place(node, dest[addr])
             carried.add(dest[addr])
         # copy rows and the fresh level 0 start from promoted leaders
         for addr in new.addrs:
             if addr in carried:
                 continue
-            members = sorted(new.members(max(carried, key=new.size)))
-            leader = members[rng.randrange(len(members))]
+            biggest = sorted(members(new, max(carried, key=new.size)))
+            leader = biggest[rng.randrange(len(biggest))]
             new.remove_member(leader)
             new.place(leader, addr)
         pool: list[int] = []
         for addr in carried:
-            spare = sorted(new.members(addr))[target:]
+            spare = sorted(members(new, addr))[target:]
             for node in spare:
                 new.remove_member(node)
                 pool.append(node)
@@ -131,9 +131,9 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
         for (r, lvl), to in dest.items():
             vacates = lvl == 0 or r >= half
             if vacates:
-                pool.extend(sorted(state.members((r, lvl))))
+                pool.extend(sorted(members(state, (r, lvl))))
             else:
-                for node in sorted(state.members((r, lvl))):
+                for node in sorted(members(state, (r, lvl))):
                     new.place(node, to)
     # a covered node stays with its committee, wherever that moved
     new.covered_index = {key: dest[addr]

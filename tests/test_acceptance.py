@@ -16,15 +16,10 @@ from itertools import product
 import pytest
 
 from churnskip import metrics
-from churnskip.fixtures import (
-    MERGE_GOLDEN_TRACE,
-    MERGE_NARRATIVE,
-    delete_instance,
-    merge_instance,
-)
+from churnskip.fixtures import MERGE_GOLDEN_TRACE, delete_instance, merge_instance
 from churnskip.maintenance import Simulation
 from churnskip.params import SimParams
-from churnskip.phase_buffer import build_bitonic, raise_levels
+from churnskip.phase_buffer import raise_levels
 from churnskip.phase_delete import delete_phase
 from churnskip.phase_merge import WaveEngine, wave_merge
 from churnskip.phase_update import live_equals_clean
@@ -37,8 +32,10 @@ from churnskip.skiplist import (
     search,
 )
 from churnskip.overlay import bootstrap_overlay
+from buffer_reference import build_bitonic
 from delete_reference import expected_bridges
-from overlay_reference import validate_cliques
+from merge_reference import MERGE_NARRATIVE
+from overlay_reference import assignment, validate_cliques
 from overlay_reshape import committee_opinions, reshape
 from skiplist_reference import oracle_delete, oracle_merge
 
@@ -351,16 +348,15 @@ def test_criterion_9_statistical_suite():
 def test_criterion_10_reshaping():
     t0 = time.time()
     n = 256
-    params = SimParams(n=n)
     state, _ = bootstrap_overlay(range(n), random.Random(0))
     k0 = state.k
     rng = random.Random(9)
     addrs = state.addresses(state.k)
     for node in range(n, 2 * n):
         state.place(node, addrs[node % len(addrs)])
-    opinions = committee_opinions(state, params, n)
+    opinions = committee_opinions(state, n)
     assert set(opinions.values()) == {"grow"}
-    grown, rounds_g, _ = reshape(state, opinions, params, rng, 2 * n)
+    grown, rounds_g, _ = reshape(state, opinions, rng, 2 * n)
     ok = grown.k == k0 + 1
     ok &= validate_cliques(grown) == "OK"
     ok &= rounds_g <= 8 * math.log2(2 * n)
@@ -371,12 +367,12 @@ def test_criterion_10_reshaping():
         grown.remove_member(node)
     # scripted shrink: the population is back at n, every committee votes
     opinions = {addr: "shrink" for addr in grown.addrs}
-    shrunk, rounds_s, _ = reshape(grown, opinions, params, rng, n)
+    shrunk, rounds_s, _ = reshape(grown, opinions, rng, n)
     ok &= shrunk.k == k0
     ok &= validate_cliques(shrunk) == "OK"
     ok &= rounds_s <= 8 * math.log2(n)
     ok &= min(shrunk.sizes()) >= math.ceil(0.75 * math.log2(n)) - 1
-    ok &= set(shrunk.assignment) == set(range(n))
+    ok &= set(assignment(shrunk)) == set(range(n))
     elapsed = time.time() - t0
     verdict(10, ok and elapsed < 30.0,
             f"grow k={k0}->{k0 + 1} then shrink back: "

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import adversary_reference
+from adversary_reference import churn_for, deserialize, horizon, rounds, validate
 from churnskip import adversary
-from churnskip.adversary import ChurnSchedule, gen_queries, gen_schedule
+from churnskip.adversary import gen_queries, gen_schedule
 from churnskip.errors import HorizonTooShort, RateTooHigh
 from churnskip.maintenance import Simulation
 from churnskip.params import STRATEGIES, SimParams
@@ -16,25 +17,25 @@ from churnskip.skiplist import BUF_LS, BUF_RS, LS, RS
 
 def test_zero_rate_schedule_is_empty():
     sched = gen_schedule(1, 64, 0, horizon=120)
-    assert all(not rc.leaves and not rc.joins for rc in sched.rounds)
-    assert sched.validate() == "OK"
+    assert all(not rc.leaves and not rc.joins for rc in rounds(sched))
+    assert validate(sched) == "OK"
 
 
 def test_uniform_schedule_properties():
     n = 1024
     rate = n // (10 * math.ceil(math.log2(n)))  # 10 per round
     sched = gen_schedule(7, n, rate, horizon=400, strategy="uniform_random")
-    assert sched.validate() == "OK"
-    maintenance = [rc for i, rc in enumerate(sched.rounds) if i >= sched.bootstrap]
+    assert validate(sched) == "OK"
+    maintenance = [rc for i, rc in enumerate(rounds(sched)) if i >= sched.bootstrap]
     assert all(len(rc.leaves) == 10 and len(rc.joins) == 10 for rc in maintenance)
     for rc in maintenance:
         hosts = [h for _, h in rc.joins]
         assert len(set(hosts)) == 10
     # the lifetimes are indexed by id, and the joined ids run on from n
-    joined = [node for rc in sched.rounds for node, _ in rc.joins]
+    joined = [node for rc in rounds(sched) for node, _ in rc.joins]
     joins, leaves = join_rounds(sched), leave_rounds(sched)
     assert joined == list(range(n, len(joins)))
-    for rnd, rc in enumerate(sched.rounds):
+    for rnd, rc in enumerate(rounds(sched)):
         assert all(joins[node] == rnd for node, _ in rc.joins)
         assert all(leaves[node] == rnd for node in rc.leaves)
 
@@ -49,16 +50,16 @@ def test_rate_cap_enforced():
 def test_targeted_respects_rate():
     n = 1024
     sched = gen_schedule(3, n, 10, horizon=300, strategy="targeted_committee")
-    assert sched.validate() == "OK"
-    for rc in sched.rounds[sched.bootstrap:]:
+    assert validate(sched) == "OK"
+    for rc in rounds(sched)[sched.bootstrap:]:
         assert len(rc.leaves) <= 10
 
 
 def test_burst_alternates_blocks():
     n = 256
     sched = gen_schedule(5, n, 8, horizon=400, strategy="burst")
-    assert sched.validate() == "OK"
-    tail = sched.rounds[sched.bootstrap:]
+    assert validate(sched) == "OK"
+    tail = rounds(sched)[sched.bootstrap:]
     amounts = {len(rc.leaves) for rc in tail}
     assert amounts == {0, 8}
 
@@ -66,10 +67,10 @@ def test_burst_alternates_blocks():
 def test_schedule_serialization_roundtrip():
     sched = gen_schedule(11, 128, 4, horizon=200, strategy="uniform_random")
     text = sched.serialize()
-    again = ChurnSchedule.deserialize(text)
+    again = deserialize(text)
     assert again.serialize() == text
-    assert again.validate() == "OK"
-    assert again.rounds == sched.rounds
+    assert validate(again) == "OK"
+    assert rounds(again) == rounds(sched)
     assert join_rounds(again) == join_rounds(sched)
     assert leave_rounds(again) == leave_rounds(sched)
 
@@ -82,17 +83,17 @@ def test_deserialize_reads_header_fields_in_any_order():
     # characters, not as a prefix, would eat their first letters
     head = f"#schedule seed=3 horizon=150 n=64 strategy={sched.strategy} " \
            f"rate=1 bootstrap={sched.bootstrap}\n"
-    again = ChurnSchedule.deserialize(head + body)
+    again = deserialize(head + body)
     assert again.serialize() == text
-    assert again.rounds == sched.rounds
+    assert rounds(again) == rounds(sched)
     with pytest.raises(ValueError, match="seed="):
-        ChurnSchedule.deserialize(text.replace(" seed=3", "", 1))
+        deserialize(text.replace(" seed=3", "", 1))
     with pytest.raises(ValueError, match="horizon="):
-        ChurnSchedule.deserialize(text.replace(" horizon=150", "", 1))
+        deserialize(text.replace(" horizon=150", "", 1))
     with pytest.raises(ValueError, match="unknown strategy"):
-        ChurnSchedule.deserialize(text.replace("uniform_random", "uniform", 1))
+        deserialize(text.replace("uniform_random", "uniform", 1))
     with pytest.raises(ValueError, match="#schedule"):
-        ChurnSchedule.deserialize(body)
+        deserialize(body)
 
 
 def test_deserialize_rejects_a_joiner_out_of_id_order():
@@ -111,16 +112,16 @@ def test_deserialize_rejects_a_joiner_out_of_id_order():
                    f"{joins[len(joiner) + 1 + len(host):]}"):
         text = "\n".join([*lines[:1 + first], edited, *lines[2 + first:]])
         with pytest.raises(ValueError, match=f"round {first} of the schedule text"):
-            ChurnSchedule.deserialize(text)
+            deserialize(text)
     with pytest.raises(ValueError, match="round 150 of the schedule text"):
-        ChurnSchedule.deserialize("\n".join(lines[:1 + 150]))
+        deserialize("\n".join(lines[:1 + 150]))
 
 
 def test_schedule_frozen_after_replay():
     sched = gen_schedule(2, 128, 4, horizon=200)
     before = sched.serialize()
-    for rnd in range(sched.horizon):
-        sched.churn_for(rnd)
+    for rnd in range(horizon(sched)):
+        churn_for(sched, rnd)
     assert sched.serialize() == before
 
 
@@ -135,7 +136,7 @@ def test_queries_sources_alive_and_after_bootstrap():
     assert queries
     alive = set(range(256))
     by_round = {}
-    for i, rc in enumerate(sched.rounds):
+    for i, rc in enumerate(rounds(sched)):
         alive -= set(rc.leaves)
         alive |= {n for n, _ in rc.joins}
         by_round[i] = set(alive)
@@ -224,7 +225,7 @@ def test_generators_match_reference(seed, n, rate, extra, strategy):
     if isinstance(old, str):
         assert new == old
         return
-    assert new.rounds == old.rounds
+    assert rounds(new) == old.rounds
     assert _keyed(leave_rounds(new)) == old.leave_round
     assert _keyed(join_rounds(new)) == old.join_round
     assert len(join_rounds(new)) == len(leave_rounds(new)) == n + len(old.join_round)
@@ -241,7 +242,7 @@ def test_generators_call_no_random_library_draw(monkeypatch):
         monkeypatch.setattr(random.Random, name, forbidden)
     for n, rate in ((16, 2), (1024, 4)):     # pool and set regime of a sample
         sched = gen_schedule(5, n, rate, horizon=SimParams(n=n).bootstrap_rounds + 50)
-        assert sched.validate() == "OK"
+        assert validate(sched) == "OK"
         assert gen_queries(5, sched, 0.05)
 
 
@@ -249,17 +250,17 @@ def test_round_past_the_end_extends_the_schedule():
     for strategy in STRATEGIES:
         short = gen_schedule(4, 128, 3, horizon=200, strategy=strategy)
         long = gen_schedule(4, 128, 3, horizon=900, strategy=strategy)
-        assert short.churn_for(300) == long.rounds[300]
-        assert short.horizon == 301              # drawn through the round read
-        assert short.churn_for(650) == long.rounds[650]
-        assert short.horizon == 651
-        assert short.rounds == long.rounds[:651]
+        assert churn_for(short, 300) == rounds(long)[300]
+        assert horizon(short) == 301             # drawn through the round read
+        assert churn_for(short, 650) == rounds(long)[650]
+        assert horizon(short) == 651
+        assert rounds(short) == rounds(long)[:651]
         assert _keyed(join_rounds(short)) == \
             {k: r for k, r in _keyed(join_rounds(long)).items() if r < 651}
         assert _keyed(leave_rounds(short)) == \
             {k: r for k, r in _keyed(leave_rounds(long)).items() if r < 651}
         assert len(join_rounds(short)) == len(leave_rounds(short)) == \
-            128 + sum(len(rc.joins) for rc in short.rounds)
+            128 + sum(len(rc.joins) for rc in rounds(short))
 
 
 def test_run_past_the_nominal_horizon_completes_every_cycle():
@@ -268,7 +269,7 @@ def test_run_past_the_nominal_horizon_completes_every_cycle():
     params = SimParams(n=128, seed_adv=1, seed_alg=2, churn_rate=3,
                        horizon_cycles=5, query_density=0.05)
     sim = Simulation(params)
-    nominal = sim.schedule.horizon
+    nominal = horizon(sim.schedule)
     queries = len(sim.query_r)   # drawn to round 1100
     sim.bootstrap_all()
     for _ in range(params.horizon_cycles):
@@ -276,8 +277,8 @@ def test_run_past_the_nominal_horizon_completes_every_cycle():
     sim.finalize()
     assert len(sim.cycles) == 5 and not sim.world.failures
     assert sim.world.round > nominal
-    assert len(sim.schedule.rounds) == sim.world.round
-    assert sim.schedule.validate() == "OK"
+    assert len(rounds(sim.schedule)) == sim.world.round
+    assert validate(sim.schedule) == "OK"
     assert len(sim.query_log) == queries
 
 
@@ -304,28 +305,28 @@ def test_lifetime_lookups_match_reference_at_the_edges():
 def test_schedule_drawn_on_demand_reads_whole_like_reference(strategy):
     n, rate = 128, 3
     ahead = adversary._DRAW_AHEAD
-    horizon = SimParams(n=n).bootstrap_rounds + 3 * ahead
-    old = adversary_reference.gen_schedule(6, n, rate, horizon, strategy)
-    new = gen_schedule(6, n, rate, horizon, strategy)
+    nominal = SimParams(n=n).bootstrap_rounds + 3 * ahead
+    old = adversary_reference.gen_schedule(6, n, rate, nominal, strategy)
+    new = gen_schedule(6, n, rate, nominal, strategy)
     # round by round as a run reads it: only the first block is drawn
     reached = new.bootstrap + 40
     for rnd in range(reached):
-        assert new.churn_for(rnd) == old.rounds[rnd]
+        assert churn_for(new, rnd) == old.rounds[rnd]
     assert new.drawn == ahead
-    assert new.horizon == horizon
+    assert horizon(new) == nominal
     # a jump ahead draws through the block from there; a look back, then
     # the whole schedule
     jump = reached + ahead + 150
-    assert new.churn_for(jump) == old.rounds[jump]
-    assert new.drawn == jump + ahead < horizon
-    assert new.churn_for(3) == old.rounds[3]
-    assert new.rounds == old.rounds
+    assert churn_for(new, jump) == old.rounds[jump]
+    assert new.drawn == jump + ahead < nominal
+    assert churn_for(new, 3) == old.rounds[3]
+    assert rounds(new) == old.rounds
     assert _keyed(leave_rounds(new)) == old.leave_round
     assert _keyed(join_rounds(new)) == old.join_round
     # the lifetimes and the queries read a partly drawn schedule whole
     for reader in ("lifetime", "queries"):
-        fresh = gen_schedule(6, n, rate, horizon, strategy)
-        fresh.churn_for(fresh.bootstrap + 10)
+        fresh = gen_schedule(6, n, rate, nominal, strategy)
+        churn_for(fresh, fresh.bootstrap + 10)
         if reader == "lifetime":
             for key in range(n + len(old.join_round) + 2):
                 assert fresh.lifetime(key) == old.lifetime(key), (strategy, key)
@@ -333,7 +334,7 @@ def test_schedule_drawn_on_demand_reads_whole_like_reference(strategy):
         else:
             assert gen_queries(6, fresh, 0.05) == \
                 adversary_reference.gen_queries(6, old, 0.05)
-        assert fresh.rounds == old.rounds
+        assert rounds(fresh) == old.rounds
         assert fresh.serialize() == new.serialize()
 
 
@@ -342,7 +343,7 @@ def test_id_space_exhaustion_is_raised_at_construction():
     n = 64
     params = SimParams(n=n)
     last = params.bootstrap_rounds + params.id_space - n   # one id per round
-    assert gen_schedule(1, n, 1, horizon=last).horizon == last
+    assert horizon(gen_schedule(1, n, 1, horizon=last)) == last
     with pytest.raises(RateTooHigh, match="id space exhausted"):
         gen_schedule(1, n, 1, horizon=last + 1)
     # burst churns in only half the rounds, so the same horizon has ids left

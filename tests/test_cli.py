@@ -5,6 +5,7 @@ from typing import get_type_hints
 
 import pytest
 
+from churnskip import cli
 from churnskip.cli import (
     eval_rate_expr,
     load_dump,
@@ -212,6 +213,23 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(missing),
                  "--out", str(tmp_path / "out")]) == 2
     assert f"error: {missing}: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-a-file"])
+def test_out_path_on_a_regular_file_exits_2_before_simulating(
+        tmp_path, capsys, monkeypatch, out):
+    def forbidden(params):
+        raise AssertionError("simulate must check --out before it simulates")
+
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG)
+    (tmp_path / "taken").touch()
+    monkeypatch.setattr(cli, "Simulation", forbidden)
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / out)]) == 2
+    assert f"error: {tmp_path / out}: cannot create output directory" \
+        in capsys.readouterr().err
+    assert (tmp_path / "taken").is_file()
 
 
 _HEAD = '{"net":"C","height":0}\n'

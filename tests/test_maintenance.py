@@ -17,6 +17,7 @@ from churnskip.params import STRATEGIES, SimParams
 from churnskip.phase_update import UpdateSummary, live_equals_clean, update_phase
 from churnskip.skiplist import is_sentinel, oracle_build, search
 import adversary_reference
+from overlay_reference import members
 from search_reference import reference_search
 
 
@@ -152,7 +153,6 @@ def test_cycle_round_budget():
 def test_replayed_schedule_gives_identical_run():
     # the second run goes past its nominal horizon of 1100 rounds, to 1241,
     # and its queries come from the rounds to the nominal horizon only
-    from churnskip.adversary import ChurnSchedule
     for params in (SimParams(n=128, seed_adv=9, seed_alg=10, churn_rate=2,
                              horizon_cycles=4, query_density=0.005),
                    SimParams(n=128, seed_adv=1, seed_alg=2, churn_rate=3,
@@ -160,7 +160,7 @@ def test_replayed_schedule_gives_identical_run():
         a = Simulation(params)
         a.run()
         text = a.schedule.serialize()
-        replay = ChurnSchedule.deserialize(text)
+        replay = adversary_reference.deserialize(text)
         assert replay.serialize() == text
         b = Simulation(params, schedule=replay)
         b.run()
@@ -205,8 +205,7 @@ def test_committee_destroyed_is_counted_not_fatal():
     sim = small_sim(n=64, rate=1, cycles=1)
     sim.bootstrap_all()
     addr = sim.overlay.addrs[0]
-    members = sorted(sim.overlay.members(addr))
-    victim, rest = members[0], members[1:]
+    victim, *rest = sorted(members(sim.overlay, addr))
     for node in rest:
         sim.overlay.remove_member(node)
     sim.world.alive.discard(victim)
@@ -393,7 +392,7 @@ def test_run_records_stay_compact():
     assert sim.world.attach_adj
     assert all(sim.world.attach_adj.values())
     schedule = sim.schedule
-    allocated = 256 + sum(len(rc.joins) for rc in schedule.rounds)
+    allocated = 256 + sum(len(rc.joins) for rc in adversary_reference.rounds(schedule))
     assert schedule.ever_known(allocated - 1) and not schedule.ever_known(allocated)
     assert len(schedule._lifetimes()[1]) == allocated
 
@@ -426,7 +425,7 @@ def test_schedule_and_query_store_hold_few_bytes_per_event():
 
     schedule, held = _held(drawn_whole)
     events = horizon - params.bootstrap_rounds
-    assert schedule.horizon == horizon
+    assert adversary_reference.horizon(schedule) == horizon
     assert held / events < 48, held / events
     _, empty = _held(lambda: Simulation(params, schedule, []))
     _, held = _held(lambda: Simulation(params, schedule,
@@ -475,7 +474,7 @@ def test_entry_points_leave_the_collector_as_found(monkeypatch, enabled):
     try:
         sim = Simulation(params)
         assert gc.isenabled() is enabled
-        schedule = gen_schedule(1, 64, 1, sim.schedule.horizon)
+        schedule = gen_schedule(1, 64, 1, adversary_reference.horizon(sim.schedule))
         assert gc.isenabled() is enabled
         assert gen_queries(1, schedule, 0.05)
         assert gc.isenabled() is enabled
@@ -483,7 +482,8 @@ def test_entry_points_leave_the_collector_as_found(monkeypatch, enabled):
             step()
             assert gc.isenabled() is enabled
         with pytest.raises(RateTooHigh):
-            gen_schedule(1, 64, params.churn_cap + 1, sim.schedule.horizon)
+            gen_schedule(1, 64, params.churn_cap + 1,
+                         adversary_reference.horizon(sim.schedule))
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
@@ -495,7 +495,7 @@ def test_query_free_run_draws_only_the_rounds_it_reaches():
     params = SimParams(n=1024, seed_adv=3, seed_alg=4, churn_rate=1,
                        horizon_cycles=500)
     sim = Simulation(params)
-    nominal = sim.schedule.horizon
+    nominal = adversary_reference.horizon(sim.schedule)
     assert nominal == params.bootstrap_rounds + 500 * params.cycle_budget + 8
     sim.bootstrap_all()
     for _ in range(3):
@@ -522,7 +522,7 @@ def test_query_free_simulation_schedule_gives_the_eager_queries():
     eager = adversary_reference.gen_schedule(100, 128, 3, horizon)
     assert queries
     assert queries == adversary_reference.gen_queries(7, eager, params.query_density)
-    assert Simulation(params).schedule.rounds == eager.rounds
+    assert adversary_reference.rounds(Simulation(params).schedule) == eager.rounds
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -530,7 +530,8 @@ def test_served_queries_are_the_drawn_list(strategy):
     sim = small_sim(n=128, rate=3, cycles=3, density=0.05, seed=5,
                     strategy=strategy)
     p = sim.params
-    eager = gen_schedule(p.seed_adv, p.n, p.churn_rate, sim.schedule.horizon,
+    eager = gen_schedule(p.seed_adv, p.n, p.churn_rate,
+                         adversary_reference.horizon(sim.schedule),
                          p.strategy)
     drawn = gen_queries(p.seed_adv, eager, p.query_density)
     sim.run()

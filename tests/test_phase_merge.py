@@ -3,7 +3,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from churnskip.fixtures import MERGE_NARRATIVE, merge_instance
+from churnskip.fixtures import merge_instance
 from churnskip.phase_buffer import raise_levels
 from churnskip.phase_merge import WaveEngine, event_record, preprocess, wave_merge
 from churnskip.skiplist import (
@@ -17,6 +17,7 @@ from churnskip.skiplist import (
 from skiplist_reference import oracle_merge
 from churnskip.work import totals
 import merge_reference as reference
+from merge_reference import MERGE_NARRATIVE
 
 
 def make_buffer(keys, heights):

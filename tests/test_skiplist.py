@@ -244,8 +244,8 @@ def test_live_view_search_matches_reference_mid_merge(clean_keys, new_keys, rnd)
         net.live.discard(rnd.choice(sorted(net.live)))
     elif merged and roll < 0.5:
         net.live = net.live | set(rnd.sample(merged, len(merged) // 2 + 1))
-    bad = {k for k in net.keys() if rnd.random() < 0.1}
-    targets = [LS, RS, *rnd.sample(range(-1, 403), 30), *net.keys()]
+    bad = {k for k in net.heights if rnd.random() < 0.1}
+    targets = [LS, RS, *rnd.sample(range(-1, 403), 30), *net.heights]
     # only the live view is defined mid-merge: a plain walk may stand on a
     # key whose lower levels are not spliced yet
     for target in targets:

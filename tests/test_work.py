@@ -7,13 +7,8 @@ from churnskip.phase_buffer import build_sorting_overlay, create_buffer, run_net
 from churnskip.phase_merge import preprocess
 from churnskip.skiplist import sample_height
 from churnskip.work import ParallelSends, sends_row, uniform_round
-from work_reference import (
-    RoundAcc,
-    bootstrap_replay,
-    network_sort_replay,
-    preprocess_replay,
-    sorting_overlay_replay,
-)
+from buffer_reference import network_sort_replay, sorting_overlay_replay
+from work_reference import RoundAcc, bootstrap_replay, preprocess_replay
 
 
 @pytest.mark.parametrize("calls,formed,deleted", [

@@ -7,23 +7,22 @@ dict of per-node counts, filled one message at a time. It is the oracle
 `merge_reference` and `delete_reference` still count with it.
 
 The buffer phase, `bootstrap_overlay` and `preprocess` build their uniform
-rounds with `work.uniform_round`. The replays below are the loops that
-charged every message one node at a time, the per-comparator sort
-included, kept as the reference the closed-form rows are compared against,
-row for row. `rewire_recount` recounts the buffer's rewire rounds sender by
-sender.
+rounds with `work.uniform_round`. The replays below, and the buffer's in
+`buffer_reference`, the per-comparator sort included, are the loops that
+charged every message one node at a time, kept as the reference the
+closed-form rows are compared against, row for row. `rewire_recount`
+recounts the buffer's rewire rounds sender by sender.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from churnskip.overlay import butterfly_edge_set
 from churnskip.params import ceil_log2
-from churnskip.phase_buffer import PAD, build_bitonic
 from churnskip.skiplist import BUF_LS, BUF_RS
 from churnskip.work import RoundWork
+from overlay_reference import members
 
 
 class RoundAcc:
@@ -60,42 +59,6 @@ def pad(rows: list[RoundWork], rounds: int) -> list[RoundWork]:
     return rows
 
 
-def network_sort_replay(joiners: list[int]) -> tuple[list[int], list[RoundWork]]:
-    """Run every comparator, one round per layer; each comparator charges
-    one message to each real host of its two wires."""
-    net = build_bitonic(len(joiners))
-    padding = net.padded_width - len(joiners)
-    wires = list(joiners) + [PAD] * padding
-    host = list(joiners) + [None] * padding
-    rows = []
-    for layer in net.layers:
-        acc = RoundAcc()
-        for i, j in layer:
-            for h in (host[i], host[j]):
-                if h is not None:
-                    acc.msg(h)
-            if wires[i] > wires[j]:
-                wires[i], wires[j] = wires[j], wires[i]
-        rows.append(acc.seal())
-    return [w for w in wires if w != PAD], rows
-
-
-def sorting_overlay_replay(joiners: list[int]) -> list[RoundWork]:
-    net = build_bitonic(len(joiners))
-    rounds = max(1, math.ceil(math.log2(max(2, net.padded_width)))) + 3
-    wiring = net.padded_width * net.depth
-    per_round_edges = [wiring // rounds] * rounds
-    per_round_edges[-1] += wiring - sum(per_round_edges)
-    rows = []
-    for r in range(rounds):
-        acc = RoundAcc()
-        for j in joiners:
-            acc.msg(j)
-        acc.edges(formed=per_round_edges[r])
-        rows.append(acc.seal())
-    return rows
-
-
 def bootstrap_replay(nodes, state) -> list[RoundWork]:
     """The rows `bootstrap_overlay` charged for the overlay it built."""
     nodes = sorted(nodes)
@@ -109,12 +72,12 @@ def bootstrap_replay(nodes, state) -> list[RoundWork]:
             acc.msg(node)
         rows.append(acc.seal())
     wiring = RoundAcc()
-    clique_edges = sum(len(state.members(a)) * (len(state.members(a)) - 1) // 2
+    clique_edges = sum(len(members(state, a)) * (len(members(state, a)) - 1) // 2
                        for a in state.addrs)
     bip_edges = 0
     for edge in butterfly_edge_set(state.k):
         a, b = tuple(edge)
-        bip_edges += len(state.members(a)) * len(state.members(b))
+        bip_edges += len(members(state, a)) * len(members(state, b))
     wiring.edges(formed=clique_edges + bip_edges)
     for node in nodes:
         wiring.msg(node, 2)
