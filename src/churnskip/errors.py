@@ -63,6 +63,9 @@ class ConfigError(ChurnSkipError):
 
 # Failure kinds recorded (not raised) during a run by World.fail; the
 # resilience audit counts them and the CLI exit code reflects them.
+# COMMITTEE_DESTROYED: a departed node's committee had no live speaker when
+# the node left or at the end of that round; its key stalls searches until
+# the delete phase removes it.
 COMMITTEE_DESTROYED = "CommitteeDestroyed"
 STALLED = "Stalled"
 QUERY_TIMEOUT = "QueryTimeout"

@@ -40,7 +40,7 @@ class CycleSummary:
     joiners: int
     failures: int
     queries_served: int
-    q_violations: int
+    q_violations: int    # 0 until finalize counts them against q_budget()
 
     def as_record(self) -> dict:
         return {"cycle": self.cycle, "phase_rounds": self.phase_rounds,
@@ -62,14 +62,6 @@ class QueryOutcome:
     @property
     def latency(self) -> int:
         return self.answered_round - self.r
-
-
-@dataclass(slots=True)
-class CoveringAudit:
-    round: int
-    node: int
-    verified_round: int | None = None
-    ok: bool | None = None
 
 
 class Simulation:
@@ -103,11 +95,12 @@ class Simulation:
         self.removed_clean: dict[int, int] = {}
         self.cycles: list[CycleSummary] = []
         self.query_log: list[QueryOutcome] = []
-        self.covering_log: list[CoveringAudit] = []
-        self.phase_work: dict[int, dict[str, int]] = {}
+        # covers whose committee still had a live speaker at the end of
+        # their round; every other departure is a COMMITTEE_DESTROYED failure
+        self.covering_audits = 0
         self.phase_records: list[dict] = []
         self.merge_events: list[tuple] = []    # phase_merge.event_record
-        self._pending_audits: list[CoveringAudit] = []
+        self._pending_covers: list[int] = []    # the round's covered nodes
         # committee -> route_hops(committee, (0, 0), k) + 1; k stays fixed
         self._hops_from: dict[tuple[int, int], int] = {}
         # departed nodes whose cover failed, until the delete phase removes
@@ -119,13 +112,17 @@ class Simulation:
     def _on_depart(self, node: int) -> None:
         edges = self.overlay.cover_node(node, len(self.clean.links.get(node, ())))
         if edges is None:
-            self.uncovered.add(node)
-            self.world.fail(COMMITTEE_DESTROYED, f"covering node {node}")
+            self._cover_lost(node)
             return
         self.world.charge_edges(formed=edges, category="covering")
-        audit = CoveringAudit(self.world.round, node)
-        self.covering_log.append(audit)
-        self._pending_audits.append(audit)
+        self._pending_covers.append(node)
+
+    def _cover_lost(self, node: int) -> None:
+        """Nobody speaks for the departed node: a search checks its key
+        until the delete phase removes it."""
+        self.overlay.uncover(node)
+        self.uncovered.add(node)
+        self.world.fail(COMMITTEE_DESTROYED, f"covering node {node}")
 
     def _on_join(self, node: int, host: int) -> None:
         # provisional committee (the host's) until the next reassignment tick
@@ -156,12 +153,14 @@ class Simulation:
         if world.phase_tag == MAINTENANCE and \
                 world.round % self.params.tick_period == 0:
             self.overlay.maintenance_tick(world.alive, world.rng_alg, world.round)
-        # every pending audit was made during the round just run
-        for audit in self._pending_audits:
-            speaker = self.overlay.covering_speaker(audit.node)
-            audit.ok = speaker is not None and speaker in world.alive
-            audit.verified_round = world.round
-        self._pending_audits.clear()
+        # every pending cover was made during the round just run
+        for node in self._pending_covers:
+            speaker = self.overlay.covering_speaker(node)
+            if speaker is not None and speaker in world.alive:
+                self.covering_audits += 1
+            else:
+                self._cover_lost(node)
+        self._pending_covers.clear()
 
     def _play(self, rows: Iterable[RoundWork], category: str, phase: str) -> int:
         """Charge one row per world round; returns the rounds played."""
@@ -210,7 +209,6 @@ class Simulation:
         start_round = world.round
         fail_mark = len(world.failures)
         query_mark = len(self.query_log)
-        work_mark = dict(world.ledger.category_totals)
         phase_rounds = []
 
         # Phase 1: deletion of the departed keys present in the clean
@@ -249,25 +247,20 @@ class Simulation:
         self.phase_records.append({"phase": "update", "cycle": cycle_no, **asdict(usummary)})
         if not live_equals_clean(self.clean):
             world.fail(LIVE_MISMATCH, f"cycle {cycle_no}")
-        for key in self.clean.heights:
-            if key not in self.entered_live:
-                self.entered_live[key] = world.round
+        # the merge added the joiners, and no other key, to the clean list
+        for key in joiners:
+            self.entered_live[key] = world.round
         self._advance("Update")
         phase_rounds.append(1)
 
-        served = self.query_log[query_mark:]
         summary = CycleSummary(
             cycle=cycle_no, start_round=start_round, end_round=world.round,
             phase_rounds=phase_rounds, reds=len(reds), joiners=len(joiners),
             failures=len(world.failures) - fail_mark,
-            queries_served=len(served),
-            q_violations=sum(1 for q in served if q.stalled),
+            queries_served=len(self.query_log) - query_mark,
+            q_violations=0,
         )
         self.cycles.append(summary)
-        self.phase_work[cycle_no] = {
-            cat: world.ledger.category_totals[cat] - work_mark.get(cat, 0)
-            for cat in world.ledger.category_totals
-        }
         return summary
 
     def run(self) -> None:
@@ -278,7 +271,7 @@ class Simulation:
 
     @collection_paused
     def finalize(self) -> None:
-        """Recompute per-cycle q_violations against the final Q budget."""
+        """Count each cycle's q_violations against the final Q budget."""
         bad_rounds = {}
         for out in self.query_violations():
             bad_rounds[out.r] = bad_rounds.get(out.r, 0) + 1

@@ -67,6 +67,8 @@ class SimParams:
             raise ConfigError("churn_rate", "must be >= 0")
         if self.churn_rate > self.churn_cap:
             raise ConfigError("churn_rate", f"{self.churn_rate} exceeds cap {self.churn_cap}")
+        if self.horizon_cycles < 0:
+            raise ConfigError("horizon_cycles", "must be >= 0")
         if not 0.0 <= self.query_density <= 1.0:
             raise ConfigError("query_density", "must be in [0, 1]")
 

@@ -182,6 +182,26 @@ def test_unknown_strategy_is_config_error(tmp_path, capsys):
     assert "strategy: unknown strategy 'nope'" in capsys.readouterr().err
 
 
+def test_negative_horizon_is_config_error_before_any_round(tmp_path, capsys, monkeypatch):
+    # a negative horizon would run no cycle and pass vacuously; 0 runs
+    # the bootstrap only
+    assert SimParams(n=64, horizon_cycles=0).horizon_cycles == 0
+    with pytest.raises(ConfigError) as exc:
+        SimParams(n=64, horizon_cycles=-2)
+    assert exc.value.field == "horizon_cycles"
+
+    def forbidden(params):
+        raise AssertionError("a rejected config must not be simulated")
+
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CFG.replace("horizon_cycles = 3", "horizon_cycles = -2"))
+    monkeypatch.setattr(cli, "Simulation", forbidden)
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error: horizon_cycles: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_dump_roundtrip_and_fault(tmp_path):
     net = oracle_build([5, 9, 14], [1, 0, 2])
     path = tmp_path / "dump.jsonl"
