@@ -23,9 +23,9 @@ from .errors import (COMMITTEE_DESTROYED, LIVE_MISMATCH, QUERY_TIMEOUT, STALLED,
 from .params import SimParams
 from .phase_buffer import create_buffer
 from .phase_delete import delete_phase
-from .phase_merge import WaveEngine
+from .phase_merge import MergeLog, WaveEngine
 from .phase_update import live_equals_clean, update_phase
-from .simcore import MAINTENANCE, World, collection_paused
+from .simcore import MAINTENANCE, IdMap, World, collection_paused
 from .skiplist import BUF_LS, BUF_RS, SkipNet, search
 from .overlay import bootstrap_overlay, route_hops
 from .work import RoundWork
@@ -91,21 +91,23 @@ class Simulation:
         self.clean = SkipNet("C")
         self.overlay = None
         self.joiner_backlog: list[int] = []
-        self.entered_live: dict[int, int] = {}
-        self.removed_clean: dict[int, int] = {}
+        self.entered_live = IdMap()
+        self.removed_clean = IdMap()
         self.cycles: list[CycleSummary] = []
         self.query_log: list[QueryOutcome] = []
         # covers whose committee still had a live speaker at the end of
         # their round; every other departure is a COMMITTEE_DESTROYED failure
         self.covering_audits = 0
         self.phase_records: list[dict] = []
-        self.merge_events: list[tuple] = []    # phase_merge.event_record
+        self.merge_events = MergeLog()    # phase_merge.event_record
         self._pending_covers: list[int] = []    # the round's covered nodes
         # committee -> route_hops(committee, (0, 0), k) + 1; k stays fixed
         self._hops_from: dict[tuple[int, int], int] = {}
         # departed nodes whose cover failed, until the delete phase removes
         # them: the only keys a relay can stall on
         self.uncovered: set[int] = set()
+        # query_violations() as of a round: (round, list), or None
+        self._violations: tuple[int, list[QueryOutcome]] | None = None
 
     # -- churn hooks --------------------------------------------------------------
 
@@ -182,7 +184,7 @@ class Simulation:
             range(params.n), self.world.rng_alg)
         self._play(overlay_rows, "bootstrap", "-")
         keys = list(range(params.n))
-        buf, summary, rows = create_buffer(keys, self.world.heights)
+        buf, summary, rows = create_buffer(keys, self.world.heights.slots)
         self._play(rows, "bootstrap", "-")
         if buf is not None:
             for key in (BUF_LS, BUF_RS):
@@ -191,8 +193,7 @@ class Simulation:
             self.clean = buf
         update_phase(self.clean)
         self._advance("-")
-        for key in keys:
-            self.entered_live[key] = self.world.round
+        self.entered_live.fill(keys, self.world.round)
         if self.world.round > params.bootstrap_rounds:
             raise InconsistentWorld(
                 f"bootstrap took {self.world.round} rounds; raise beta "
@@ -219,7 +220,7 @@ class Simulation:
         phase_rounds.append(self._play(rows, "delete", "Delete"))
         for key in reds:
             self.overlay.uncover(key)
-            self.removed_clean[key] = world.round
+        self.removed_clean.fill(reds, world.round)
         # a deleted key can no longer stall a relay
         self.uncovered.difference_update(reds)
         self.phase_records.append({"phase": "delete", "cycle": cycle_no, **asdict(dsummary)})
@@ -227,16 +228,15 @@ class Simulation:
         # Phase 2: buffer creation from the joiner backlog (cutoff now)
         joiners, self.joiner_backlog = self.joiner_backlog, []
         joiners = [j for j in joiners if j not in self.clean.heights]
-        buf, bsummary, rows = create_buffer(joiners, world.heights)
+        buf, bsummary, rows = create_buffer(joiners, world.heights.slots)
         phase_rounds.append(self._play(rows, "buffer", "BufferCreate"))
         self.phase_records.append({"phase": "buffer", "cycle": cycle_no, **asdict(bsummary)})
 
         # Phase 3: merge wave, stepped one engine round per world round
         if buf is not None:
-            engine = WaveEngine(self.clean, buf, cycle_no)
+            engine = WaveEngine(self.clean, buf, cycle_no, self.merge_events)
             phase_rounds.append(self._play(chain(engine.pre.rows, engine.rounds()),
                                            "merge", "Merge"))
-            self.merge_events.extend(engine.events)
             self.phase_records.append({"phase": "merge", "cycle": cycle_no,
                                        **asdict(engine.summary)})
         else:
@@ -248,8 +248,7 @@ class Simulation:
         if not live_equals_clean(self.clean):
             world.fail(LIVE_MISMATCH, f"cycle {cycle_no}")
         # the merge added the joiners, and no other key, to the clean list
-        for key in joiners:
-            self.entered_live[key] = world.round
+        self.entered_live.fill(joiners, world.round)
         self._advance("Update")
         phase_rounds.append(1)
 
@@ -337,6 +336,12 @@ class Simulation:
         return "mixed"
 
     def query_violations(self) -> list[QueryOutcome]:
+        """The served queries that broke their class or the Q budget. The
+        list is kept until the clock moves, so finalize, whp_report and the
+        summary line classify each query once; callers must not change it."""
+        kept = self._violations
+        if kept is not None and kept[0] == self.world.round:
+            return kept[1]
         bad = []
         budget = self.q_budget()
         for out in self.query_log:
@@ -347,4 +352,5 @@ class Simulation:
                 bad.append(out)
             elif cls == "absent" and out.answer:
                 bad.append(out)
+        self._violations = (self.world.round, bad)
         return bad

@@ -22,12 +22,16 @@ about twice the joiners.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import NoJoiners
 from .phase_delete import Pair, fold_pairs
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet
 from .work import ParallelSends, RoundWork, totals, uniform_round
+
+# each key's height, read as heights[key]: a dict, or an array indexed by id
+Heights = Mapping[int, int] | Sequence[int]
 
 
 @dataclass
@@ -63,7 +67,7 @@ def run_network_sort(overlay: SortingOverlay) -> tuple[list[int], list[RoundWork
     return sorted(overlay.joiners), rows
 
 
-def raise_levels(sorted_keys: list[int], heights: dict[int, int]
+def raise_levels(sorted_keys: list[int], heights: Heights
                  ) -> tuple[SkipNet, list[RoundWork]]:
     """Copy the base chain level by level and rewire fill-ins away.
 
@@ -123,7 +127,7 @@ class BufferSummary:
     edges_formed: int = 0
 
 
-def create_buffer(joiners: list[int], heights: dict[int, int]
+def create_buffer(joiners: list[int], heights: Heights
                   ) -> tuple[SkipNet | None, BufferSummary, list[RoundWork]]:
     """Full phase: overlay, network sort, level raising."""
     summary = BufferSummary(joiners=len(joiners))

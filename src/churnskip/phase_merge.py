@@ -8,21 +8,22 @@ clean list; groups split cleanly at key thresholds, idle nodes track their
 parents' traces ("virtual walking") and activate once each parent has either
 merged down to the node's own level or provably diverged from its key.
 
-A merge event is one plain tuple, ``(cycle, round, group_leader, event,
-level, *detail)``: a run keeps every event, and a tuple of ints and strings
-is small and leaves the collector's scans once it has been looked at.
-``event_record`` names the detail fields and renders the event as the dict
-that ``merge_events.jsonl`` writes.
+A merge event reads as the tuple ``(cycle, round, group_leader, event,
+level, *detail)``. A run keeps every event, so a ``MergeLog`` packs them in
+typed arrays, with no Python object per event, and yields the tuples when
+iterated. ``event_record`` names the detail fields and renders the event
+as the dict that ``merge_events.jsonl`` writes.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import insort
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 
 from .errors import SPLICE_CONFLICT, ChurnSkipError, MalformedBuffer
@@ -69,6 +70,47 @@ class _Walk:
 # the detail fields of each event kind, in the order _emit takes them
 EVENT_DETAIL = {"move_right": ("to",), "split": ("new_leader", "at", "z"),
                 "merged_at_level": ("left", "right")}
+# the event kinds, by their code in a MergeLog
+EVENT_KINDS = ("move_right", "split", "merged_at_level", "move_down", "done")
+EVENT_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+_DETAILS = tuple(len(EVENT_DETAIL.get(kind, ())) for kind in EVENT_KINDS)
+
+
+class MergeLog:
+    """Merge events in typed arrays, one entry per event in each of rounds,
+    leaders, kinds (an ``EVENT_CODE``) and levels, and each kind's details
+    in one flat array. The cycle is kept once per cycle: ``open_cycle``
+    marks where its events start. Iterating yields each event as the tuple
+    ``(cycle, round, group_leader, event, level, *detail)``."""
+
+    __slots__ = ("cycles", "starts", "rounds", "leaders", "kinds", "levels",
+                 "details")
+
+    def __init__(self):
+        self.cycles = array("q")
+        self.starts = array("q")
+        self.rounds = array("i")
+        self.leaders = array("q")   # BUF_RS, 10**18, can lead a group
+        self.kinds = array("b")
+        self.levels = array("h")
+        self.details = array("q")
+
+    def open_cycle(self, cycle: int) -> None:
+        """The events appended from now on are of cycle `cycle`."""
+        self.cycles.append(cycle)
+        self.starts.append(len(self.kinds))
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self) -> Iterator[tuple]:
+        events = zip(self.rounds, self.leaders, self.kinds, self.levels)
+        details = iter(self.details)
+        ends = chain(islice(self.starts, 1, None), (len(self.kinds),))
+        for cycle, start, end in zip(self.cycles, self.starts, ends):
+            for rnd, leader, code, level in islice(events, end - start):
+                yield (cycle, rnd, leader, EVENT_KINDS[code], level,
+                       *islice(details, _DETAILS[code]))
 
 
 def event_record(e: tuple) -> dict:
@@ -169,10 +211,14 @@ class WaveEngine:
     spent once the wave has started: only its unmerged keys stay its own.
     """
 
-    def __init__(self, clean: SkipNet, buf: SkipNet, cycle: int = 0):
+    def __init__(self, clean: SkipNet, buf: SkipNet, cycle: int = 0,
+                 events: MergeLog | None = None):
         self.clean = clean
         self.buf = buf
         self.cycle = cycle
+        # the run's log, when given: each event is written once, into it
+        self.events = MergeLog() if events is None else events
+        self.events.open_cycle(cycle)
         self.pre = preprocess(buf)
         self.parents = self.pre.parents
         self.children = self.pre.children
@@ -189,7 +235,6 @@ class WaveEngine:
         self.active: list[CohesiveGroup] = [top_group]   # ordered by leader
         self.merged_level: dict[int, int] = {}
         self.round = 0
-        self.events: list[tuple] = []
         self.rows: list[RoundWork] = []
         # this round's messages per sending key, and its edge counts
         self._sends: dict[int, int] = {}
@@ -206,7 +251,12 @@ class WaveEngine:
     # -- events --------------------------------------------------------------
 
     def _emit(self, leader: int, event: str, level: int, *detail: int) -> None:
-        self.events.append((self.cycle, self.round, leader, event, level, *detail))
+        log = self.events
+        log.rounds.append(self.round)
+        log.leaders.append(leader)
+        log.kinds.append(EVENT_CODE[event])
+        log.levels.append(level)
+        log.details.extend(detail)
 
     # -- virtual walking -------------------------------------------------------
 
@@ -469,7 +519,7 @@ class WaveEngine:
 
 
 def wave_merge(clean: SkipNet, buf: SkipNet, cycle: int = 0
-               ) -> tuple[MergeSummary, list[RoundWork], list[tuple]]:
+               ) -> tuple[MergeSummary, list[RoundWork], MergeLog]:
     """Run the whole merge phase; clean is mutated into the union."""
     engine = WaveEngine(clean, buf, cycle)
     summary = engine.run()

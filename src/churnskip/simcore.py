@@ -9,7 +9,9 @@ single messages and edges directly (charge_msgs/charge_edges/form_edge).
 Both paths check the per-node send cap, and every charge lands in the row
 of the round the clock is in. The churn hooks that react to a departure
 or a join are passed to each run_round call, never stored on the world,
-so a world and its owner hold no reference cycle.
+so a world and its owner hold no reference cycle. What the world keeps
+per id (its height, its departure round) is an IdMap: one int array
+indexed by id, since ids are dense.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import gc
 import json
 import random
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import wraps
 
@@ -77,6 +81,70 @@ class WorkLedger:
         return t["messages_sent"] + t["edges_formed"] + t["edges_deleted"]
 
 
+class IdMap:
+    """A dict from ids to non-negative ints, held in one ``array('i')``
+    indexed by id with -1 for no entry: 4 bytes per id where a dict entry
+    took about 34. Ids are dense (0..n-1, then n + event index), so the
+    array is as long as the largest id set, about the ids allocated.
+    Reads answer as a dict does: a negative id (a sentinel) or one past
+    the end (a ghost) has no entry, and a read never grows the array.
+    ``len`` counts the entries held; iteration runs in id order. A hot
+    path may read ``slots`` directly for an id that has an entry."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self):
+        self.slots = array("i")
+
+    def get(self, key: int, default=None):
+        slots = self.slots
+        if 0 <= key < len(slots) and slots[key] >= 0:
+            return slots[key]
+        return default
+
+    def __getitem__(self, key: int) -> int:
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key: int) -> bool:
+        return self.get(key) is not None
+
+    def __setitem__(self, key: int, value: int) -> None:
+        slots = self.slots
+        if 0 <= key < len(slots) and value >= 0:
+            slots[key] = value
+        elif key == len(slots) and value >= 0:    # the next id
+            slots.append(value)
+        else:
+            self.fill((key,), value)
+
+    def fill(self, keys: Iterable[int], value: int) -> None:
+        """Set every key in keys to value, growing the array once."""
+        keys = list(keys)
+        if not keys:
+            return
+        if min(keys) < 0 or value < 0:
+            raise ValueError(f"IdMap holds non-negative ids and values, "
+                             f"not {min(keys)}: {value}")
+        slots = self.slots
+        grow = max(keys) + 1 - len(slots)
+        if grow > 0:
+            slots.frombytes(b"\xff" * (slots.itemsize * grow))   # -1s
+        for key in keys:
+            slots[key] = value
+
+    def __len__(self) -> int:
+        return len(self.slots) - self.slots.count(-1)
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        return ((key, value) for key, value in enumerate(self.slots) if value >= 0)
+
+    def __iter__(self) -> Iterator[int]:
+        return (key for key, value in enumerate(self.slots) if value >= 0)
+
+
 def collection_paused(fn):
     """Run fn with automatic cyclic collection off, and restore the
     collector's state on return or raise. The simulator's object graph is
@@ -102,8 +170,8 @@ class World:
         self.cycle_phase = "-"
         self.rng_alg = random.Random(params.seed_alg)
         self.alive: set[int] = set()
-        self.departed_round: dict[int, int] = {}
-        self.heights: dict[int, int] = {}
+        self.departed_round = IdMap()
+        self.heights = IdMap()
         self.ledger = WorkLedger()
         self.failures: list[FailureEvent] = []
         self.attach_adj: dict[int, list[int]] = {}
@@ -114,13 +182,17 @@ class World:
 
     def spawn(self, node: int) -> None:
         """The only way into ``alive``: a node joins once, and an id that
-        departed never comes back."""
-        if node in self.alive:
-            raise InconsistentWorld(f"node {node} already alive")
-        if node in self.departed_round:
-            raise InconsistentWorld(f"departed node {node} rejoins")
+        departed never comes back. Every node spawned has a height, so an
+        id with one is alive or departed."""
+        heights = self.heights.slots
+        if 0 <= node < len(heights) and heights[node] >= 0:
+            raise InconsistentWorld(f"node {node} already alive" if node in self.alive
+                                    else f"departed node {node} rejoins")
         self.alive.add(node)
-        self.heights[node] = sample_height(self.rng_alg)
+        if node == len(heights):    # the next id, as ids are dense
+            heights.append(sample_height(self.rng_alg))
+        else:
+            self.heights[node] = sample_height(self.rng_alg)
 
     def is_alive(self, node: int) -> bool:
         return node in self.alive

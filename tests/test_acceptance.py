@@ -307,7 +307,8 @@ def test_criterion_8_covering_latency(churn_corpus):
     departures = sum(f["departures"] for f in figures)
     verdict(8, total > 0 and bad == 0 and total + bad == departures,
             f"every one of {total} departures had its committee speaker "
-            f"reachable by all former neighbors within 1 round")
+            f"alive at the end of its departure round (reachability from "
+            f"its former neighbors is not checked)")
 
 
 # -- criterion 9: statistical suite ------------------------------------------------

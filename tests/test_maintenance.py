@@ -1,5 +1,6 @@
 import gc
 import os
+from array import array
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ from churnskip.adversary import Query, gen_queries, gen_schedule
 from churnskip.errors import (COMMITTEE_DESTROYED, LIVE_MISMATCH, STALLED, DirtyLabels,
                               RateTooHigh)
 from churnskip.maintenance import Simulation
+from churnskip.phase_merge import MergeLog, WaveEngine
 from churnskip.overlay import CommitteeOverlay
 from churnskip.params import STRATEGIES, SimParams
 from churnskip.phase_update import UpdateSummary, live_equals_clean, update_phase
@@ -405,17 +407,27 @@ def test_key_whose_cover_failed_is_deleted_at_next_delete_phase(monkeypatch):
     assert stalls and max(stalls) < sim.removed_clean[key]
 
 
-def test_run_records_stay_compact():
-    # what a run keeps for its whole length: merge events as exact tuples of
-    # atomic values (the collector untracks them), attachment edges with no
-    # empty entry, and lifetime lists as long as the ids allocated
+def test_run_records_stay_compact(monkeypatch):
+    # what a run keeps for its whole length: merge events in typed arrays,
+    # with no Python object per event, that iterate as the tuples emitted;
+    # attachment edges with no empty entry; and lifetime lists as long as
+    # the ids allocated
+    emitted = []
+    emit = WaveEngine._emit
+
+    def recording(engine, leader, event, level, *detail):
+        emitted.append((engine.cycle, engine.round, leader, event, level, *detail))
+        emit(engine, leader, event, level, *detail)
+
+    monkeypatch.setattr(WaveEngine, "_emit", recording)
     sim = small_sim(n=256, rate=2, cycles=3)
     sim.run()
-    assert sim.merge_events
-    gc.collect()
-    for event in sim.merge_events:
-        assert type(event) is tuple
-        assert not gc.is_tracked(event)
+    log = sim.merge_events
+    assert len(log) == len(emitted) > 0
+    assert list(log) == emitted
+    assert all(type(event) is tuple for event in log)
+    held = [part for part in gc.get_referents(log) if part is not MergeLog]
+    assert held and all(type(part) is array for part in held)
     assert sim.world.attach_adj
     assert all(sim.world.attach_adj.values())
     schedule = sim.schedule
@@ -460,6 +472,36 @@ def test_schedule_and_query_store_hold_few_bytes_per_event():
     queries = len(gen_queries(100, schedule, 0.0006))
     assert queries > 10_000
     assert (held - empty) / queries < 40, (held - empty) / queries
+
+
+def test_run_records_hold_few_bytes_per_event():
+    # a merge event takes about 24 B in the run's MergeLog (a tuple in a
+    # list took about 94) and an id-keyed round map about 4 B per id
+    # allocated (a dict took 11-55 B per id). A full collection also empties
+    # the free lists, so what a record held is what dropping it frees
+    sim = small_sim(n=512, rate=2, cycles=4)
+
+    def dropped(owner, name):
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        setattr(owner, name, None)
+        gc.collect()
+        return before - tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        sim.run()
+        events, ids = len(sim.merge_events), len(sim.world.heights)
+        held = dropped(sim, "merge_events")
+        maps = [dropped(owner, name) for owner, name in (
+            (sim.world, "departed_round"), (sim.world, "heights"),
+            (sim, "entered_live"), (sim, "removed_clean"))]
+    finally:
+        tracemalloc.stop()
+    assert events > 1000 and ids > 1000
+    assert held / events < 32, held / events
+    for size in maps:
+        assert size / ids < 8, (size / ids, maps)
 
 
 def test_simulation_makes_no_cyclic_garbage():

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -110,7 +111,7 @@ def test_wave_monotone_activation():
         # a group keeps its leader for life, and no key leads two groups
         groups = {g.leader: g for g in engine.active}
         groups.update((g.leader, g) for g, _, _ in engine.group_spans)
-        for ev in map(event_record, engine.events[seen:]):
+        for ev in map(event_record, islice(engine.events, seen, None)):
             if ev["event"] == "merged_at_level":
                 for key in groups[ev["group_leader"]].members:
                     merged_at.setdefault((key, ev["level"]), ev["round"])

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from churnskip.errors import InconsistentWorld, MessageBudgetExceeded, PeerDeparted
 from churnskip.params import SimParams
-from churnskip.simcore import World
+from churnskip.simcore import IdMap, World
 from churnskip.work import RoundWork
 from world_reference import validate_world
 
@@ -163,3 +164,37 @@ def test_message_conservation_per_round():
     assert [r.messages_sent for r in world.ledger.rows] == [4, 1]
     assert world.ledger.category_totals["queries"] == 1
     assert world.ledger.category_totals["covering"] == 3
+
+
+# ids as the simulator meets them: dense ones, the skip list's sentinels
+# (-2, -1, 10**18, 10**18 + 1) and ghosts from n**3 // 2 up
+_ids = st.one_of(st.integers(0, 200), st.sampled_from([-2, -1, 10**18, 10**18 + 1]),
+                 st.integers(-(2**40), -1), st.integers(5 * 10**5, 2**62))
+
+
+@given(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 2**31 - 1)), max_size=60),
+       st.lists(_ids, max_size=40))
+def test_id_map_answers_like_a_dict(writes, reads):
+    m, d = IdMap(), {}
+    for key, value in writes:
+        m[key] = value
+        d[key] = value
+    size = len(m.slots)
+    for key in reads + [key for key, _ in writes]:
+        assert m.get(key) == d.get(key)
+        assert m.get(key, "none") == d.get(key, "none")
+        assert (key in m) == (key in d)
+        if key in d:
+            assert m[key] == d[key]
+        else:
+            with pytest.raises(KeyError):
+                m[key]
+    # a read, of a sentinel or a ghost too, never grows the array
+    assert len(m.slots) == size
+    assert len(m) == len(d)
+    assert list(m.items()) == sorted(d.items())
+    assert list(m) == sorted(d)
+    for key, value in ((-1, 0), (-2, 5), (0, -1)):
+        with pytest.raises(ValueError):
+            m[key] = value
+    assert list(m.items()) == sorted(d.items()) and len(m.slots) == size
