@@ -5,11 +5,17 @@ so its header (seed, n, rate, strategy, bootstrap) fixes every round. One
 generator draws the rounds as they are read, for the schedule's whole life:
 a run draws each round when it reaches it, and whatever reads the schedule
 whole (its lifetimes, serialization) first draws it to a nominal horizon. A
-run past that horizon draws on to the rounds it reaches. The query stream
-reads only the rounds to the nominal horizon, so it is the same however far
-a run goes. The tests load schedule text back by redrawing its header and
-checking every round of the text against the redraw
-(``tests/adversary_reference.py``).
+run past that horizon draws on to the rounds it reaches. The tests load
+schedule text back by redrawing its header and checking every round of the
+text against the redraw (``tests/adversary_reference.py``).
+
+The query stream has one generator too, with its own RNG stream. Its pools
+(the ids that leave or join before the nominal horizon) need the schedule
+drawn to that horizon, so priming it draws the schedule whole; it then
+draws the queries of each round when asked: a run a block at a time, as
+its clock reaches the end of the last, and ``gen_queries`` all at once.
+It reads only the rounds to the nominal horizon, so it is the same however
+far a run goes.
 
 A schedule keeps its draw in flat integer arrays, with no object per round,
 join or id. A churn event is one departure and one join. Each event keeps
@@ -40,7 +46,7 @@ import math
 import random
 from array import array
 from collections import deque
-from collections.abc import Generator, Iterator
+from collections.abc import Generator, Iterator, MutableSequence
 from itertools import chain, compress, cycle, islice, repeat
 from operator import ne
 from typing import NamedTuple
@@ -53,8 +59,9 @@ from .simcore import collection_paused
 # builds a NamedTuple without the frame of its Python-level __new__
 _new = tuple.__new__
 
-# rounds a run draws at once: a round drawn alone between the run's other
-# work costs about twice as much as one drawn in a block
+# rounds a run draws at once, of churn and of queries: a round of churn
+# drawn alone between the run's other work costs about twice as much as
+# one drawn in a block
 _DRAW_AHEAD = 1024
 
 
@@ -325,17 +332,33 @@ class Query(NamedTuple):
     s: int
 
 
-@collection_paused
-def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
-                ) -> list[Query]:
-    """Membership queries over alive sources; targets mix present, departed,
-    not-yet-joined, and never-existing keys so that every ground-truth class
-    occurs."""
+Column = MutableSequence[int]
+
+
+def query_stream(seed_adv: int, schedule: ChurnSchedule, density: float,
+                 xs: Column, rs: Column, ss: Column
+                 ) -> Generator[int, int, None] | None:
+    """The query stream over `schedule`, primed, or None at density 0: each
+    ``send(upto)`` appends the targets, rounds and sources of the queries
+    of the rounds below `upto` to `xs`, `rs` and `ss`, and gives the rounds
+    drawn so far, at most the nominal horizon. Its pools are those of the
+    rounds to the nominal horizon, so priming it draws the schedule whole."""
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
-    queries: list[Query] = []
     if density == 0.0:
-        return queries
+        return None
+    stream = _draw_queries(seed_adv, schedule, density, xs, rs, ss)
+    next(stream)
+    return stream
+
+
+def _draw_queries(seed_adv: int, schedule: ChurnSchedule, density: float,
+                  xs: Column, rs: Column, ss: Column
+                  ) -> Generator[int, int, None]:
+    """Membership queries over alive sources, drawn round by round to the
+    nominal horizon; targets mix present, departed, not-yet-joined, and
+    never-existing keys so that every ground-truth class occurs. The
+    alive set is replayed from the schedule's arrays."""
     rng = random.Random(seed_adv ^ 0x5EED)
     roll_next, getrandbits = rng.random, rng.getrandbits
     n, bootstrap, nominal = schedule.n, schedule.bootstrap, schedule.nominal
@@ -344,60 +367,81 @@ def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
     schedule._drawn_whole()
     first, leaves = schedule._first, schedule._leaves
     events = first[nominal]
-    # swap-remove alive list, and each id's index in it (stale once the id
-    # has left): a list by id is faster than a dict, and lives only here
-    alive = list(range(n))
-    pos = alive + [0] * events
+    # swap-remove alive list, and the index in it of each id to the
+    # nominal horizon (stale once the id has left). The state lives as
+    # long as the stream, so it is kept in 4-byte arrays
+    alive = array("i", range(n))
+    pos = alive + array("i", bytes(4 * events))
     joined = range(n, n + events)
-    # the ids that leave before it, in id order
+    # the ids that leave before the nominal horizon, in id order
     left = bytearray(n + events)
     for node in leaves[:events]:
         left[node] = 1
-    gone = list(compress(range(n + events), left))
+    gone = array("i", compress(range(n + events), left))
+    del left
     ghosts = range(n ** 3 // 2, n ** 3 // 2 + n)  # ids no schedule ever allocates
     gone_draw = gone, len(gone), len(gone).bit_length()
     joined_draw = joined, len(joined), len(joined).bit_length()
     ghost_draw = ghosts, n, n.bit_length()
     expected = density * n
     whole, frac = int(expected), expected % 1
-    append = queries.append
-    event = 0
-    # an index walk over the events: a slice per round would cost more
-    for rnd, end in zip(range(nominal), islice(first, 1, None)):
-        joiner = n + event
-        while event < end:
-            node = leaves[event]
-            i = pos[node]
-            last = alive.pop()
-            if last != node:
-                alive[i] = last
-                pos[last] = i
-            event += 1
-        while joiner < n + end:
-            pos[joiner] = len(alive)
-            alive.append(joiner)
-            joiner += 1
-        if rnd < bootstrap:
-            continue
-        count = whole + (1 if roll_next() < frac else 0)
-        size = len(alive)
-        bits = size.bit_length()
-        for _ in range(count):
-            j = getrandbits(bits)
-            while j >= size:
+    add_x, add_r, add_s = xs.append, rs.append, ss.append
+    drawn = event = 0
+    upto = yield drawn
+    while True:
+        stop = max(drawn, min(upto, nominal))
+        # an index walk over the events: a slice per round would cost more
+        for rnd, end in zip(range(drawn, stop), first[drawn + 1:stop + 1]):
+            joiner = n + event
+            while event < end:
+                node = leaves[event]
+                i = pos[node]
+                last = alive.pop()
+                if last != node:
+                    alive[i] = last
+                    pos[last] = i
+                event += 1
+            while joiner < n + end:
+                pos[joiner] = len(alive)
+                alive.append(joiner)
+                joiner += 1
+            if rnd < bootstrap:
+                continue
+            count = whole + (1 if roll_next() < frac else 0)
+            size = len(alive)
+            bits = size.bit_length()
+            for _ in range(count):
                 j = getrandbits(bits)
-            s = alive[j]
-            roll = roll_next()
-            if roll < 0.55 or roll >= 0.9 and not joined:
-                pool, m, b = alive, size, bits
-            elif roll < 0.8 and gone:
-                pool, m, b = gone_draw
-            elif roll < 0.9:
-                pool, m, b = ghost_draw
-            else:
-                pool, m, b = joined_draw
-            j = getrandbits(b)
-            while j >= m:
+                while j >= size:
+                    j = getrandbits(bits)
+                s = alive[j]
+                roll = roll_next()
+                if roll < 0.55 or roll >= 0.9 and not joined:
+                    pool, m, b = alive, size, bits
+                elif roll < 0.8 and gone:
+                    pool, m, b = gone_draw
+                elif roll < 0.9:
+                    pool, m, b = ghost_draw
+                else:
+                    pool, m, b = joined_draw
                 j = getrandbits(b)
-            append(_new(Query, (pool[j], rnd, s)))
-    return queries
+                while j >= m:
+                    j = getrandbits(b)
+                add_x(pool[j])
+                add_r(rnd)
+                add_s(s)
+        drawn = stop
+        upto = yield drawn
+
+
+@collection_paused
+def gen_queries(seed_adv: int, schedule: ChurnSchedule, density: float
+                ) -> list[Query]:
+    """The whole query stream, to the nominal horizon, as `Query` tuples:
+    the queries a `Simulation` without given queries draws as its clock
+    reaches them, and serves in this order."""
+    drawn = [], [], []
+    stream = query_stream(seed_adv, schedule, density, *drawn)
+    if stream is not None:
+        stream.send(schedule.nominal)
+    return list(map(_new, repeat(Query), zip(*drawn)))

@@ -17,7 +17,10 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .adversary import ChurnSchedule, Query, gen_queries, gen_schedule
+from . import adversary
+# gen_queries is looked up here by callers that give a run its queries
+from .adversary import (ChurnSchedule, Query, gen_queries,  # noqa: F401
+                        gen_schedule, query_stream)
 from .errors import (COMMITTEE_DESTROYED, LIVE_MISMATCH, QUERY_TIMEOUT, STALLED,
                      InconsistentWorld)
 from .params import SimParams
@@ -75,19 +78,28 @@ class Simulation:
         self.schedule = schedule if schedule is not None else gen_schedule(
             params.seed_adv, params.n, params.churn_rate, horizon,
             params.strategy)
-        if queries is None and params.query_density > 0:
-            queries = gen_queries(params.seed_adv, self.schedule,
-                                  params.query_density)
         # the queries in the order they are served: by round, and in the
         # given order within a round. _next_query is the first not served,
-        # and _query_round its round (-1 once all are); the clock starts at
-        # round 0, so a query of a negative round is never served
+        # and _query_round its round, or once all drawn are served the
+        # round that draws the stream's next block (None once none is
+        # left); the clock starts at round 0, so a query of a negative
+        # round is never served
+        drawing = queries is None
         queries = sorted(queries or (), key=itemgetter(1))
         xs, rs, ss = zip(*queries) if queries else ((), (), ())
-        self.query_x, self.query_r, self.query_s = (
+        self.query_x, self.query_r, self.query_s = xs, rs, ss = (
             array("q", xs), array("q", rs), array("q", ss))
+        # without given queries, the stream is drawn a block at a time as
+        # the clock reaches it, and _queries_end is the first round not
+        # drawn until it is drawn to the nominal horizon
+        self._queries = self._queries_end = None
+        if drawing:
+            self._queries = query_stream(params.seed_adv, self.schedule,
+                                         params.query_density, xs, rs, ss)
+            if self._queries is not None:
+                self._draw_query_block(adversary._DRAW_AHEAD)
         i = self._next_query = bisect_left(rs, 0)
-        self._query_round = rs[i] if i < len(rs) else -1
+        self._query_round = rs[i] if i < len(rs) else self._queries_end
         self.clean = SkipNet("C")
         self.overlay = None
         self.joiner_backlog: list[int] = []
@@ -142,14 +154,17 @@ class Simulation:
         world = self.world
         world.cycle_phase = phase
         if world.round == self._query_round:
-            # the round's queries, from the first not yet served
+            # the round's queries, from the first not yet served; the clock
+            # at the end of the drawn block first draws the next
             rnd, i = self._query_round, self._next_query
             xs, rs, ss = self.query_x, self.query_r, self.query_s
+            if i == len(rs):
+                self._draw_query_block(rnd + adversary._DRAW_AHEAD)
             while i < len(rs) and rs[i] == rnd:
                 self._serve_query(xs[i], rnd, ss[i])
                 i += 1
             self._next_query = i
-            self._query_round = rs[i] if i < len(rs) else -1
+            self._query_round = rs[i] if i < len(rs) else self._queries_end
         # bound per call: a hook stored on the world would make a cycle
         world.run_round(self.schedule, self._on_depart, self._on_join)
         if world.phase_tag == MAINTENANCE and \
@@ -163,6 +178,15 @@ class Simulation:
             else:
                 self._cover_lost(node)
         self._pending_covers.clear()
+
+    def _draw_query_block(self, upto: int) -> None:
+        """Draw the query stream through the rounds below `upto`; the
+        stream and its state go once it is drawn to the nominal horizon."""
+        drawn = self._queries.send(upto)
+        if drawn < self.schedule.nominal:
+            self._queries_end = drawn
+        else:
+            self._queries = self._queries_end = None
 
     def _play(self, rows: Iterable[RoundWork], category: str, phase: str) -> int:
         """Charge one row per world round; returns the rounds played."""

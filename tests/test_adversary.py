@@ -270,7 +270,9 @@ def test_run_past_the_nominal_horizon_completes_every_cycle():
                        horizon_cycles=5, query_density=0.05)
     sim = Simulation(params)
     nominal = horizon(sim.schedule)
-    queries = len(sim.query_r)   # drawn to round 1100
+    # the stream to round 1100, drawn over the same schedule header
+    queries = len(gen_queries(params.seed_adv, gen_schedule(
+        params.seed_adv, params.n, params.churn_rate, nominal), params.query_density))
     sim.bootstrap_all()
     for _ in range(params.horizon_cycles):
         sim.run_cycle()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from churnskip import adversary, maintenance, metrics
+from churnskip import adversary, cli, maintenance, metrics
 from churnskip.adversary import Query, gen_queries, gen_schedule
 from churnskip.errors import (COMMITTEE_DESTROYED, LIVE_MISMATCH, STALLED, DirtyLabels,
                               RateTooHigh)
@@ -607,3 +607,75 @@ def test_served_queries_are_the_drawn_list(strategy):
     served = [Query(q.x, q.r, q.s) for q in sim.query_log]
     assert served
     assert served == [q for q in drawn if q.r < sim.world.round]
+
+
+@pytest.mark.parametrize("ahead", [1, 7, adversary._DRAW_AHEAD])
+@pytest.mark.parametrize("strategy, seed", [*((s, 5) for s in STRATEGIES),
+                                            ("uniform_random", 1)])
+def test_queries_drawn_in_blocks_are_the_stream_to_the_last_block(
+        monkeypatch, strategy, seed, ahead):
+    # a run draws its queries a block of `ahead` rounds at a time, when the
+    # clock reaches the end of the last block, so the blocks end at
+    # multiples of `ahead` and at the nominal horizon (1100). What the run
+    # holds is the whole stream up to the end of its last block. At seed 5
+    # the runs stop 125-425 rounds before the nominal horizon, and burst's
+    # quiet rounds have queries and no churn; at seed 1 the run goes on to
+    # round 1241 and holds the whole stream
+    monkeypatch.setattr(adversary, "_DRAW_AHEAD", ahead)
+    params = SimParams(n=128, seed_adv=seed, seed_alg=seed + 1, churn_rate=3,
+                       horizon_cycles=5, query_density=0.05, strategy=strategy)
+    sim = Simulation(params)
+    nominal = sim.schedule.nominal
+    assert all(r < ahead for r in sim.query_r)
+    sim.run()
+    reached = sim.world.round          # the rounds run: 0 to reached - 1
+    end = min(nominal, ((reached - 1) // ahead + 1) * ahead)
+    whole = gen_queries(seed, gen_schedule(seed, 128, 3, nominal, strategy), 0.05)
+    reference = adversary_reference.gen_queries(seed, adversary_reference.gen_schedule(
+        seed, 128, 3, nominal, strategy), 0.05)
+    held = [Query(*q) for q in zip(sim.query_x, sim.query_r, sim.query_s)]
+    assert held == [q for q in whole if q.r < end]
+    assert held == [q for q in reference if q.r < end]
+    served = [Query(q.x, q.r, q.s) for q in sim.query_log]
+    assert served == [q for q in whole if q.r < reached]
+    if seed == 1:
+        assert reached > nominal and held == whole
+    else:
+        assert end < nominal and len(held) < len(whole)
+
+
+def test_simulation_draws_one_query_block_from_little_state():
+    # configs/churny.cfg's settings: the constructor draws the queries of
+    # the first block only, not the stream to the nominal horizon (12,278
+    # queries over 20,168 rounds). The stream's state, the replayed alive
+    # set with each id's index in it and the pools, takes about 8.4 B per
+    # schedule id, both when primed and once drawn to its last round
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "churny.cfg"
+    params = cli.params_from_config(cli.parse_config(cfg.read_text()))
+    ahead = adversary._DRAW_AHEAD
+    sim = Simulation(params)
+    schedule = sim.schedule
+    whole = gen_queries(params.seed_adv, schedule, params.query_density)
+    assert len(whole) > 10_000
+    assert sim.query_r and max(sim.query_r) < ahead
+    assert len(sim.query_r) == sum(q.r < ahead for q in whole) < len(whole) // 10
+    ids = params.n + len(schedule._hosts)
+    drawn = [], [], []      # kept: dropping the stream frees only its state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stream = adversary.query_stream(params.seed_adv, schedule,
+                                        params.query_density, *drawn)
+        held = tracemalloc.get_traced_memory()[0] - before
+        stream.send(schedule.nominal - 1)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        del stream
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(drawn[1]) == len(whole) - sum(q.r == schedule.nominal - 1 for q in whole)
+    assert held / ids < 10, held / ids
+    assert freed / ids < 10, freed / ids
