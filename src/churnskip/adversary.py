@@ -21,9 +21,10 @@ A schedule keeps its draw in flat integer arrays, with no object per round,
 join or id. A churn event is one departure and one join. Each event keeps
 its leaving id and its joiner's attach host; its joiner is ``n + event
 index``, since joined ids run consecutively from n. An offset array gives
-each round's first event. Every churning round has ``rate`` events, so
-event e falls in the (e // rate)-th round that churns. The lifetimes are
-built when asked for.
+each round's first event, so event e falls in the last round whose first
+event is at most e. A lifetime read indexes each id's leaving event over
+the events drawn since the last read. Only the schedule reads these
+arrays; the query stream reads ``churn_events`` and ``leaves_before``.
 Strategies:
 
 * uniform_random: departures sampled uniformly among the alive.
@@ -45,10 +46,9 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import deque
+from bisect import bisect_right
 from collections.abc import Generator, Iterator, MutableSequence
 from itertools import chain, compress, cycle, islice, repeat
-from operator import ne
 from typing import NamedTuple
 
 from .errors import HorizonTooShort, RateTooHigh
@@ -84,10 +84,9 @@ class ChurnSchedule:
         self._first = array("q", [0])
         self._leaves = array("q")
         self._hosts = array("q")
-        # the rounds that have churn, and each allocated id's leaving event
-        # (-1 where it has none), built when a lifetime is asked for
-        self._churning = array("q")
-        self._left = array("q")
+        # each id's leaving event, -1 where it has none, over the ids of
+        # the events indexed so far: extended when a lifetime is asked for
+        self._left = array("i", [-1]) * n
         # holds the arrays, never the schedule, so no cycle forms
         self._drawer = _draw_rounds(n, seed, strategy, rate, bootstrap,
                                     self._first, self._leaves, self._hosts)
@@ -97,17 +96,6 @@ class ChurnSchedule:
     def drawn(self) -> int:
         """The rounds drawn so far."""
         return len(self._first) - 1
-
-    def _lifetimes(self) -> tuple[array, array]:
-        """`_churning` and `_left` over the schedule read whole, built again
-        once a run has drawn more events."""
-        first, leaves = self._first, self._leaves
-        if len(self._left) < self.n + len(leaves) or len(first) <= self.nominal:
-            rounds = range(self._drawn_whole())
-            self._churning = array("q", compress(rounds, map(ne, first[1:], first)))
-            left = self._left = array("q", [-1]) * (self.n + len(leaves))
-            deque(map(left.__setitem__, leaves, range(len(leaves))), 0)
-        return self._churning, self._left
 
     def _drawn_whole(self) -> int:
         if len(self._first) <= self.nominal:
@@ -145,15 +133,25 @@ class ChurnSchedule:
     def lifetime(self, key: int) -> tuple[int, int | None]:
         """(join round, leave round or None); an original node joined in
         round 0, and a key no id has, a sentinel or a ghost, is (0, None)."""
-        churning, left = self._lifetimes()
+        self._drawn_whole()
+        first, leaves, left = self._first, self._leaves, self._left
+        # an id leaves after its join, so its slot exists by its leave event
+        for event in range(len(left) - self.n, len(leaves)):
+            left.append(-1)
+            left[leaves[event]] = event
         # a negative sentinel would index from the end of the array
         if not 0 <= key < len(left):
             return 0, None
-        # a joined id is n + the index of its event, and every churning
-        # round has `rate` events
-        rate, event = self.rate, left[key]
-        start = churning[(key - self.n) // rate] if key >= self.n else 0
-        return start, None if event < 0 else churning[event // rate]
+        # a joined id is n + the index of its event; a round with no churn
+        # has the first event of the round after it
+        event = left[key]
+        start = bisect_right(first, key - self.n) - 1 if key >= self.n else 0
+        return start, None if event < 0 else bisect_right(first, event) - 1
+
+    def leaves_before(self, round_no: int) -> array:
+        """The ids that leave before round `round_no`, in leave order."""
+        self._draw(round_no)
+        return self._leaves[:self._first[round_no]]
 
     def ever_known(self, key: int) -> bool:
         # the ids below the end were all allocated: the original nodes below
@@ -248,8 +246,8 @@ def _draw_rounds(n: int, seed: int, strategy: str, rate: int, bootstrap: int,
                  ) -> Generator[tuple[int, list[int], list[int], list[int]], int, None]:
     """Rounds 0, 1, ... as the header draws them: each ``send(k)`` draws k
     more. A round appends its events to `leaves` and `hosts` and its end to
-    `first`; a send gives its first event and its events' leaving ids,
-    joined ids and attach hosts as lists of the ids' own objects."""
+    `first`; a send yields its first event and its leaving ids, joined ids
+    and attach hosts as lists of the ids' own objects (``_recent``)."""
     getrandbits = random.Random(seed).getrandbits
     # swap-remove alive list keeps every per-round operation O(rate); it
     # keeps n members, since a round has as many joins as leaves. pos holds
@@ -358,27 +356,29 @@ def _draw_queries(seed_adv: int, schedule: ChurnSchedule, density: float,
     """Membership queries over alive sources, drawn round by round to the
     nominal horizon; targets mix present, departed, not-yet-joined, and
     never-existing keys so that every ground-truth class occurs. The
-    alive set is replayed from the schedule's arrays."""
+    alive set is replayed from the schedule's ``churn_events``, and the
+    departed pool comes from its ``leaves_before``."""
     rng = random.Random(seed_adv ^ 0x5EED)
     roll_next, getrandbits = rng.random, rng.getrandbits
     n, bootstrap, nominal = schedule.n, schedule.bootstrap, schedule.nominal
-    # the rounds and pools to the nominal horizon: a run that went past it
-    # has drawn more, which changes no query
-    schedule._drawn_whole()
-    first, leaves = schedule._first, schedule._leaves
-    events = first[nominal]
+    churn_events = schedule.churn_events
+    # the pools of the rounds to the nominal horizon, which this draws: a
+    # run that went past it has drawn more, which changes no query. An
+    # event is one leave and one join, so as many ids join as leave
+    leaving = schedule.leaves_before(nominal)
+    events = len(leaving)
     # swap-remove alive list, and the index in it of each id to the
     # nominal horizon (stale once the id has left). The state lives as
     # long as the stream, so it is kept in 4-byte arrays
     alive = array("i", range(n))
     pos = alive + array("i", bytes(4 * events))
     joined = range(n, n + events)
-    # the ids that leave before the nominal horizon, in id order
+    # the ids that leave before it, in id order: marking beats sorting by 30%
     left = bytearray(n + events)
-    for node in leaves[:events]:
+    for node in leaving:
         left[node] = 1
     gone = array("i", compress(range(n + events), left))
-    del left
+    del left, leaving
     ghosts = range(n ** 3 // 2, n ** 3 // 2 + n)  # ids no schedule ever allocates
     gone_draw = gone, len(gone), len(gone).bit_length()
     joined_draw = joined, len(joined), len(joined).bit_length()
@@ -386,25 +386,21 @@ def _draw_queries(seed_adv: int, schedule: ChurnSchedule, density: float,
     expected = density * n
     whole, frac = int(expected), expected % 1
     add_x, add_r, add_s = xs.append, rs.append, ss.append
-    drawn = event = 0
+    drawn = 0
     upto = yield drawn
     while True:
         stop = max(drawn, min(upto, nominal))
-        # an index walk over the events: a slice per round would cost more
-        for rnd, end in zip(range(drawn, stop), first[drawn + 1:stop + 1]):
-            joiner = n + event
-            while event < end:
-                node = leaves[event]
+        for rnd in range(drawn, stop):
+            out, joins = churn_events(rnd)
+            for node in out:
                 i = pos[node]
                 last = alive.pop()
                 if last != node:
                     alive[i] = last
                     pos[last] = i
-                event += 1
-            while joiner < n + end:
+            for joiner, _ in joins:
                 pos[joiner] = len(alive)
                 alive.append(joiner)
-                joiner += 1
             if rnd < bootstrap:
                 continue
             count = whole + (1 if roll_next() < frac else 0)

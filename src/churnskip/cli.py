@@ -1,4 +1,4 @@
-"""Experiment harness: simulate, validate, bench.
+"""Experiment harness: simulate and validate.
 
 Configs are plain key = value text; churn_rate_expr accepts arithmetic over
 n (e.g. "n/(10*log2(n)^2)"). Exit code of `simulate` is 0 exactly when the
@@ -12,7 +12,6 @@ import ast
 import json
 import math
 import operator
-import random
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -26,7 +25,6 @@ from .phase_buffer import create_buffer
 from .phase_delete import delete_phase
 from .phase_merge import event_record, wave_merge
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, key_name, oracle_build
-from .work import totals
 
 _OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -256,33 +254,6 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args) -> int:
-    from .phase_merge import WaveEngine
-    from .skiplist import sample_height
-
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    print(f"{'n':>6} {'merge_rounds':>12} {'rounds/log2n':>12} "
-          f"{'del_work/red':>12} {'bound':>8}")
-    for n in sizes:
-        rng = random.Random(args.seed)
-        pool = rng.sample(range(20 * n), 2 * n)
-        c_keys, b_keys = sorted(pool[:n]), sorted(pool[n:])
-        heights = {k: sample_height(rng) for k in pool}
-        clean = oracle_build(c_keys, [heights[k] for k in c_keys])
-        buf, _, _ = create_buffer(b_keys, heights)
-        engine = WaveEngine(clean, buf)
-        summary = engine.run()
-        reds = set(rng.sample(c_keys, max(1, n // 10)))
-        victim = oracle_build(c_keys, [heights[k] for k in c_keys])
-        _, rows = delete_phase(victim, reds)
-        per_red = sum(totals(rows)) / len(reds)
-        bound = math.log2(n) ** 3
-        print(f"{n:>6} {summary.rounds_used:>12} "
-              f"{summary.rounds_used / math.log2(n):>12.2f} "
-              f"{per_red:>12.1f} {bound:>8.0f}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="churnskip")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -298,11 +269,6 @@ def main(argv=None) -> int:
     val.add_argument("path", nargs="?")
     val.add_argument("--fixture", choices=("delete", "create", "merge"))
     val.set_defaults(fn=cmd_validate)
-
-    ben = sub.add_parser("bench", help="size sweep of merge rounds and delete work")
-    ben.add_argument("--sizes", default="256,512,1024,2048,4096")
-    ben.add_argument("--seed", type=int, default=1)
-    ben.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
     if args.cmd == "validate" and bool(args.path) == bool(args.fixture):

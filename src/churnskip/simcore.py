@@ -10,8 +10,8 @@ Both paths check the per-node send cap, and every charge lands in the row
 of the round the clock is in. The churn hooks that react to a departure
 or a join are passed to each run_round call, never stored on the world,
 so a world and its owner hold no reference cycle. What the world keeps
-per id (its height, its departure round) is an IdMap: one int array
-indexed by id, since ids are dense.
+per id, its height, is an IdMap: one int array indexed by id, since ids
+are dense.
 """
 
 from __future__ import annotations
@@ -170,7 +170,6 @@ class World:
         self.cycle_phase = "-"
         self.rng_alg = random.Random(params.seed_alg)
         self.alive: set[int] = set()
-        self.departed_round = IdMap()
         self.heights = IdMap()
         self.ledger = WorkLedger()
         self.failures: list[FailureEvent] = []
@@ -268,7 +267,6 @@ class World:
             if node not in self.alive:
                 continue
             self.alive.discard(node)
-            self.departed_round[node] = self.round
             self._row.churn_out += 1
             for peer in self.attach_adj.pop(node, ()):
                 peers = self.attach_adj[peer]

@@ -9,7 +9,7 @@ import multiprocessing
 import os
 import random
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
@@ -79,7 +79,7 @@ def corpus_figures(seed: int) -> dict:
         "audits": sim.covering_audits,
         "lost_covers": sum(1 for f in sim.world.failures
                            if f.kind == COMMITTEE_DESTROYED),
-        "departures": len(sim.world.departed_round),
+        "departures": sim.world.ledger.totals()["churn_out"],
     }
 
 
@@ -216,8 +216,8 @@ def test_criterion_4_merge_round_scaling():
             clean = oracle_build(c_keys, [heights[k] for k in c_keys])
             buf, _ = raise_levels(b_keys, {k: heights[k] for k in b_keys})
             engine = WaveEngine(clean, buf)
-            summary = engine.run()
-            rounds.append(summary.rounds_used)
+            deque(engine.rounds(), 0)
+            rounds.append(engine.summary.rounds_used)
         per_log[n] = sum(rounds) / len(rounds) / math.log2(n)
     fit = per_log[256]
     worst = max(per_log.values())

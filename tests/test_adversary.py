@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -250,8 +251,12 @@ def test_round_past_the_end_extends_the_schedule():
     for strategy in STRATEGIES:
         short = gen_schedule(4, 128, 3, horizon=200, strategy=strategy)
         long = gen_schedule(4, 128, 3, horizon=900, strategy=strategy)
+        # a lifetime read before each draw past the end indexes the events
+        # drawn so far, so the reads below extend the index twice
+        short.lifetime(0)
         assert churn_for(short, 300) == rounds(long)[300]
         assert horizon(short) == 301             # drawn through the round read
+        short.lifetime(0)
         assert churn_for(short, 650) == rounds(long)[650]
         assert horizon(short) == 651
         assert rounds(short) == rounds(long)[:651]
@@ -261,6 +266,19 @@ def test_round_past_the_end_extends_the_schedule():
             {k: r for k, r in _keyed(leave_rounds(long)).items() if r < 651}
         assert len(join_rounds(short)) == len(leave_rounds(short)) == \
             128 + sum(len(rc.joins) for rc in rounds(short))
+
+
+def test_query_stream_reads_only_the_schedule_interface():
+    # a stand-in with nothing of the schedule but its header fields and
+    # the two reads the stream may make draws the schedule's own queries
+    for strategy in STRATEGIES:
+        real = gen_schedule(8, 128, 3, horizon=400, strategy=strategy)
+        drawn_by = gen_schedule(8, 128, 3, horizon=400, strategy=strategy)
+        stand_in = SimpleNamespace(
+            n=drawn_by.n, bootstrap=drawn_by.bootstrap, nominal=drawn_by.nominal,
+            churn_events=drawn_by.churn_events, leaves_before=drawn_by.leaves_before)
+        queries = gen_queries(8, stand_in, 0.05)
+        assert queries and queries == gen_queries(8, real, 0.05), strategy
 
 
 def test_run_past_the_nominal_horizon_completes_every_cycle():

@@ -304,11 +304,3 @@ def test_validate_with_path_and_fixture_is_usage_error(capsys):
     assert exc.value.code == 2
     assert "not both" in capsys.readouterr().err
 
-
-def test_bench_runs_and_empty_sweep(capsys):
-    assert main(["bench", "--sizes", "64,128"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split()[:2] == ["n", "merge_rounds"]
-    assert [row.split()[0] for row in rows] == ["64", "128"]
-    assert all(int(row.split()[1]) > 0 for row in rows)
-    assert main(["bench", "--sizes", ""]) == 0

@@ -69,8 +69,9 @@ def test_churned_keys_eventually_leave_clean():
     alive = sim.world.alive
     keys = set(sim.clean.heights)
     # a key departing in cycle c is out of the structure by end of c+1
-    for key, rnd in sim.world.departed_round.items():
-        if rnd < sim.cycles[-2].start_round:
+    for key in sim.world.heights:
+        _, left = sim.schedule.lifetime(key)
+        if left is not None and left < sim.cycles[-2].start_round:
             assert key not in keys
     # a key joining in cycle c that survives is live by end of cycle c+1
     for key in alive:
@@ -208,7 +209,6 @@ def test_committee_destroyed_is_counted_not_fatal():
     for node in rest:
         sim.overlay.remove_member(node)
     sim.world.alive.discard(victim)
-    sim.world.departed_round[victim] = sim.world.round
     sim._on_depart(victim)
     kinds = [f.kind for f in sim.world.failures]
     assert "CommitteeDestroyed" in kinds
@@ -228,7 +228,6 @@ def test_cover_lost_within_its_round_fails_and_stalls(monkeypatch):
     addr = sim.overlay.addrs[0]
     victim, *rest = sorted(members(sim.overlay, addr))
     sim.world.alive.discard(victim)
-    sim.world.departed_round[victim] = sim.world.round
     sim._on_depart(victim)
     assert victim in sim.overlay.covered_index
     for node in rest:
@@ -252,7 +251,6 @@ def test_covered_key_answers_until_deleted():
     sim.bootstrap_all()
     key = 33
     sim.world.alive.discard(key)
-    sim.world.departed_round[key] = sim.world.round
     sim._on_depart(key)
     assert key in sim.overlay.covered_index
     before = sim._serve_query(*Query(x=key, r=sim.world.round, s=0))
@@ -347,7 +345,8 @@ def test_clean_keys_stay_answerable_every_round(monkeypatch, strategy, seed):
     assert COMMITTEE_DESTROYED not in {f.kind for f in sim.world.failures}
     assert not sim.uncovered
     # every departure is one cover that passed its end-of-round check
-    assert rounds and sim.covering_audits == len(sim.world.departed_round) > 0
+    departures = sim.world.ledger.totals()["churn_out"]
+    assert rounds and sim.covering_audits == departures > 0
 
 
 def _fail_one_merged_cover(sim, monkeypatch) -> list[int]:
@@ -397,7 +396,7 @@ def test_key_whose_cover_failed_is_deleted_at_next_delete_phase(monkeypatch):
     sim.run()
     assert victim
     key = victim[0]
-    departed = sim.world.departed_round[key]
+    departed = sim.schedule.lifetime(key)[1]
     cycle = next(c for c in sim.cycles if c.start_round > departed)
     assert sim.removed_clean[key] == cycle.start_round + cycle.phase_rounds[0]
     assert key not in sim.clean.heights and key not in sim.clean.live
@@ -410,8 +409,7 @@ def test_key_whose_cover_failed_is_deleted_at_next_delete_phase(monkeypatch):
 def test_run_records_stay_compact(monkeypatch):
     # what a run keeps for its whole length: merge events in typed arrays,
     # with no Python object per event, that iterate as the tuples emitted;
-    # attachment edges with no empty entry; and lifetime lists as long as
-    # the ids allocated
+    # and attachment edges with no empty entry
     emitted = []
     emit = WaveEngine._emit
 
@@ -433,7 +431,6 @@ def test_run_records_stay_compact(monkeypatch):
     schedule = sim.schedule
     allocated = 256 + sum(len(rc.joins) for rc in adversary_reference.rounds(schedule))
     assert schedule.ever_known(allocated - 1) and not schedule.ever_known(allocated)
-    assert len(schedule._lifetimes()[1]) == allocated
 
 
 def _held(build):
@@ -494,7 +491,7 @@ def test_run_records_hold_few_bytes_per_event():
         events, ids = len(sim.merge_events), len(sim.world.heights)
         held = dropped(sim, "merge_events")
         maps = [dropped(owner, name) for owner, name in (
-            (sim.world, "departed_round"), (sim.world, "heights"),
+            (sim.world, "heights"),
             (sim, "entered_live"), (sim, "removed_clean"))]
     finally:
         tracemalloc.stop()

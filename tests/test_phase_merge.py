@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from itertools import islice
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -147,7 +148,7 @@ def test_group_time_bound_against_classic_insertion():
         clean, buf, c_keys, b_keys, heights = random_pair(256, 256, seed)
         base = oracle_build(c_keys, [heights[k] for k in c_keys])
         engine = WaveEngine(clean, buf)
-        engine.run()
+        deque(engine.rounds(), 0)
         for group, born, done in engine.group_spans:
             biggest = max((m for m in group.members if m not in (BUF_LS, BUF_RS)),
                           default=None)
@@ -163,7 +164,7 @@ def test_group_time_bound_against_classic_insertion():
 def test_merge_time_shape():
     clean, buf, c_keys, b_keys, heights = random_pair(512, 512, 13)
     engine = WaveEngine(clean, buf)
-    engine.run()
+    deque(engine.rounds(), 0)
     top = buf.height
     for group, born, done in engine.group_spans:
         h = engine.walks[group.members[0]].height
