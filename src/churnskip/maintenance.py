@@ -6,6 +6,13 @@ structure (whose "11"-labeled ports and live flags are the live network).
 Phases compute structural outcomes through their engines and charge their
 work round by round while churn keeps arriving; covering keeps every
 departed node answerable throughout.
+
+The queries are served in the order of their stream, from its first query
+at round 0 or later, so the query log is columns parallel to it: each
+served query's answered round (8 B) and its answer and stalled flags (1 B
+each), about 10 B a query where a QueryOutcome with its ints took about
+214. x, r and s are read from the stream's arrays, and a QueryOutcome is
+built only when the log is read.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .phase_buffer import create_buffer
 from .phase_delete import delete_phase
 from .phase_merge import MergeLog, WaveEngine
 from .phase_update import live_equals_clean, update_phase
-from .simcore import MAINTENANCE, IdMap, World, collection_paused
+from .simcore import MAINTENANCE, IdMap, RecordView, World, collection_paused
 from .skiplist import BUF_LS, BUF_RS, SkipNet, search
 from .overlay import bootstrap_overlay, route_hops
 from .work import RoundWork
@@ -65,6 +72,34 @@ class QueryOutcome:
     @property
     def latency(self) -> int:
         return self.answered_round - self.r
+
+
+class QueryLog(RecordView):
+    """The outcomes of the served queries, as columns parallel to the query
+    stream (see the module docstring): outcome i is that of stream query
+    ``first + i``."""
+
+    def __init__(self, xs: array, rs: array, ss: array, first: int):
+        self._stream = xs, rs, ss
+        self.first = first
+        self.answered_round = array("q")
+        self.answer = bytearray()
+        self.stalled = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.answered_round)
+
+    def append(self, outcome: QueryOutcome) -> None:
+        """Log the outcome of stream query ``first + len(self)``."""
+        self.answered_round.append(outcome.answered_round)
+        self.answer.append(outcome.answer)
+        self.stalled.append(outcome.stalled)
+
+    def record(self, i: int) -> QueryOutcome:
+        j = self.first + i
+        xs, rs, ss = self._stream
+        return QueryOutcome(xs[j], rs[j], ss[j], bool(self.answer[i]),
+                            self.answered_round[i], bool(self.stalled[i]))
 
 
 class Simulation:
@@ -106,7 +141,7 @@ class Simulation:
         self.entered_live = IdMap()
         self.removed_clean = IdMap()
         self.cycles: list[CycleSummary] = []
-        self.query_log: list[QueryOutcome] = []
+        self.query_log = QueryLog(xs, rs, ss, self._next_query)
         # covers whose committee still had a live speaker at the end of
         # their round; every other departure is a COMMITTEE_DESTROYED failure
         self.covering_audits = 0
@@ -160,8 +195,9 @@ class Simulation:
             xs, rs, ss = self.query_x, self.query_r, self.query_s
             if i == len(rs):
                 self._draw_query_block(rnd + adversary._DRAW_AHEAD)
+            log = self.query_log
             while i < len(rs) and rs[i] == rnd:
-                self._serve_query(xs[i], rnd, ss[i])
+                log.append(self._serve_query(xs[i], rnd, ss[i]))
                 i += 1
             self._next_query = i
             self._query_round = rs[i] if i < len(rs) else self._queries_end
@@ -328,9 +364,7 @@ class Simulation:
         world.charge_msgs(s, hops - 1 + result.path_rounds, category="queries")
         if latency > self.params.cycle_budget:
             world.fail(QUERY_TIMEOUT, f"query {x} took {latency}")
-        outcome = QueryOutcome(x, r, s, answer, answered, result.stalled)
-        self.query_log.append(outcome)
-        return outcome
+        return QueryOutcome(x, r, s, answer, answered, result.stalled)
 
     # -- ground truth -------------------------------------------------------------------
 
@@ -341,19 +375,20 @@ class Simulation:
                       default=0)
         return max(longest, self.params.cycle_budget)
 
-    def classify_query(self, q: QueryOutcome | Query, budget: int) -> str:
-        """present / absent / mixed over [r, r+Q], from effective lifetimes,
-        where Q is budget (``q_budget()``)."""
-        window_end = q.r + budget
-        start, end = self.schedule.lifetime(q.x)
-        if not self.schedule.ever_known(q.x):
+    def classify_query(self, x: int, r: int, budget: int) -> str:
+        """present / absent / mixed for a query of x at round r over
+        [r, r+Q], from effective lifetimes, where Q is budget
+        (``q_budget()``)."""
+        window_end = r + budget
+        start, end = self.schedule.lifetime(x)
+        if not self.schedule.ever_known(x):
             return "absent"
-        live_from = self.entered_live.get(q.x)
-        if live_from is not None and live_from <= q.r and \
+        live_from = self.entered_live.get(x)
+        if live_from is not None and live_from <= r and \
                 (end is None or end > window_end):
             return "present"
-        removed = self.removed_clean.get(q.x)
-        if end is not None and end <= q.r and removed is not None and removed <= q.r:
+        removed = self.removed_clean.get(x)
+        if end is not None and end <= r and removed is not None and removed <= r:
             return "absent"
         if live_from is None and start > window_end:
             return "absent"
@@ -368,13 +403,14 @@ class Simulation:
             return kept[1]
         bad = []
         budget = self.q_budget()
-        for out in self.query_log:
-            cls = self.classify_query(out, budget)
-            if out.latency > budget:
-                bad.append(out)
-            elif cls == "present" and not out.answer:
-                bad.append(out)
-            elif cls == "absent" and out.answer:
-                bad.append(out)
+        log = self.query_log
+        first = log.first
+        served = zip(self.query_x[first:], self.query_r[first:],
+                     log.answered_round, log.answer)
+        for i, (x, r, answered, answer) in enumerate(served):
+            cls = self.classify_query(x, r, budget)
+            if answered - r > budget or (cls == "present" and not answer) or \
+                    (cls == "absent" and answer):
+                bad.append(log[i])
         self._violations = (self.world.round, bad)
         return bad

@@ -3,8 +3,9 @@ emission.
 
 The competitiveness ratio for a window [t_s, t_e] divides the ledger work
 (messages + edges formed + edges deleted) by the churn absorbed in the
-back-shifted window (t_s - alpha, t_e]; the back-shift credits work that
-lags the churn spike that caused it.
+back-shifted window [t_s - alpha, t_e]; the back-shift credits work that
+lags the churn spike that caused it. Both sums are differences of the
+ledger's prefix sums, so a window costs O(1) whatever its length.
 """
 
 from __future__ import annotations
@@ -46,13 +47,8 @@ def competitiveness(ledger: WorkLedger, t_s: int, t_e: int, alpha: int,
                     beta_bound: float) -> CompetitivenessReport:
     if t_e <= t_s or t_s < 0 or alpha < 0:
         raise EmptyWindow(f"bad window [{t_s}, {t_e}] with back-shift {alpha}")
-    work = 0
-    churn = 0
-    # row r sits at index r
-    for row in ledger.rows[max(0, t_s - alpha):t_e + 1]:
-        if t_s <= row.round:
-            work += row.messages_sent + row.edges_formed + row.edges_deleted
-        churn += row.churn_in + row.churn_out
+    work = ledger.between(t_s, t_e + 1)[0]
+    churn = ledger.between(t_s - alpha, t_e + 1)[1]
     return CompetitivenessReport(t_s, t_e, work, churn, alpha, beta_bound)
 
 
@@ -150,7 +146,7 @@ def whp_report(sims, search_probe: int = 0) -> WhpReport:
             height_viol += 1
         runs.append(mean_run_length(sim.clean))
         q_viol += len(sim.query_violations())
-        stalled += sum(1 for q in sim.query_log if q.stalled)
+        stalled += sum(sim.query_log.stalled)
         if search_probe:
             rng = random.Random(params.seed_alg ^ 0xA5)
             keys = sorted(sim.clean.heights)

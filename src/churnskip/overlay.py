@@ -22,12 +22,14 @@ or a member set. The tests build those copies from the draw and the deltas
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
 from .params import butterfly_k, ceil_log2
+from .simcore import RecordView
 from .skiplist import RS
 from .work import RoundWork, uniform_round
 
@@ -80,6 +82,34 @@ class Census:
                 "mean_size": round(self.mean_size, 2)}
 
 
+class CensusLog(RecordView):
+    """The censuses of one overlay, as columns: round (8 B), min and max
+    size (4 B each) and mean size (8 B) per census, with k and the
+    committee count, which the overlay fixes, held once. A Census is
+    built only when one is read."""
+
+    def __init__(self, k: int, committee_count: int):
+        self.k = k
+        self.committee_count = committee_count
+        self.rounds = array("q")
+        self.min_size = array("i")
+        self.max_size = array("i")
+        self.mean_size = array("d")
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    def append(self, census: Census) -> None:
+        self.rounds.append(census.round)
+        self.min_size.append(census.min_size)
+        self.max_size.append(census.max_size)
+        self.mean_size.append(census.mean_size)
+
+    def record(self, i: int) -> Census:
+        return Census(self.rounds[i], self.k, self.committee_count,
+                      self.min_size[i], self.max_size[i], self.mean_size[i])
+
+
 class CommitteeOverlay:
     """Committees are slots, ``addrs[slot]`` their addresses. Membership:
     ``_nodes`` (sorted) drew the slots ``_picks`` at the last tick or at
@@ -94,7 +124,7 @@ class CommitteeOverlay:
         self.addrs = self.addresses(k)
         self._slot = {addr: slot for slot, addr in enumerate(self.addrs)}
         self.covered_index: dict[int, Address] = {}
-        self.census_log: list[Census] = []
+        self.census_log = CensusLog(k, len(self.addrs))
         self._slots = list(range(len(self.addrs)))
         self._load([], [])
 

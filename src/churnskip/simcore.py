@@ -7,11 +7,16 @@ empty records behind. Protocol phases charge their work by playing
 back their work rows, one per round (play_row); churn plumbing and queries charge
 single messages and edges directly (charge_msgs/charge_edges/form_edge).
 Both paths check the per-node send cap, and every charge lands in the row
-of the round the clock is in. The churn hooks that react to a departure
-or a join are passed to each run_round call, never stored on the world,
-so a world and its owner hold no reference cycle. What the world keeps
-per id, its height, is an IdMap: one int array indexed by id, since ids
-are dense.
+of the round the clock is in: five running totals on the world, which
+run_round seals into the ledger as one entry per column. The ledger keeps
+no row objects: each field is a column of prefix sums (8 B a round) and
+the phase tag and cycle phase a byte code each, about 42 B a round in all
+where a LedgerRow took about 141. A window's work and churn and the run's
+totals are O(1) differences, and ``ledger.rows`` builds a LedgerRow only
+when one is read. The churn hooks that react to a departure or a join are
+passed to each run_round call, never stored on the world, so a world and
+its owner hold no reference cycle. What the world keeps per id, its
+height, is an IdMap: one int array indexed by id, since ids are dense.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import gc
 import json
 import random
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import wraps
 
@@ -60,36 +65,93 @@ class LedgerRow:
         }
 
 
-class WorkLedger:
-    """One sealed row per round; every charge lands in the current row."""
+class RecordView(Sequence):
+    """A read-only sequence of records held as columns: ``record(i)``
+    builds record i on every read and nothing keeps it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self.record(i) for i in range(len(self))[key]]
+        return self.record(range(len(self))[key])
+
+    def __iter__(self):
+        return map(self.record, range(len(self)))
+
+
+# the ledger's columns, in LedgerRow's order: each holds the running sum of
+# its field over the rounds sealed, from 0 before round 0
+_FIELDS = ("messages_sent", "edges_formed", "edges_deleted", "churn_in", "churn_out")
+
+
+class _Codes(dict):
+    """Phase name -> byte code; a name not seen before takes the next code,
+    so the names in insertion order are the codes' names."""
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self)
+        return code
+
+
+class WorkLedger(RecordView):
+    """One sealed row per round, held as columns (see the module
+    docstring); ``rows`` is the ledger itself."""
 
     def __init__(self):
-        self.rows: list[LedgerRow] = []
+        self.sums = tuple(array("q", (0,)) for _ in _FIELDS)
+        self.phase_tags = bytearray()
+        self.cycle_phases = bytearray()
+        self._codes = _Codes()
         self.category_totals: dict[str, int] = {c: 0 for c in WORK_CATEGORIES}
 
+    @property
+    def rows(self) -> "WorkLedger":
+        return self
+
+    def __len__(self) -> int:
+        return len(self.phase_tags)
+
+    def seal(self, messages_sent: int, edges_formed: int, edges_deleted: int,
+             churn_in: int, churn_out: int, phase_tag: str, cycle_phase: str) -> None:
+        """Append the next round's row, given each field's running total
+        through that round: the columns' next prefix sums."""
+        msgs, formed, deleted, ins, outs = self.sums
+        msgs.append(messages_sent)
+        formed.append(edges_formed)
+        deleted.append(edges_deleted)
+        ins.append(churn_in)
+        outs.append(churn_out)
+        self.phase_tags.append(self._codes[phase_tag])
+        self.cycle_phases.append(self._codes[cycle_phase])
+
+    def record(self, i: int) -> LedgerRow:
+        names = list(self._codes)
+        return LedgerRow(i, *(column[i + 1] - column[i] for column in self.sums),
+                         names[self.phase_tags[i]], names[self.cycle_phases[i]])
+
+    def between(self, start: int, stop: int) -> tuple[int, int]:
+        """(work, churn) of the rows start..stop-1 that are sealed, where
+        work is messages plus edges formed and deleted."""
+        n = len(self)
+        a = min(max(0, start), n)
+        b = min(max(a, stop), n)
+        diffs = [column[b] - column[a] for column in self.sums]
+        return sum(diffs[:3]), sum(diffs[3:])
+
     def totals(self) -> dict[str, int]:
-        return {
-            "messages_sent": sum(r.messages_sent for r in self.rows),
-            "edges_formed": sum(r.edges_formed for r in self.rows),
-            "edges_deleted": sum(r.edges_deleted for r in self.rows),
-            "churn_in": sum(r.churn_in for r in self.rows),
-            "churn_out": sum(r.churn_out for r in self.rows),
-        }
+        return {name: column[-1] for name, column in zip(_FIELDS, self.sums)}
 
     def work_total(self) -> int:
-        t = self.totals()
-        return t["messages_sent"] + t["edges_formed"] + t["edges_deleted"]
+        return self.between(0, len(self))[0]
 
 
 class IdMap:
-    """A dict from ids to non-negative ints, held in one ``array('i')``
+    """A map from ids to non-negative ints, held in one ``array('i')``
     indexed by id with -1 for no entry: 4 bytes per id where a dict entry
     took about 34. Ids are dense (0..n-1, then n + event index), so the
     array is as long as the largest id set, about the ids allocated.
-    Reads answer as a dict does: a negative id (a sentinel) or one past
-    the end (a ghost) has no entry, and a read never grows the array.
-    ``len`` counts the entries held; iteration runs in id order. A hot
-    path may read ``slots`` directly for an id that has an entry."""
+    ``get`` answers as a dict's does: a negative id (a sentinel) or one
+    past the end (a ghost) has no entry, and a read never grows the array.
+    A hot path may read ``slots`` directly for an id that has an entry."""
 
     __slots__ = ("slots",)
 
@@ -101,15 +163,6 @@ class IdMap:
         if 0 <= key < len(slots) and slots[key] >= 0:
             return slots[key]
         return default
-
-    def __getitem__(self, key: int) -> int:
-        value = self.get(key)
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
 
     def __setitem__(self, key: int, value: int) -> None:
         slots = self.slots
@@ -135,14 +188,6 @@ class IdMap:
         for key in keys:
             slots[key] = value
 
-    def __len__(self) -> int:
-        return len(self.slots) - self.slots.count(-1)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return ((key, value) for key, value in enumerate(self.slots) if value >= 0)
-
-    def __iter__(self) -> Iterator[int]:
-        return (key for key, value in enumerate(self.slots) if value >= 0)
 
 
 def collection_paused(fn):
@@ -174,7 +219,10 @@ class World:
         self.ledger = WorkLedger()
         self.failures: list[FailureEvent] = []
         self.attach_adj: dict[int, list[int]] = {}
-        self._row = LedgerRow(0)
+        # each ledger field's running total through the open round, which
+        # run_round seals as the ledger's next prefix sums
+        self._messages = self._formed = self._deleted = 0
+        self._churn_in = self._churn_out = 0
         self._sent_this_round: dict[int, int] = {}
 
     # -- population -------------------------------------------------------------
@@ -212,13 +260,13 @@ class World:
         if count > self.message_cap:
             raise MessageBudgetExceeded(node, count, self.message_cap)
         self._sent_this_round[node] = count
-        self._row.messages_sent += n
+        self._messages += n
         self.ledger.category_totals[category] += n
 
     def charge_edges(self, formed: int = 0, deleted: int = 0,
                      category: str = "other") -> None:
-        self._row.edges_formed += formed
-        self._row.edges_deleted += deleted
+        self._formed += formed
+        self._deleted += deleted
         self.ledger.category_totals[category] += formed + deleted
 
     def play_row(self, row: RoundWork, category: str) -> None:
@@ -233,9 +281,9 @@ class World:
             if count > self.message_cap:
                 raise MessageBudgetExceeded(row.busiest, count, self.message_cap)
             self._sent_this_round[row.busiest] = count
-        self._row.messages_sent += row.messages
-        self._row.edges_formed += row.edges_formed
-        self._row.edges_deleted += row.edges_deleted
+        self._messages += row.messages
+        self._formed += row.edges_formed
+        self._deleted += row.edges_deleted
         self.ledger.category_totals[category] += (
             row.messages + row.edges_formed + row.edges_deleted)
 
@@ -267,33 +315,31 @@ class World:
             if node not in self.alive:
                 continue
             self.alive.discard(node)
-            self._row.churn_out += 1
+            self._churn_out += 1
             for peer in self.attach_adj.pop(node, ()):
                 peers = self.attach_adj[peer]
                 peers.remove(node)
                 if not peers:
                     del self.attach_adj[peer]
-                self._row.edges_deleted += 1
+                self._deleted += 1
                 self.ledger.category_totals["other"] += 1
             if on_depart is not None:
                 on_depart(node)
         for node, host in joins:
             self.spawn(node)
-            self._row.churn_in += 1
+            self._churn_in += 1
             if host in self.alive:
                 self.form_edge(node, host, category="covering")
             if on_join is not None:
                 on_join(node, host)
 
         # (2) seal row, advance
-        self._row.phase_tag = self.phase_tag
-        self._row.cycle_phase = self.cycle_phase
-        self.ledger.rows.append(self._row)
+        self.ledger.seal(self._messages, self._formed, self._deleted,
+                         self._churn_in, self._churn_out,
+                         self.phase_tag, self.cycle_phase)
         self.round += 1
         self.phase_tag = (BOOTSTRAP if self.round < self.params.bootstrap_rounds
                           else MAINTENANCE)
-        self._row = LedgerRow(self.round, phase_tag=self.phase_tag,
-                              cycle_phase=self.cycle_phase)
         self._sent_this_round = {}
         return self
 

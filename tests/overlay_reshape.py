@@ -84,7 +84,7 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
 
     Returns (new state, rounds used, one work row per round). Mixed
     opinions raise NoAgreement; an all-stay vote costs only the agreement
-    routing.
+    routing. A census log holds one k, so a new state starts its own.
     """
     votes = set(opinions.values())
     agree_rounds = ceil_log2(max(2, len(state.addrs))) + 1
@@ -141,7 +141,6 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
 
     hi_cap = max(target + 1, math.ceil(2 * n_new / len(new.addrs)))
     rounds = _recruit(new, new.addrs, pool, target, rng, hi_cap)
-    new.census_log = state.census_log
     clique_edges = sum(s * (s - 1) // 2 for s in new.sizes())
     rows.append(RoundWork(0, clique_edges + len(butterfly_edge_set(new.k))))
     rows += [RoundWork() for _ in range(rounds)]

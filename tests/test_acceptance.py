@@ -70,7 +70,7 @@ def corpus_figures(seed: int) -> dict:
         "stalled": sum(1 for q in sim.query_log if q.stalled),
         "violations": len(sim.query_violations()),
         "queries": len(sim.query_log),
-        "classes": Counter(sim.classify_query(q, budget) for q in sim.query_log),
+        "classes": Counter(sim.classify_query(q.x, q.r, budget) for q in sim.query_log),
         "worst_ratio": max((r.ratio for r in reports), default=0.0),
         "flagged": sum(1 for r in reports if r.flagged),
         "ledger_complete": metrics.ledger_complete(sim),

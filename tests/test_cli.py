@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -169,6 +170,33 @@ def test_simulate_churning_run_is_deterministic_and_pinned(tmp_path):
     assert len(schedule.splitlines()) == 709
     assert hashlib.sha256(schedule).hexdigest() == \
         "0ff91cb5165af20cc89ec8fb0816d58d5dd440a206f8e9bc1bfc5c70ece0a130"
+
+
+# The shipped acceptance-scale config: every output of its run, as written
+# by Python 3.11. CI's same-bytes job checks the same sums on newer Pythons.
+CHURNY_SHA256 = {
+    "trace.jsonl": "a3947ad64efd9007d079b596f2d6d02fd673bb7a8e67ad0b25b8595046e3cf44",
+    "cycles.jsonl": "855b7c1cc18e8d773b0274e60dccc1e7a2e0e5aa4908bd928b8b383a89f26cb1",
+    "phases.jsonl": "e9560e00928d9b2a10d84ae0a6058ef7db76108b75f79bfab64695a399d4fb2e",
+    "merge_events.jsonl": "ff71e9d292e4a965b77a33d29c79c7b069cc1483fa568cd0eeb544fbf9a0bf3a",
+    "schedule.txt": "26546ef2e8ff0455d5bcc4638e360c19ff480d642c502b54590785f652283b63",
+    "census.jsonl": "bbaeeb2962bb72da8b4924430e8dcd8fa47f73eb4b6fb28e289801a624c90f60",
+    "competitiveness.jsonl":
+        "4747199b86b9a78c084e6599dd679f10d3087bb065322e188ae47d4e4d44684e",
+    "summary.csv": "19c7b3a35cea7fd1cb400edb1323275d3220ee71b481c11d97573ad956e06a55",
+    "metrics.txt": "c4ffa97167af5e6db8a74e8836de6e9ce2cb873d0970f18d3714777b232f04ee",
+    "dump.jsonl": "3e92a282fb3f577e1f4a0fa4028ea28b4beb954940e29fd36c632e0218b3b98d",
+}
+
+
+def test_churny_config_outputs_are_pinned(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "churny.cfg"
+    out = tmp_path / "churny"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert sorted(CHURNY_SHA256) == sorted(OUTPUTS)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in OUTPUTS}
+    assert got == CHURNY_SHA256
 
 
 def test_unknown_strategy_is_config_error(tmp_path, capsys):

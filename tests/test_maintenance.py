@@ -21,6 +21,7 @@ from churnskip.skiplist import is_sentinel, oracle_build, search
 import adversary_reference
 from overlay_reference import members
 from search_reference import reference_search
+from world_reference import IdDict
 
 
 def small_sim(n=64, rate=1, cycles=4, density=0.0, seed=1, **kw):
@@ -69,7 +70,7 @@ def test_churned_keys_eventually_leave_clean():
     alive = sim.world.alive
     keys = set(sim.clean.heights)
     # a key departing in cycle c is out of the structure by end of c+1
-    for key in sim.world.heights:
+    for key in IdDict(sim.world.heights):
         _, left = sim.schedule.lifetime(key)
         if left is not None and left < sim.cycles[-2].start_round:
             assert key not in keys
@@ -276,11 +277,12 @@ def test_final_content_matches_lifecycle_bookkeeping():
     for seed in (3, 4, 5):
         sim = small_sim(n=128, rate=2, cycles=6, seed=seed)
         sim.run()
-        expected = set(sim.entered_live) - set(sim.removed_clean)
+        expected = set(IdDict(sim.entered_live)) - set(IdDict(sim.removed_clean))
         assert set(sim.clean.heights) == expected
         # and everything integrated kept its join-time tower height
+        heights = IdDict(sim.world.heights)
         for key in sim.clean.heights:
-            assert sim.clean.heights[key] == sim.world.heights[key]
+            assert sim.clean.heights[key] == heights[key]
 
 
 def test_simulation_imports_no_scipy():
@@ -373,7 +375,7 @@ def test_failed_cover_takes_checking_path_and_stalls_like_reference(monkeypatch)
     served = _serve_both_ways(sim, monkeypatch)
     sim.run()
     # the next delete phase removed the key, and with it the need to check
-    assert victim and not sim.uncovered and victim[0] in sim.removed_clean
+    assert victim and not sim.uncovered and victim[0] in IdDict(sim.removed_clean)
     kinds = [f.kind for f in sim.world.failures]
     assert kinds.count(COMMITTEE_DESTROYED) == 1
     first = kinds.index(COMMITTEE_DESTROYED)
@@ -398,12 +400,13 @@ def test_key_whose_cover_failed_is_deleted_at_next_delete_phase(monkeypatch):
     key = victim[0]
     departed = sim.schedule.lifetime(key)[1]
     cycle = next(c for c in sim.cycles if c.start_round > departed)
-    assert sim.removed_clean[key] == cycle.start_round + cycle.phase_rounds[0]
+    removed = IdDict(sim.removed_clean)
+    assert removed[key] == cycle.start_round + cycle.phase_rounds[0]
     assert key not in sim.clean.heights and key not in sim.clean.live
     assert not sim.uncovered
     assert sim.clean.validate().ok and live_equals_clean(sim.clean)
     stalls = [f.round for f in sim.world.failures if f.kind == STALLED]
-    assert stalls and max(stalls) < sim.removed_clean[key]
+    assert stalls and max(stalls) < removed[key]
 
 
 def test_run_records_stay_compact(monkeypatch):
@@ -474,9 +477,13 @@ def test_schedule_and_query_store_hold_few_bytes_per_event():
 def test_run_records_hold_few_bytes_per_event():
     # a merge event takes about 24 B in the run's MergeLog (a tuple in a
     # list took about 94) and an id-keyed round map about 4 B per id
-    # allocated (a dict took 11-55 B per id). A full collection also empties
-    # the free lists, so what a record held is what dropping it frees
-    sim = small_sim(n=512, rate=2, cycles=4)
+    # allocated (a dict took 11-55 B per id). The ledger's columns take
+    # about 45 B per round, prefix sums included (a LedgerRow took about
+    # 138), the query log 10 B per served query (a QueryOutcome with its
+    # ints about 173) and the census log 35 B per census (a Census about
+    # 133). A full collection also empties the free lists, so what a record
+    # held is what dropping it frees
+    sim = small_sim(n=512, rate=2, cycles=4, density=0.01)
 
     def dropped(owner, name):
         gc.collect()
@@ -488,17 +495,26 @@ def test_run_records_hold_few_bytes_per_event():
     tracemalloc.start()
     try:
         sim.run()
-        events, ids = len(sim.merge_events), len(sim.world.heights)
+        events, ids = len(sim.merge_events), len(IdDict(sim.world.heights))
         held = dropped(sim, "merge_events")
         maps = [dropped(owner, name) for owner, name in (
             (sim.world, "heights"),
             (sim, "entered_live"), (sim, "removed_clean"))]
+        rounds, queries = len(sim.world.ledger.rows), len(sim.query_log)
+        censuses = len(sim.overlay.census_log)
+        ledger = dropped(sim.world, "ledger")
+        query_log = dropped(sim, "query_log")
+        census_log = dropped(sim.overlay, "census_log")
     finally:
         tracemalloc.stop()
     assert events > 1000 and ids > 1000
     assert held / events < 32, held / events
     for size in maps:
         assert size / ids < 8, (size / ids, maps)
+    assert rounds > 500 and queries > 1000 and censuses > 50
+    assert ledger / rounds <= 48, ledger / rounds
+    assert query_log / queries <= 16, query_log / queries
+    assert census_log / censuses <= 48, census_log / censuses
 
 
 def test_simulation_makes_no_cyclic_garbage():

