@@ -379,7 +379,9 @@ def _draw_queries(seed_adv: int, schedule: ChurnSchedule, density: float,
         left[node] = 1
     gone = array("i", compress(range(n + events), left))
     del left, leaving
-    ghosts = range(n ** 3 // 2, n ** 3 // 2 + n)  # ids no schedule ever allocates
+    # ids no schedule ever allocates, as its ids stay below the id space
+    id_space = SimParams(n=n).id_space
+    ghosts = range(id_space, id_space + n)
     gone_draw = gone, len(gone), len(gone).bit_length()
     joined_draw = joined, len(joined), len(joined).bit_length()
     ghost_draw = ghosts, n, n.bit_length()

@@ -224,14 +224,19 @@ class Simulation:
         else:
             self._queries = self._queries_end = None
 
-    def _play(self, rows: Iterable[RoundWork], category: str, phase: str) -> int:
-        """Charge one row per world round; returns the rounds played."""
-        played = 0
+    def _play(self, rows: Iterable[RoundWork], category: str, phase: str
+              ) -> tuple[int, int, int]:
+        """Charge one row per world round. Returns the rounds played and the
+        messages and edges formed they charged: the one count of a phase's
+        cost, which its record in phases.jsonl reports."""
+        played = messages = formed = 0
         for row in rows:
             self.world.play_row(row, category)
             self._advance(phase)
             played += 1
-        return played
+            messages += row.messages
+            formed += row.edges_formed
+        return played, messages, formed
 
     # -- bootstrap --------------------------------------------------------------------
 
@@ -277,28 +282,36 @@ class Simulation:
         reds = sorted(k for k in chain(self.overlay.covered_index, self.uncovered)
                       if k in self.clean.heights)
         dsummary, rows = delete_phase(self.clean, reds)
-        phase_rounds.append(self._play(rows, "delete", "Delete"))
+        rounds, messages, _ = self._play(rows, "delete", "Delete")
+        phase_rounds.append(rounds)
         for key in reds:
             self.overlay.uncover(key)
         self.removed_clean.fill(reds, world.round)
         # a deleted key can no longer stall a relay
         self.uncovered.difference_update(reds)
-        self.phase_records.append({"phase": "delete", "cycle": cycle_no, **asdict(dsummary)})
+        # a delete's edges formed are its bridges, which the summary counts
+        self.phase_records.append({"phase": "delete", "cycle": cycle_no, **asdict(dsummary),
+                                   "rounds_used": rounds, "messages_used": messages})
 
         # Phase 2: buffer creation from the joiner backlog (cutoff now)
         joiners, self.joiner_backlog = self.joiner_backlog, []
         joiners = [j for j in joiners if j not in self.clean.heights]
         buf, bsummary, rows = create_buffer(joiners, world.heights.slots)
-        phase_rounds.append(self._play(rows, "buffer", "BufferCreate"))
-        self.phase_records.append({"phase": "buffer", "cycle": cycle_no, **asdict(bsummary)})
+        rounds, messages, formed = self._play(rows, "buffer", "BufferCreate")
+        phase_rounds.append(rounds)
+        self.phase_records.append({"phase": "buffer", "cycle": cycle_no, **asdict(bsummary),
+                                   "rounds_used": rounds, "messages_used": messages,
+                                   "edges_formed": formed})
 
         # Phase 3: merge wave, stepped one engine round per world round
         if buf is not None:
             engine = WaveEngine(self.clean, buf, cycle_no, self.merge_events)
-            phase_rounds.append(self._play(chain(engine.pre.rows, engine.rounds()),
-                                           "merge", "Merge"))
+            rounds, messages, formed = self._play(
+                chain(engine.pre.rows, engine.rounds()), "merge", "Merge")
+            phase_rounds.append(rounds)
             self.phase_records.append({"phase": "merge", "cycle": cycle_no,
-                                       **asdict(engine.summary)})
+                                       **asdict(engine.summary), "rounds_used": rounds,
+                                       "messages_used": messages, "edges_formed": formed})
         else:
             phase_rounds.append(0)
 
@@ -353,8 +366,7 @@ class Simulation:
         # every departure is covered until a cover fails, so until then
         # every key is representable and the search need not check
         representable = self._representable if self.uncovered else None
-        result = search(self.clean, x, representable=representable,
-                        live_view=True)
+        result = search(self.clean, x, representable=representable)
         if result.stalled:
             world.fail(STALLED, f"query {x} from {s}")
         answer = result.found and x in self.clean.live and not result.stalled

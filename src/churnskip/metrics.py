@@ -76,25 +76,9 @@ def max_height_ok(net, n: int) -> bool:
     return all(h <= bound for h in net.heights.values())
 
 
-def run_lengths(net) -> list[int]:
-    """Maximal same-height runs per level, sentinels excluded."""
-    out = []
-    for lvl in range(net.height + 1):
-        run = 0
-        for key in net.iter_level(lvl):
-            if net.heights[key] == lvl:
-                run += 1
-            else:
-                if run:
-                    out.append(run)
-                run = 0
-        if run:
-            out.append(run)
-    return out
-
-
 def mean_run_length(net) -> float:
-    runs = run_lengths(net)
+    """The mean length of the maximal same-height runs, sentinels excluded."""
+    runs = [len(run) for run in net.same_height_runs()]
     return mean(runs) if runs else 0.0
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import NoJoiners
 from .phase_delete import Pair, fold_pairs
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet
-from .work import ParallelSends, RoundWork, totals, uniform_round
+from .work import ParallelSends, RoundWork, uniform_round
 
 # each key's height, read as heights[key]: a dict, or an array indexed by id
 Heights = Mapping[int, int] | Sequence[int]
@@ -122,9 +122,6 @@ class BufferSummary:
     joiners: int = 0
     padded_width: int = 0
     sort_depth: int = 0
-    rounds_used: int = 0
-    messages_used: int = 0
-    edges_formed: int = 0
 
 
 def create_buffer(joiners: list[int], heights: Heights
@@ -136,9 +133,6 @@ def create_buffer(joiners: list[int], heights: Heights
     overlay = build_sorting_overlay(joiners)
     sorted_keys, sort_rows = run_network_sort(overlay)
     buf, raise_rows = raise_levels(sorted_keys, heights)
-    rows = overlay.build_rows + sort_rows + raise_rows
     summary.padded_width = overlay.padded_width
     summary.sort_depth = overlay.depth
-    summary.rounds_used = len(rows)
-    summary.messages_used, summary.edges_formed, _ = totals(rows)
-    return buf, summary, rows
+    return buf, summary, overlay.build_rows + sort_rows + raise_rows

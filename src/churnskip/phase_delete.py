@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import MESSAGE_SHAPE_VIOLATION, ORPHAN_LEAF, ChurnSkipError
 from .skiplist import LS, SkipNet
-from .work import ParallelSends, RoundWork, totals
+from .work import ParallelSends, RoundWork
 
 
 class MessageShapeViolation(ChurnSkipError):
@@ -181,8 +181,6 @@ def fold_tree(net: SkipNet, lvl: int, red: set[int], leaves: list[int],
 class DeleteSummary:
     reds_removed: int = 0
     bridge_edges_created: int = 0
-    rounds_used: int = 0
-    messages_used: int = 0
 
 
 def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, list[RoundWork]]:
@@ -234,6 +232,4 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, list[RoundWork]]:
 
     summary.reds_removed = len(reds_in)
     summary.bridge_edges_created = formed
-    summary.rounds_used = len(rows)
-    summary.messages_used = totals(rows)[0]
     return summary, rows

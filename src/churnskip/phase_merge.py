@@ -28,7 +28,7 @@ from operator import attrgetter
 
 from .errors import SPLICE_CONFLICT, ChurnSkipError, MalformedBuffer
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SENTINELS, SkipNet
-from .work import RoundWork, sends_row, totals, uniform_round
+from .work import RoundWork, sends_row, uniform_round
 
 
 class SpliceConflict(ChurnSkipError):
@@ -139,20 +139,7 @@ def preprocess(buf: SkipNet) -> Preprocessed:
     heights, links = buf.heights, buf.links
     if not heights or BUF_LS not in heights:
         raise MalformedBuffer("buffer lacks its sentinels")
-    top = buf.height
-    groups: list[list[int]] = []
-    for lvl in range(top + 1):
-        run: list[int] = []
-        key = links[LS][lvl][1]
-        while key != RS:
-            if heights[key] == lvl:
-                run.append(key)
-            elif run:
-                groups.append(run)
-                run = []
-            key = links[key][lvl][1]
-        if run:
-            groups.append(run)
+    groups = buf.same_height_runs()
     parents: dict[int, tuple[int | None, int | None]] = {}
     children: dict[int, list[int]] = {}
     for g in groups:
@@ -168,7 +155,7 @@ def preprocess(buf: SkipNet) -> Preprocessed:
             children.setdefault(lp, []).extend(g)
         if rp is not None:
             children.setdefault(rp, []).extend(g)
-    top_members = buf.level_list(top)
+    top_members = buf.level_list(buf.height)
 
     # ID stream hops one step leftward: in round r every key after the first
     # r + 1 of its group sends once, so the row is uniform_round over those
@@ -199,9 +186,6 @@ class MergeSummary:
     splits: int = 0
     preprocess_rounds: int = 0
     wave_rounds: int = 0
-    rounds_used: int = 0
-    messages_used: int = 0
-    edges_formed: int = 0
 
 
 class WaveEngine:
@@ -498,23 +482,13 @@ class WaveEngine:
 
     def rounds(self) -> Iterator[RoundWork]:
         """Step the wave until the buffer is absorbed, yielding each round's
-        work and adding it up; fills in the summary once the wave is done.
-        The sums stay local until then: writing them to the summary every
-        round left a writes-8192 run about 1 MB larger in max RSS."""
+        work; sets the summary's wave_rounds once the wave is done."""
         guard = 200 * (self.buf.height + math.ceil(math.log2(len(self.clean) + 4)) + 4)
-        summary = self.summary
-        messages, formed, _ = totals(self.pre.rows)
         while not self.absorbed:
             if self.round > guard:
                 raise SpliceConflict("wave failed to converge")
-            row = self.step()
-            messages += row.messages
-            formed += row.edges_formed
-            yield row
-        summary.wave_rounds = self.round
-        summary.rounds_used = summary.preprocess_rounds + self.round
-        summary.messages_used = messages
-        summary.edges_formed = formed
+            yield self.step()
+        self.summary.wave_rounds = self.round
 
 
 def wave_merge(clean: SkipNet, buf: SkipNet

@@ -151,7 +151,8 @@ class IdMap:
     array is as long as the largest id set, about the ids allocated.
     ``get`` answers as a dict's does: a negative id (a sentinel) or one
     past the end (a ghost) has no entry, and a read never grows the array.
-    A hot path may read ``slots`` directly for an id that has an entry."""
+    ``fill`` is the one write. A hot path may read ``slots`` directly for
+    an id that has an entry."""
 
     __slots__ = ("slots",)
 
@@ -163,15 +164,6 @@ class IdMap:
         if 0 <= key < len(slots) and slots[key] >= 0:
             return slots[key]
         return default
-
-    def __setitem__(self, key: int, value: int) -> None:
-        slots = self.slots
-        if 0 <= key < len(slots) and value >= 0:
-            slots[key] = value
-        elif key == len(slots) and value >= 0:    # the next id
-            slots.append(value)
-        else:
-            self.fill((key,), value)
 
     def fill(self, keys: Iterable[int], value: int) -> None:
         """Set every key in keys to value, growing the array once."""
@@ -239,7 +231,7 @@ class World:
         if node == len(heights):    # the next id, as ids are dense
             heights.append(sample_height(self.rng_alg))
         else:
-            self.heights[node] = sample_height(self.rng_alg)
+            self.heights.fill((node,), sample_height(self.rng_alg))
 
     def is_alive(self, node: int) -> bool:
         return node in self.alive

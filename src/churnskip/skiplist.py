@@ -9,10 +9,11 @@ everywhere:
 The buffer's own sentinels (BUF_LS / BUF_RS) ride through a merge as
 ordinary members and are unlinked at the end, per the merge protocol.
 
-``SkipNet`` is the linked structure the distributed phases mutate;
-``oracle_build`` is the independent sequential construction every
-equivalence test compares against (the sequential delete, insert and merge
-references live in ``tests/skiplist_reference.py``).
+``SkipNet`` is the linked structure the distributed phases mutate, and
+``search`` walks its live view, the network a query sees. ``oracle_build``
+is the independent sequential construction every equivalence test
+compares against (the sequential delete, insert and merge references, and
+the plain walk, live in ``tests/``).
 """
 
 from __future__ import annotations
@@ -198,6 +199,25 @@ class SkipNet:
     def level_list(self, lvl: int) -> list[int]:
         return list(self.iter_level(lvl))
 
+    def same_height_runs(self) -> list[list[int]]:
+        """The maximal runs of keys whose height equals the level, level by
+        level from 0 up and left to right within a level."""
+        heights, links = self.heights, self.links
+        runs: list[list[int]] = []
+        for lvl in range(self.height + 1):
+            run: list[int] = []
+            key = links[LS][lvl][1]
+            while key != RS:
+                if heights[key] == lvl:
+                    run.append(key)
+                elif run:
+                    runs.append(run)
+                    run = []
+                key = links[key][lvl][1]
+            if run:
+                runs.append(run)
+        return runs
+
     # -- comparisons and checks -----------------------------------------------
 
     def same_structure(self, other: "SkipNet") -> bool:
@@ -270,20 +290,21 @@ class SearchResult:
         return self.h_moves + self.v_moves
 
 
-def search(net: SkipNet, target: int, representable=None,
-           live_view: bool = False) -> SearchResult:
-    """Top-down search from the left-topmost sentinel.
+def search(net: SkipNet, target: int, representable=None) -> SearchResult:
+    """Top-down search of the live view from the left-topmost sentinel.
 
     One round per horizontal or vertical move. ``representable`` maps a key
     to False when nobody (node or covering committee) can answer for it; the
     search then stalls, which callers count as a protocol failure.
 
-    With ``live_view`` the walk only stands on live members, relaying
-    through not-yet-promoted keys at the same level (mid-merge buffer
-    residents have complete links at every level they have merged, so the
-    relay chain is always walkable). Only a move right is charged, as one
-    round per relay hop it crossed; the hops relayed before a move down or
-    the final level-0 answer are discarded and never charged.
+    The walk only stands on live members, relaying through not-yet-promoted
+    keys at the same level (mid-merge buffer residents have complete links
+    at every level they have merged, so the relay chain is always
+    walkable). Only a move right is charged, as one round per relay hop it
+    crossed; the hops relayed before a move down or the final level-0
+    answer are discarded and never charged. On a net whose keys are all
+    live, such as a finished run's clean list, this is the plain skip-list
+    walk (``tests/search_reference.reference_walk``).
 
     Without ``representable`` nothing can stall, so the live successor is
     read from the displaced-edge index (see ``SkipNet``) instead of relaying
@@ -295,7 +316,6 @@ def search(net: SkipNet, target: int, representable=None,
     links = net.links
     live = net.live
     checked = representable is not None
-    indexed = live_view and not checked
     pos, lvl = LS, net.height
     h_moves = v_moves = 0
 
@@ -313,10 +333,10 @@ def search(net: SkipNet, target: int, representable=None,
 
     while True:
         z, hops = links[pos][lvl][1], 1
-        if live_view and z != RS and z not in live:
-            if indexed:
+        if z != RS and z not in live:
+            if not checked:
                 z = net.displaced.get((lvl, pos), z)
-            if not indexed or (z != RS and (z < target or z not in live)):
+            if checked or (z != RS and (z < target or z not in live)):
                 z, hops = relay(pos, lvl)
                 if z is None:
                     return SearchResult(False, h_moves, v_moves, stalled=True)

@@ -9,7 +9,11 @@ There is one row builder: `sends_row` turns per-key send counts plus edge
 counts into a row. `ParallelSends` stacks the rounds of trees that run side
 by side into per-round counts and seals them with it, and `uniform_round`
 is its closed form for a round in which every listed node sends the same
-number of messages. `totals` sums a list of rows.
+number of messages.
+
+A phase does not add its rows up: `Simulation._play` charges them to the
+ledger one per round and counts the phase's rounds, messages and edges
+formed as it goes, the one place a phase's cost is counted.
 """
 
 from __future__ import annotations
@@ -79,12 +83,3 @@ def uniform_round(nodes, k: int = 1, formed: int = 0) -> RoundWork:
         return RoundWork(0, formed)
     return RoundWork(k * len(nodes), formed, 0, k, next(iter(nodes)))
 
-
-def totals(rows) -> tuple[int, int, int]:
-    """Messages, edges formed and edges deleted, summed over rows."""
-    messages = formed = deleted = 0
-    for row in rows:
-        messages += row.messages
-        formed += row.edges_formed
-        deleted += row.edges_deleted
-    return messages, formed, deleted

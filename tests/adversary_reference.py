@@ -223,7 +223,7 @@ def gen_queries(seed_adv: int, schedule: ReferenceSchedule, density: float
     alive_pos = {node: i for i, node in enumerate(alive_list)}
     gone_pool = sorted(schedule.leave_round)      # schedule is frozen
     joined_pool = sorted(schedule.join_round)
-    ghost_base = schedule.n ** 3 // 2  # ids no schedule ever allocates
+    ghost_base = SimParams(n=schedule.n).id_space  # ids no schedule ever allocates
     expected = density * schedule.n
     for rnd, rc in enumerate(schedule.rounds):
         for node in rc.leaves:

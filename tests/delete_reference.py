@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from churnskip.phase_delete import (DeleteSummary, MessageShapeViolation, OrphanLeaf,
                                     Pair, _merge_pairs)
 from churnskip.skiplist import LS, RS, SkipNet
-from churnskip.work import RoundWork, totals
+from churnskip.work import RoundWork
 from work_reference import RoundAcc, pad
 
 
@@ -213,8 +213,6 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, list[RoundWork], di
     rows.append(acc.seal())
 
     summary.reds_removed = len(reds_in)
-    summary.rounds_used = len(rows)
-    summary.messages_used = totals(rows)[0]
     return summary, rows, per_level_bridges
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from churnskip.errors import MalformedBuffer
 from churnskip.phase_merge import CohesiveGroup, MergeSummary, Preprocessed, SpliceConflict
 from churnskip.skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet, is_sentinel
-from churnskip.work import RoundWork, sends_row, totals, uniform_round
+from churnskip.work import RoundWork, sends_row, uniform_round
 from work_reference import RoundAcc
 
 # Frozen event narrative for ``fixtures.merge_instance``: (event, leader,
@@ -358,18 +358,14 @@ class WaveEngine:
 
     def rounds(self) -> Iterator[RoundWork]:
         """Step the wave until the buffer is absorbed, yielding each round's
-        work; fills in the summary once the wave is done."""
+        work; sets the summary's wave_rounds once the wave is done."""
         guard = 200 * (self.buf.height + math.ceil(math.log2(len(self.clean) + 4)) + 4)
         while not self.absorbed:
             if self.round > guard:
                 raise SpliceConflict("wave failed to converge")
             self.step()
             yield self.rows[-1]
-        messages, formed, _ = totals(self.pre.rows + self.rows)
         self.summary.wave_rounds = self.round
-        self.summary.rounds_used = len(self.pre.rows) + self.round
-        self.summary.messages_used = messages
-        self.summary.edges_formed = formed
 
     def run(self) -> MergeSummary:
         for _ in self.rounds():

@@ -9,7 +9,7 @@ import multiprocessing
 import os
 import random
 import time
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
@@ -216,8 +216,7 @@ def test_criterion_4_merge_round_scaling():
             clean = oracle_build(c_keys, [heights[k] for k in c_keys])
             buf, _ = raise_levels(b_keys, {k: heights[k] for k in b_keys})
             engine = WaveEngine(clean, buf)
-            deque(engine.rounds(), 0)
-            rounds.append(engine.summary.rounds_used)
+            rounds.append(len([*engine.pre.rows, *engine.rounds()]))
         per_log[n] = sum(rounds) / len(rounds) / math.log2(n)
     fit = per_log[256]
     worst = max(per_log.values())
@@ -325,6 +324,7 @@ def test_criterion_9_statistical_suite():
         keys = list(range(n))
         heights = [sample_height(rng) for _ in keys]
         net = oracle_build(keys, heights)
+        net.live = set(keys)      # a finished run's clean list: every key live
         if max(heights) > bound_h:
             height_viol += 1
         mean_run = metrics.mean_run_length(net)

@@ -313,7 +313,7 @@ def test_lifetime_lookups_match_reference_at_the_edges():
         old = adversary_reference.gen_schedule(8, n, 3, horizon, strategy)
         last = len(join_rounds(new))
         assert last == n + len(old.join_round) > n
-        ghost = n ** 3 // 2
+        ghost = SimParams(n=n).id_space
         keys = [*range(last), LS, BUF_LS, BUF_RS, RS,
                 *range(ghost, ghost + n), last, last + 1, 2 * last, 10 ** 9]
         for key in keys:
@@ -368,3 +368,17 @@ def test_id_space_exhaustion_is_raised_at_construction():
         gen_schedule(1, n, 1, horizon=last + 1)
     # burst churns in only half the rounds, so the same horizon has ids left
     gen_schedule(1, n, 1, horizon=last + 1, strategy="burst")
+
+
+@pytest.mark.parametrize("n,rate,cycles", [(8, 2, 4), (12, 3, 6)])
+def test_ghost_targets_are_never_allocated(n, rate, cycles):
+    # these schedules allocate ids past n**3 // 2, so ghosts drawn from
+    # there would be real ids; the never-allocated class must still occur
+    params = SimParams(n=n, churn_rate=rate, horizon_cycles=cycles,
+                       query_density=0.5)
+    sched = Simulation(params).schedule
+    queries = gen_queries(params.seed_adv, sched, params.query_density)
+    assert sched.ever_known(n ** 3 // 2 + n - 1)
+    ghosts = [q.x for q in queries if not sched.ever_known(q.x)]
+    assert ghosts
+    assert all(x >= params.id_space for x in ghosts)

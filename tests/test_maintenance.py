@@ -304,9 +304,9 @@ def _serve_both_ways(sim, monkeypatch):
     reference relay walk, which always checks representability."""
     served = []
 
-    def both(net, target, representable=None, live_view=False):
-        fast = search(net, target, representable, live_view)
-        ref = reference_search(net, target, sim._representable, live_view)
+    def both(net, target, representable=None):
+        fast = search(net, target, representable)
+        ref = reference_search(net, target, sim._representable, live_view=True)
         assert fast == ref, (sim.world.round, target)
         served.append((representable is not None, bool(net.displaced), ref.stalled))
         return fast

@@ -15,10 +15,9 @@ from churnskip.phase_buffer import (
     run_network_sort,
 )
 from churnskip.skiplist import BUF_LS, BUF_RS, oracle_build, sample_height
-from churnskip.work import totals
 import buffer_reference as reference
 from buffer_reference import build_bitonic
-from work_reference import rewire_recount
+from work_reference import rewire_recount, totals
 
 
 def test_width_four_matches_reference_shape():
@@ -153,7 +152,7 @@ def test_seeded_builds_match_oracle():
         count = rng.randint(1, 256)
         joiners = rng.sample(range(100_000), count)
         heights = {k: sample_height(rng) for k in joiners}
-        buf, summary, _ = create_buffer(joiners, heights)
+        buf, summary, rows = create_buffer(joiners, heights)
         assert buf.validate().ok
         top = max(heights.values(), default=0)
         ordered = sorted(joiners)
@@ -162,7 +161,7 @@ def test_seeded_builds_match_oracle():
             [top, *(heights[k] for k in ordered), top],
         )
         assert buf.same_structure(ref)
-        assert summary.rounds_used <= 4 * math.log2(1024) + summary.sort_depth
+        assert len(rows) <= 4 * math.log2(1024) + summary.sort_depth
 
 
 def test_empty_phase_is_noop():

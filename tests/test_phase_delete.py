@@ -14,11 +14,11 @@ from churnskip.phase_delete import (
     form_tree,
 )
 from churnskip.skiplist import LS, RS, oracle_build, sample_height
-from churnskip.work import totals
 from buffer_reference import bridge_chain
 from skiplist_reference import oracle_delete
 import delete_reference as reference
 from delete_reference import expected_bridges, leaf_pair
+from work_reference import totals
 
 
 def build_random(n, seed):
@@ -46,12 +46,12 @@ def test_no_reds_is_free():
 
 def test_single_red_tower_bridges_every_level():
     net = oracle_build([10, 20, 30], [3, 2, 3])
-    summary, _ = delete_phase(net, {20})
+    summary, rows = delete_phase(net, {20})
     # one bridge per level of the removed tower
     assert summary.bridge_edges_created == 3
     assert net.validate().ok
     n = 3
-    assert summary.messages_used <= 40 * (2 + 1) * math.log2(8)
+    assert totals(rows)[0] <= 40 * (2 + 1) * math.log2(8)
 
 
 @pytest.mark.parametrize("n", [64, 512])
@@ -131,7 +131,7 @@ def test_work_proportional_to_reds():
     summary, rows = delete_phase(net, reds)
     polylog = math.log2(512) ** 3
     assert sum(totals(rows)) <= polylog * len(reds)
-    assert summary.rounds_used <= 8 * math.log2(512)
+    assert len(rows) <= 8 * math.log2(512)
 
 
 def test_merge_pairs_shape_violation():

@@ -17,9 +17,9 @@ from churnskip.skiplist import (
     search,
 )
 from skiplist_reference import oracle_merge
-from churnskip.work import totals
 import merge_reference as reference
 from merge_reference import MERGE_NARRATIVE
+from work_reference import totals
 
 
 def make_buffer(keys, heights):
@@ -86,7 +86,7 @@ def test_merge_work_proportional_to_buffer():
     clean, buf, c_keys, b_keys, heights = random_pair(512, 128, 9)
     summary, rows, events = wave_merge(clean, buf)
     assert sum(totals(rows)) <= math.log2(512) ** 3 * (len(b_keys) + 2)
-    assert summary.rounds_used <= 12 * math.log2(512)
+    assert len(rows) <= 12 * math.log2(512)
 
 
 def test_empty_levels_and_tall_buffer():
@@ -147,6 +147,7 @@ def test_group_time_bound_against_classic_insertion():
     for seed in (2, 7, 11):
         clean, buf, c_keys, b_keys, heights = random_pair(256, 256, seed)
         base = oracle_build(c_keys, [heights[k] for k in c_keys])
+        base.live = set(c_keys)
         engine = WaveEngine(clean, buf)
         deque(engine.rounds(), 0)
         for group, born, done in engine.group_spans:

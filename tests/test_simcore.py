@@ -167,7 +167,7 @@ def test_message_conservation_per_round():
 
 
 # ids as the simulator meets them: dense ones, the skip list's sentinels
-# (-2, -1, 10**18, 10**18 + 1) and ghosts from n**3 // 2 up
+# (-2, -1, 10**18, 10**18 + 1) and ghosts from the id space, n**3, up
 _ids = st.one_of(st.integers(0, 200), st.sampled_from([-2, -1, 10**18, 10**18 + 1]),
                  st.integers(-(2**40), -1), st.integers(5 * 10**5, 2**62))
 
@@ -177,7 +177,7 @@ _ids = st.one_of(st.integers(0, 200), st.sampled_from([-2, -1, 10**18, 10**18 + 
 def test_id_map_answers_like_a_dict(writes, reads):
     m, d = IdMap(), {}
     for key, value in writes:
-        m[key] = value
+        m.fill((key,), value)
         d[key] = value
     size = len(m.slots)
     view = IdDict(m)
@@ -197,5 +197,5 @@ def test_id_map_answers_like_a_dict(writes, reads):
     assert list(view) == sorted(d)
     for key, value in ((-1, 0), (-2, 5), (0, -1)):
         with pytest.raises(ValueError):
-            m[key] = value
+            m.fill((key,), value)
     assert list(view.items()) == sorted(d.items()) and len(m.slots) == size

@@ -75,6 +75,7 @@ def test_validate_reports_reversed_link():
 
 def test_search_for_left_sentinel_is_vertical_only():
     net = oracle_build([4, 13, 26], [0, 3, 1])
+    net.live = set(net.heights)
     res = search(net, LS)
     assert res.found
     assert res.h_moves == 0
@@ -88,6 +89,7 @@ def test_search_insertion_path_fixture():
     keys = [7, 13, 26, 44, 50, 60, 75, 90]
     heights = [0, 1, 3, 0, 2, 0, 1, 0]
     net = oracle_build(keys, heights)
+    net.live = set(keys)
     res, path = reference_walk(net, 88)
     assert search(net, 88) == res
     assert not res.found
@@ -103,6 +105,7 @@ def test_search_membership():
     keys = list(range(0, 600, 3))
     rng = random.Random(5)
     net = oracle_build(keys, [sample_height(rng) for _ in keys])
+    net.live = set(keys)
     assert search(net, 300).found
     assert not search(net, 301).found
     assert search(net, RS).found  # right sentinel is always present
@@ -159,6 +162,7 @@ def test_unlink_tower_counts_ports():
 
 def test_search_stalls_on_unrepresentable_relay():
     net = oracle_build([10, 20, 30], [0, 2, 0])
+    net.live = set(net.heights)
     res = search(net, 30, representable=lambda k: k != 20)
     assert res.stalled and not res.found
 
@@ -168,12 +172,12 @@ def test_live_view_search_stalls_on_unrepresentable_relay_key():
     # and never stands on it, so only the relay check can stall
     net = oracle_build([10, 20, 30], [0, 0, 0])
     net.live = {10, 30}
-    res = search(net, 30, representable=lambda k: k != 20, live_view=True)
+    res = search(net, 30, representable=lambda k: k != 20)
     assert res.stalled and not res.found
     ref, path = reference_walk(net, 30, lambda k: k != 20, live_view=True)
     assert res == ref
     assert path == [(LS, 0), (10, 0)]
-    assert search(net, 30, live_view=True).found
+    assert search(net, 30).found
 
 
 def test_live_view_search_reads_displaced_edge():
@@ -186,12 +190,12 @@ def test_live_view_search_reads_displaced_edge():
     net.splice_run(20, tail, RS, 0)
     assert net.displaced == {(0, 20): RS}
     for target in (15, 20, 25, 30, RS):
-        assert search(net, target, live_view=True) == \
+        assert search(net, target) == \
             reference_search(net, target, live_view=True)
     net.live = {10, 20, 25}
     assert not net.displaced          # a new live set clears the index
     res, path = reference_walk(net, 30, live_view=True)
-    assert search(net, 30, live_view=True) == res
+    assert search(net, 30) == res
     assert path[-1] == (25, 0)
 
 
@@ -250,6 +254,6 @@ def test_live_view_search_matches_reference_mid_merge(clean_keys, new_keys, rnd)
     # key whose lower levels are not spliced yet
     for target in targets:
         for rep in (None, lambda k: k not in bad):
-            assert search(net, target, rep, live_view=True) == \
+            assert search(net, target, rep) == \
                 reference_search(net, target, rep, live_view=True), \
                 (target, rep is None)

@@ -11,7 +11,8 @@ rounds with `work.uniform_round`. The replays below, and the buffer's in
 `buffer_reference`, the per-comparator sort included, are the loops that
 charged every message one node at a time, kept as the reference the
 closed-form rows are compared against, row for row. `rewire_recount`
-recounts the buffer's rewire rounds sender by sender.
+recounts the buffer's rewire rounds sender by sender. `totals` adds up a
+phase's rows, as the tests read a phase's cost from the rows it returns.
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ class RoundAcc:
         else:
             busiest, peak = None, 0
         return RoundWork(total, self.edges_formed, self.edges_deleted, peak, busiest)
+
+
+def totals(rows) -> tuple[int, int, int]:
+    """Messages, edges formed and edges deleted, summed over rows."""
+    messages = formed = deleted = 0
+    for row in rows:
+        messages += row.messages
+        formed += row.edges_formed
+        deleted += row.edges_deleted
+    return messages, formed, deleted
 
 
 def pad(rows: list[RoundWork], rounds: int) -> list[RoundWork]:
