@@ -43,6 +43,8 @@ def eval_rate_expr(expr: str, n: int) -> int:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ConfigError("churn_rate_expr", f"parse error: {exc}") from exc
+    except (RecursionError, MemoryError) as exc:
+        raise ConfigError("churn_rate_expr", "nested too deeply to parse") from exc
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -66,6 +68,8 @@ def eval_rate_expr(expr: str, n: int) -> int:
         return int(math.floor(ev(tree)))
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise ConfigError("churn_rate_expr", f"cannot evaluate {expr!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("churn_rate_expr", "nested too deeply to evaluate") from exc
 
 
 # The config keys are the SimParams fields, each read as its declared type,

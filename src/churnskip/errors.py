@@ -72,10 +72,9 @@ QUERY_TIMEOUT = "QueryTimeout"
 LIVE_MISMATCH = "LiveMismatch"
 
 # Kinds of the delete and merge errors of these names. They are raised out
-# of run_cycle and nothing in the package catches them, so such a run stops
-# with the exception instead of recording a failure.
+# of run_cycle, like MessageBudgetExceeded, and nothing in the simulation
+# catches them, so such a run stops instead of recording a failure.
 ORPHAN_LEAF = "OrphanLeaf"
-MESSAGE_SHAPE_VIOLATION = "MessageShapeViolation"
 SPLICE_CONFLICT = "SpliceConflict"
 
 

@@ -14,10 +14,10 @@ it sorts (criterion 1), is kept with the tests in
 Level raising works from the keys at each level: the keys that reached the
 level below, each with its index in the base chain, are filtered by
 height, and an index gap between two neighbours is a run of fill-ins whose
-two sides are leaves of the level's rewiring tree. The leaves are folded
-pairwise by `phase_delete.fold_pairs`, the one fold the delete module
-shares for chain rewiring. Host work is the keys summed over the levels,
-about twice the joiners.
+two sides are leaves of the level's rewiring tree, a balanced tree whose
+boundary messages are charged in closed form (`halving_rounds`); the pair
+fold they stand for is kept with the tests. Host work is the keys summed
+over the levels, about twice the joiners.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import NoJoiners
-from .phase_delete import Pair, fold_pairs
 from .skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet
 from .work import ParallelSends, RoundWork, uniform_round
 
@@ -67,6 +66,14 @@ def run_network_sort(overlay: SortingOverlay) -> tuple[list[int], list[RoundWork
     return sorted(overlay.joiners), rows
 
 
+def halving_rounds(leaves: list[int]) -> list[list[int]]:
+    """Per round, the senders of a balanced tree over a chain's leaves, left
+    to right: subtrees merge pairwise, so round r's are leaves[::2^r]."""
+    if not leaves:
+        return []
+    return [leaves[:: 1 << r] for r in range((len(leaves) - 1).bit_length() + 1)]
+
+
 def raise_levels(sorted_keys: list[int], heights: Heights
                  ) -> tuple[SkipNet, list[RoundWork]]:
     """Copy the base chain level by level and rewire fill-ins away.
@@ -95,7 +102,7 @@ def raise_levels(sorted_keys: list[int], heights: Heights
         level = [(i, k) for i, k in level if height[k] >= lvl]
         buf.set_link(LS, BUF_LS, lvl)
         buf.set_link(BUF_RS, RS, lvl)
-        leaves: list[Pair] = []
+        leaves: list[int] = []
         deleted = 0
         i, a = level[0]
         left_red = False
@@ -108,11 +115,11 @@ def raise_levels(sorted_keys: list[int], heights: Heights
             if right_red:
                 deleted += j - i
             if left_red or right_red:
-                leaves.append((a, left_red, a, right_red))
+                leaves.append(a)
             i, a, left_red = j, b, right_red
         if left_red:
-            leaves.append((a, True, a, False))
-        sends.add(fold_pairs(leaves, lvl)[1], deleted)
+            leaves.append(a)
+        sends.add(halving_rounds(leaves), deleted)
     # level copy: every key takes part at every level, fill-ins included
     return buf, [RoundWork(0, (len(base) - 1) * (top + 1)), *sends.rows()]
 

@@ -1,74 +1,26 @@
 """Batch deletion of committee-covered ("red") nodes from the clean network.
 
 Every level runs independently: black nodes adjacent to reds become leaves
-of a tree rooted at the left-topmost sentinel, dotted boundary pairs flow
-upward, and an edge is formed between two boundary nodes exactly when their
-facing dots meet, bridging each maximal red run. A level tree is held
-level-major, one key -> depth map per skip-list level it spans, and folds
-from the bottom level up, right to left within a level. Buffer creation
-reuses the same message discipline and pair merge to rewire fill-in nodes,
-there over a balanced tree on the level chain: `fold_pairs`, shared from
-here, folds the leaves that buffer creation finds from the keys at each
-level (see `phase_buffer.raise_levels`).
+of a tree rooted at the left-topmost sentinel, boundary messages flow
+upward, and one edge forms across each maximal red run, between the two
+blacks that end it. A level tree is held level-major, one key -> depth map
+per skip-list level it spans, and its messages are charged from the bottom
+level up, right to left within a level. The bridges are read off the level
+chain (`red_runs`); the dotted pairs the messages carry, and the merge
+that works the bridges out of them, are kept with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MESSAGE_SHAPE_VIOLATION, ORPHAN_LEAF, ChurnSkipError
+from .errors import ORPHAN_LEAF, ChurnSkipError
 from .skiplist import LS, SkipNet
 from .work import ParallelSends, RoundWork
 
 
-class MessageShapeViolation(ChurnSkipError):
-    kind = MESSAGE_SHAPE_VIOLATION
-
-
 class OrphanLeaf(ChurnSkipError):
     kind = ORPHAN_LEAF
-
-
-# A boundary message is (w, w_dotted, z, z_dotted): w/z are the leftmost and
-# rightmost leaves of the sending subtree, a dot marks a red neighbor on
-# that side.
-Pair = tuple[int, bool, int, bool]
-
-
-def _merge_pairs(below: Pair, right: Pair, bridges: list, lvl: int) -> Pair:
-    w, wd, x, xd = below
-    y, yd, z, zd = right
-    if xd != yd:
-        raise MessageShapeViolation(f"facing dots disagree at level {lvl}: {x} vs {y}")
-    if xd:
-        bridges.append((x, y))
-    return (w, wd, z, zd)
-
-
-def fold_pairs(leaves: list[Pair], lvl: int = 0
-               ) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """Run the boundary-message protocol over a balanced tree on a chain's
-    leaves, given left to right.
-
-    Buffer-level rewiring uses it, where every position of the level chain
-    is still present, so the chain itself is the communication structure:
-    neighbouring subtrees merge pairwise, halving the frontier each round.
-    Returns the bridges, in no particular order, and per round the keys that
-    send in it.
-    """
-    bridges: list[tuple[int, int]] = []
-    if not leaves:
-        return bridges, []
-    senders = [[pair[0] for pair in leaves]]
-    frontier = leaves
-    while len(frontier) > 1:
-        nxt = [_merge_pairs(frontier[i], frontier[i + 1], bridges, lvl)
-               for i in range(0, len(frontier) - 1, 2)]
-        if len(frontier) % 2:
-            nxt.append(frontier[-1])
-        frontier = nxt
-        senders.append([pair[0] for pair in frontier])
-    return bridges, senders
 
 
 # -- the skip-list backtracking tree (deletion proper) -----------------------
@@ -123,58 +75,56 @@ def form_tree(net: SkipNet, lvl: int, red: set[int]
     return leaves, depths, layers
 
 
-_NO_INPUT = (None, 0)
-
-
-def fold_tree(net: SkipNet, lvl: int, red: set[int], leaves: list[int],
-              depths: list[dict[int, int]]
-              ) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """Flow boundary pairs leaves-to-root, forming one edge per red run.
+def fold_tree(net: SkipNet, lvl: int, leaves: list[int],
+              depths: list[dict[int, int]]) -> list[list[int]]:
+    """Charge the boundary messages flowing leaves-to-root.
 
     Levels fold bottom-up and keys right to left within a level, so every
     node folds after both its inputs: the node below it, which climbed, and
-    the node folded just before it when that one did not climb. Returns the
-    bridges and, per round, the keys that send in it. A node sends one
-    round after the later of its inputs; a leaf's own pair is ready at once.
+    the node folded just before it when that one did not climb. Returns,
+    per round, the keys that send in it. A node sends in the round its later
+    input arrives; a leaf's own message is ready in round 0.
     """
     top = net.height
-    links = net.links
     senders: list[list[int]] = []
-    bridges: list[tuple[int, int]] = []
-    # per key of the level being folded: the input from below, (pair, round
-    # it arrives); at the deletion level these are the leaves' own pairs
-    below: dict[int, tuple[Pair, int]] = {}
-    for leaf in leaves:
-        left, nxt = links[leaf][lvl]
-        below[leaf] = ((leaf, left in red, leaf, nxt in red), 0)
-    pair = None
+    # per key of the level being folded: the round its input from below
+    # arrives; at the deletion level these are the leaves' own messages
+    below = dict.fromkeys(leaves, 0)
     for l in range(lvl, top + 1):
         upper = depths[l + 1] if l < top else ()
-        climbs: dict[int, tuple[Pair, int]] = {}
-        right = None   # pair of the node folded last, if it is a right child
+        climbs: dict[int, int] = {}
+        right = 0   # arrival from the node folded last if a right child, else 0
         for key in sorted(depths[l], reverse=True):
-            pair, when = below.get(key, _NO_INPUT)
-            if right is not None:
-                pair = right if pair is None else _merge_pairs(pair, right, bridges, lvl)
-                if right_fire > when:
-                    when = right_fire
+            when = below.get(key, 0)
+            if right > when:
+                when = right
             if key == LS and l == top:
                 break   # the root folds its inputs but sends nothing further
             if when == len(senders):
                 senders.append([])
             senders[when].append(key)
             if key in upper:
-                climbs[key] = (pair, when + 1)
-                right = None
+                climbs[key] = when + 1
+                right = 0
             else:
-                right, right_fire = pair, when + 1
+                right = when + 1
         below = climbs
+    return senders
 
-    # When the deletion level is the top level, the root sentinel may itself
-    # be a leaf.
-    if pair is not None and (pair[1] or pair[3]):
-        raise MessageShapeViolation(f"unmatched dot at root, level {lvl}")
-    return sorted(bridges), senders
+
+def red_runs(net: SkipNet, lvl: int, red: set[int], leaves: list[int]
+             ) -> list[tuple[int, int]]:
+    """Level lvl's bridges, one per maximal red run: walk right from each
+    leaf, left to right, across the red run it starts to the black ending it."""
+    links = net.links
+    bridges = []
+    for leaf in leaves:
+        key = links[leaf][lvl][1]
+        if key in red:
+            while key in red:
+                key = links[key][lvl][1]
+            bridges.append((leaf, key))
+    return bridges
 
 
 @dataclass
@@ -204,13 +154,12 @@ def delete_phase(net: SkipNet, reds) -> tuple[DeleteSummary, list[RoundWork]]:
             break
         level_red = set(at_level)
         leaves, depths, layers = form_tree(net, lvl, level_red)
-        bridges, prop = fold_tree(net, lvl, level_red, leaves, depths)
         # formation backtracks one hop per round, in parallel from all
         # leaves: the deepest nodes send first. A key sends at most once
         # per round in one level tree (its tree nodes form a vertical
         # chain), but in several trees at once
-        sends.add(layers[:0:-1] + prop)
-        per_level.append((len(at_level), bridges))
+        sends.add(layers[:0:-1] + fold_tree(net, lvl, leaves, depths))
+        per_level.append((len(at_level), red_runs(net, lvl, level_red, leaves)))
     rows = sends.rows()
 
     # apply: bridge each red run, then drop the red towers

@@ -13,12 +13,14 @@ comparator by comparator, to be compared with the closed-form rows.
 
 ``churnskip.phase_buffer.raise_levels`` works from the keys at each level:
 it filters the keys, with their base-chain index, that reached the level
-below, reads each fill-in run from an index gap between neighbours and
-feeds the run's two sides to ``phase_delete.fold_pairs``. ``raise_levels``
-here is the version it replaced: each level marks its fill-ins over the
-whole chain, finds the leaves by scanning the chain (``bridge_chain``) and
-counts the dropped edges run by run. Both must give the same links,
-heights, pending labels and rows, field by field.
+below, reads each fill-in run from an index gap between neighbours, takes
+the run's two sides as leaves and charges their balanced tree in closed
+form (``phase_buffer.halving_rounds``). ``raise_levels`` here is the
+version it replaced: each level marks its fill-ins over the whole chain,
+finds the leaves by scanning the chain and folds their dotted pairs
+(``bridge_chain``, by ``delete_reference.fold_pairs``), and counts the
+dropped edges run by run. Both must give the same links, heights, pending
+labels and rows, field by field.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from churnskip.phase_delete import Pair, _merge_pairs
 from churnskip.skiplist import BUF_LS, BUF_RS, LS, RS, SkipNet
 from churnskip.work import ParallelSends, RoundWork
-from delete_reference import leaf_pair
+from delete_reference import Pair, fold_pairs, leaf_pair
 from work_reference import RoundAcc
 
 PAD = RS  # padding values sort to the top and fall off the real outputs
@@ -139,18 +140,7 @@ def bridge_chain(chain: list[int], red: set[int], lvl: int = 0
         rred = i + 1 < len(chain) and chain[i + 1] in red
         if lred or rred:
             leaves.append(leaf_pair(key, lred, rred))
-    bridges: list[tuple[int, int]] = []
-    if not leaves:
-        return bridges, []
-    senders = [[pair[0] for pair in leaves]]
-    frontier = leaves
-    while len(frontier) > 1:
-        nxt = [_merge_pairs(frontier[i], frontier[i + 1], bridges, lvl)
-               for i in range(0, len(frontier) - 1, 2)]
-        if len(frontier) % 2:
-            nxt.append(frontier[-1])
-        frontier = nxt
-        senders.append([pair[0] for pair in frontier])
+    bridges, senders = fold_pairs(leaves, lvl)
     return sorted(bridges), senders
 
 

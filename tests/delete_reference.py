@@ -1,10 +1,20 @@
-"""The level-walking delete phase, kept as the reference.
+"""The level-walking delete phase and the boundary-pair fold, kept as the
+reference.
 
 ``churnskip.phase_delete`` finds each level tree from the reds and charges
 its rows in closed form. This is the code it replaced: every level is
 walked twice (once for the leaves, once to count deleted edges), each tree
 node gets its own dict of children, and every round is a ``RoundAcc``.
 Both must give the same bridges, the same structure and the same rows.
+
+Here the boundary messages carry the paper's dotted pairs, and the bridges
+are worked out by merging them (``_merge_pairs``), which raises
+``MessageShapeViolation`` when two facing dots disagree. The package reads
+the bridges off the red runs instead (``phase_delete.red_runs``): when
+every link is doubly linked, which ``SkipNet.validate`` checks, facing dots
+always agree and the merge finds the same bridges. ``fold_pairs`` is the
+same merge over a balanced tree on a chain's leaves, the fold that
+``phase_buffer.halving_rounds`` charges in closed form.
 """
 
 from __future__ import annotations
@@ -12,11 +22,53 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from churnskip.phase_delete import (DeleteSummary, MessageShapeViolation, OrphanLeaf,
-                                    Pair, _merge_pairs)
+from churnskip.errors import ChurnSkipError
+from churnskip.phase_delete import DeleteSummary, OrphanLeaf
 from churnskip.skiplist import LS, RS, SkipNet
 from churnskip.work import RoundWork
 from work_reference import RoundAcc, pad
+
+
+class MessageShapeViolation(ChurnSkipError):
+    kind = "MessageShapeViolation"
+
+
+# A boundary message is (w, w_dotted, z, z_dotted): w/z are the leftmost and
+# rightmost leaves of the sending subtree, a dot marks a red neighbor on
+# that side.
+Pair = tuple[int, bool, int, bool]
+
+
+def _merge_pairs(below: Pair, right: Pair, bridges: list, lvl: int) -> Pair:
+    w, wd, x, xd = below
+    y, yd, z, zd = right
+    if xd != yd:
+        raise MessageShapeViolation(f"facing dots disagree at level {lvl}: {x} vs {y}")
+    if xd:
+        bridges.append((x, y))
+    return (w, wd, z, zd)
+
+
+def fold_pairs(leaves: list[Pair], lvl: int = 0
+               ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """Run the boundary-message protocol over a balanced tree on a chain's
+    leaves, given left to right: neighbouring subtrees merge pairwise,
+    halving the frontier each round. Returns the bridges, in no particular
+    order, and per round the keys that send in it.
+    """
+    bridges: list[tuple[int, int]] = []
+    if not leaves:
+        return bridges, []
+    senders = [[pair[0] for pair in leaves]]
+    frontier = leaves
+    while len(frontier) > 1:
+        nxt = [_merge_pairs(frontier[i], frontier[i + 1], bridges, lvl)
+               for i in range(0, len(frontier) - 1, 2)]
+        if len(frontier) % 2:
+            nxt.append(frontier[-1])
+        frontier = nxt
+        senders.append([pair[0] for pair in frontier])
+    return bridges, senders
 
 
 def leaf_pair(key: int, left_red: bool, right_red: bool) -> Pair:

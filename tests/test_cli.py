@@ -58,6 +58,21 @@ def test_rate_expression_that_cannot_be_evaluated_is_config_error(
     assert "churn_rate_expr: cannot evaluate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["-" * 2000 + "n", "+" * 5000 + "n", "-" * 100_000 + "n"],
+                         ids=["unary-minus-2000", "unary-plus-5000", "unary-minus-100000"])
+def test_rate_expression_nested_too_deeply_is_config_error(expr, tmp_path, capsys):
+    # the evaluator (2,000 levels) or the parser (5,000 and 100,000) runs
+    # out of depth: the config's fault, so exit 2 and not a traceback
+    with pytest.raises(ConfigError) as exc:
+        eval_rate_expr(expr, 64)
+    assert exc.value.field == "churn_rate_expr"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"n = 64\nchurn_rate_expr = {expr}\nhorizon_cycles = 1\n")
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "churn_rate_expr: nested too deeply" in capsys.readouterr().err
+
+
 def test_parse_config_and_field_errors():
     cfg = parse_config(CFG)
     assert cfg["n"] == 256 and cfg["strategy"] == "uniform_random"
@@ -172,6 +187,33 @@ def test_simulate_churning_run_is_deterministic_and_pinned(tmp_path):
         "0ff91cb5165af20cc89ec8fb0816d58d5dd440a206f8e9bc1bfc5c70ece0a130"
 
 
+def _shipped_config_sums(tmp_path, name, outputs):
+    """Simulate configs/<name> and hash each of the named outputs."""
+    config = Path(__file__).resolve().parents[1] / "configs" / name
+    out = tmp_path / name
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    return {output: hashlib.sha256((out / output).read_bytes()).hexdigest()
+            for output in outputs}
+
+
+# The shipped small config draws no churn (rate 0), so its cycles have no
+# reds and no joiners: its trace, merge events, cycles, schedule, phase
+# records and final structure, as written by Python 3.11. CI's same-bytes
+# job checks the same sums on newer Pythons.
+SMALL_SHA256 = {
+    "trace.jsonl": "6066887e2da65887d6df174425bde00b5d14329ab4a0b8da1f1b7b9a9937966f",
+    "merge_events.jsonl": "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    "cycles.jsonl": "242eea34423bac36c1176a1e539cd326d1bffe733562d0d4cabd97efe0e92db5",
+    "schedule.txt": "0113ea8e79bc0a63c154cab32ba18b89d4a666acf76ec1ba383509885e22abd3",
+    "phases.jsonl": "e28431a29dffabcf7ec474997b96c86ca9ce3251723cebce8820cc119d91541e",
+    "dump.jsonl": "02cf936a36e00130ce5c30614708b241fc0a32413c92e0201de7a177e260635b",
+}
+
+
+def test_small_config_outputs_are_pinned(tmp_path):
+    assert _shipped_config_sums(tmp_path, "small.cfg", SMALL_SHA256) == SMALL_SHA256
+
+
 # The shipped acceptance-scale config: every output of its run, as written
 # by Python 3.11. CI's same-bytes job checks the same sums on newer Pythons.
 CHURNY_SHA256 = {
@@ -190,13 +232,8 @@ CHURNY_SHA256 = {
 
 
 def test_churny_config_outputs_are_pinned(tmp_path):
-    config = Path(__file__).resolve().parents[1] / "configs" / "churny.cfg"
-    out = tmp_path / "churny"
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     assert sorted(CHURNY_SHA256) == sorted(OUTPUTS)
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in OUTPUTS}
-    assert got == CHURNY_SHA256
+    assert _shipped_config_sums(tmp_path, "churny.cfg", OUTPUTS) == CHURNY_SHA256
 
 
 def test_unknown_strategy_is_config_error(tmp_path, capsys):

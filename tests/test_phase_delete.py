@@ -5,19 +5,14 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from churnskip.phase_delete import (
-    MessageShapeViolation,
-    _merge_pairs,
-    delete_phase,
-    fold_pairs,
-    fold_tree,
-    form_tree,
-)
+from churnskip.phase_buffer import halving_rounds
+from churnskip.phase_delete import delete_phase, fold_tree, form_tree, red_runs
 from churnskip.skiplist import LS, RS, oracle_build, sample_height
 from buffer_reference import bridge_chain
 from skiplist_reference import oracle_delete
 import delete_reference as reference
-from delete_reference import expected_bridges, leaf_pair
+from delete_reference import (MessageShapeViolation, _merge_pairs, expected_bridges,
+                              fold_pairs)
 from work_reference import totals
 
 
@@ -135,8 +130,25 @@ def test_work_proportional_to_reds():
 
 
 def test_merge_pairs_shape_violation():
+    # the reference fold, in the tree and on a chain, raises when facing
+    # dots disagree
     with pytest.raises(MessageShapeViolation):
         _merge_pairs((1, False, 2, True), (3, False, 4, False), [], 0)
+    with pytest.raises(MessageShapeViolation):
+        fold_pairs([(1, False, 1, True), (3, False, 3, False)])
+
+
+def test_reference_fold_raises_only_where_validate_fails():
+    # facing dots disagree only across a link that is not doubly linked,
+    # which validate reports; red_runs reads the bridge off the right ports
+    net = oracle_build([10, 20, 30], [0, 0, 0])
+    net.links[30][0][0] = 10    # 30's left port skips the red 20
+    report = net.validate()
+    assert (report.ok, report.code) == (False, "doubly-linked-violation")
+    tree = reference.tree_formation(net, 0, {20})
+    with pytest.raises(MessageShapeViolation):
+        reference.propagate_and_bridge(net, tree, {20})
+    assert red_runs(net, 0, {20}, tree.leaves) == [(10, 30)]
 
 
 def test_bridge_chain_matches_scan():
@@ -147,12 +159,12 @@ def test_bridge_chain_matches_scan():
         chain = [LS, *keys, RS]
         # the blacks next to a red run, left to right, are the fold's leaves
         red = [False, *(k in reds for k in chain), False]
-        leaves = [leaf_pair(k, red[i], red[i + 2]) for i, k in enumerate(chain)
+        leaves = [k for i, k in enumerate(chain)
                   if not red[i + 1] and (red[i] or red[i + 2])]
-        bridges, senders = fold_pairs(leaves)
-        bridges.sort()
+        bridges, senders = bridge_chain(chain, reds)
         assert bridges == expected_bridges(chain, reds)
-        assert (bridges, senders) == bridge_chain(chain, reds)
+        # the closed form charges the same senders, round by round
+        assert halving_rounds(leaves) == senders
         if bridges:
             assert len(senders) <= math.ceil(math.log2(len(chain))) + 2
 
@@ -246,8 +258,10 @@ def _same_delete_as_reference(keys, heights, reds, pending=()):
         assert (leaves, len(layers) - 1) == (expect.leaves, expect.depth)
         assert _depth_map(depths) == expect.depth_map
         assert _layer_keys(layers) == _layer_keys_of(expect.depth_map)
-        bridges, _ = fold_tree(net, lvl, level_red, leaves, depths)
-        assert bridges == reference.propagate_and_bridge(ref, expect, level_red)[0]
+        ref_bridges, ref_prop = reference.propagate_and_bridge(ref, expect, level_red)
+        assert red_runs(net, lvl, level_red, leaves) == ref_bridges
+        assert [len(sent) for sent in fold_tree(net, lvl, leaves, depths)] == \
+            [row.messages for row in ref_prop]
     recount = reference.sender_counts(ref, reds)
     summary, rows = delete_phase(net, reds)
     ref_summary, ref_rows, _ = reference.delete_phase(ref, reds)
