@@ -60,7 +60,7 @@ def eval_rate_expr(expr: str, n: int) -> int:
         if isinstance(node, ast.UnaryOp) and type(node.op) in _OPS:
             return _OPS[type(node.op)](ev(node.operand))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _FUNCS:
+                and node.func.id in _FUNCS and not node.keywords:
             return _FUNCS[node.func.id](*(ev(a) for a in node.args))
         raise ConfigError("churn_rate_expr", f"disallowed syntax: {ast.dump(node)}")
 

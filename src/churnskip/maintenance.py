@@ -142,8 +142,8 @@ class Simulation:
         self.removed_clean = IdMap()
         self.cycles: list[CycleSummary] = []
         self.query_log = QueryLog(xs, rs, ss, self._next_query)
-        # covers whose committee still had a live speaker at the end of
-        # their round; every other departure is a COMMITTEE_DESTROYED failure
+        # covers whose committee still had a member at the end of their
+        # round; every other departure is a COMMITTEE_DESTROYED failure
         self.covering_audits = 0
         self.phase_records: list[dict] = []
         self.merge_events = MergeLog()    # phase_merge.event_record
@@ -206,10 +206,11 @@ class Simulation:
         if world.phase_tag == MAINTENANCE and \
                 world.round % self.params.tick_period == 0:
             self.overlay.maintenance_tick(world.alive, world.rng_alg, world.round)
-        # every pending cover was made during the round just run
+        # every pending cover was made during the round just run; every
+        # committee member is alive, so a cover holds while its size is not 0
+        overlay = self.overlay
         for node in self._pending_covers:
-            speaker = self.overlay.covering_speaker(node)
-            if speaker is not None and speaker in world.alive:
+            if overlay.size(overlay.covered_index[node]):
                 self.covering_audits += 1
             else:
                 self._cover_lost(node)
@@ -354,19 +355,15 @@ class Simulation:
 
     # -- queries ------------------------------------------------------------------------
 
-    def _representable(self, key: int) -> bool:
-        return self.world.is_alive(key) or key in self.overlay.covered_index
-
     def _serve_query(self, x: int, r: int, s: int) -> QueryOutcome:
         world = self.world
         addr = self.overlay.address_of(s) or (0, 0)
         hops = self._hops_from.get(addr)
         if hops is None:
             hops = self._hops_from[addr] = route_hops(addr, (0, 0), self.overlay.k) + 1
-        # every departure is covered until a cover fails, so until then
-        # every key is representable and the search need not check
-        representable = self._representable if self.uncovered else None
-        result = search(self.clean, x, representable=representable)
+        # a clean key that is neither alive nor covered is uncovered, and
+        # with no failed cover the search has nothing to check
+        result = search(self.clean, x, self.uncovered)
         if result.stalled:
             world.fail(STALLED, f"query {x} from {s}")
         answer = result.found and x in self.clean.live and not result.stalled

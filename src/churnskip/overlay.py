@@ -12,11 +12,12 @@ single-committee overlay used below the smallest viable network size.
 Membership is the last tick's draw plus deltas: the sorted alive nodes and
 the committee slot drawn for each, the drawn nodes that left since and the
 nodes placed since. A node's committee is looked up in the nodes placed
-since, else by bisection into the draw; sizes are counts and a committee's
-speaker is found in the draw. So the tick does nothing per node beyond the
-draw and its size count, and neither it nor covering builds a per-node map
-or a member set. The tests build those copies from the draw and the deltas
-(``tests/overlay_reference.py``).
+since, else by bisection into the draw, and sizes are counts. Every member
+is alive, since a departure leaves its committee before anything reads it,
+so a cover holds exactly while its committee's size is not zero. The tick
+does nothing per node beyond the draw and its size count, and neither it
+nor covering builds a per-node map or a member set. The tests build those
+copies from the draw and the deltas (``tests/overlay_reference.py``).
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .params import butterfly_k, ceil_log2
 from .simcore import RecordView
-from .skiplist import RS
 from .work import RoundWork, uniform_round
 
 Address = tuple[int, int]
@@ -114,10 +113,9 @@ class CommitteeOverlay:
     """Committees are slots, ``addrs[slot]`` their addresses. Membership:
     ``_nodes`` (sorted) drew the slots ``_picks`` at the last tick or at
     bootstrap; ``_gone`` holds the drawn nodes that left since and ``_placed``
-    the slot of each node placed since. ``_size`` counts each slot's members,
-    and ``_speakers`` caches a slot's smallest member until it leaves or a
-    smaller node arrives; ``_placed_lo`` bounds the nodes placed since from
-    below. A cover is one ``covered_index`` entry."""
+    the slot of each node placed since. ``_size`` counts each slot's
+    members. A cover is one ``covered_index`` entry, and it holds while its
+    committee's size is not zero."""
 
     def __init__(self, k: int):
         self.k = k
@@ -144,8 +142,6 @@ class CommitteeOverlay:
         self._size = [counts[slot] for slot in self._slots]
         self._gone: set[int] = set()
         self._placed: dict[int, int] = {}
-        self._placed_lo = RS    # at most every node in _placed
-        self._speakers: dict[int, int | None] = {}
 
     def _drawn_slot(self, node: int) -> int | None:
         """The slot the draw gave node, unless it was not drawn or left."""
@@ -154,9 +150,6 @@ class CommitteeOverlay:
         if i < len(nodes) and nodes[i] == node and node not in self._gone:
             return self._picks[i]
         return None
-
-    def _placed_in(self, slot: int) -> list[int]:
-        return [node for node, s in self._placed.items() if s == slot]
 
     def address_of(self, node: int) -> Address | None:
         """The committee node is a member of, or None."""
@@ -168,38 +161,10 @@ class CommitteeOverlay:
     def size(self, addr: Address) -> int:
         return self._size[self._slot[addr]]
 
-    def speaker(self, addr: Address) -> int | None:
-        slot = self._slot[addr]
-        if slot not in self._speakers:
-            # the first drawn member that has not left, or a smaller node
-            # placed since; none is smaller when that member is below
-            # _placed_lo
-            nodes, picks, gone = self._nodes, self._picks, self._gone
-            first = []
-            try:
-                i = picks.index(slot)
-                while nodes[i] in gone:
-                    i = picks.index(slot, i + 1)
-                first.append(nodes[i])
-            except ValueError:
-                pass
-            if first and first[0] < self._placed_lo:
-                self._speakers[slot] = first[0]
-            else:
-                self._speakers[slot] = min(chain(first, self._placed_in(slot)),
-                                           default=None)
-        return self._speakers[slot]
-
     def place(self, node: int, addr: Address) -> None:
         slot = self._slot[addr]
         self._placed[node] = slot
-        if node < self._placed_lo:
-            self._placed_lo = node
         self._size[slot] += 1
-        if slot in self._speakers:
-            speaker = self._speakers[slot]
-            if speaker is None or node < speaker:
-                self._speakers[slot] = node
 
     def remove_member(self, node: int) -> Address | None:
         """Take node out of its committee; returns that committee, if any."""
@@ -210,8 +175,6 @@ class CommitteeOverlay:
                 return None
             self._gone.add(node)
         self._size[slot] -= 1
-        if self._speakers.get(slot) == node:
-            del self._speakers[slot]
         return self.addrs[slot]
 
     def sizes(self) -> list[int]:
@@ -234,10 +197,6 @@ class CommitteeOverlay:
 
     def uncover(self, node: int) -> None:
         self.covered_index.pop(node, None)
-
-    def covering_speaker(self, node: int) -> int | None:
-        addr = self.covered_index.get(node)
-        return None if addr is None else self.speaker(addr)
 
     # -- periodic maintenance ----------------------------------------------------
 

@@ -233,9 +233,6 @@ class World:
         else:
             self.heights.fill((node,), sample_height(self.rng_alg))
 
-    def is_alive(self, node: int) -> bool:
-        return node in self.alive
-
     # -- charging -----------------------------------------------------------------
 
     @property

@@ -290,12 +290,12 @@ class SearchResult:
         return self.h_moves + self.v_moves
 
 
-def search(net: SkipNet, target: int, representable=None) -> SearchResult:
+def search(net: SkipNet, target: int, uncovered=frozenset()) -> SearchResult:
     """Top-down search of the live view from the left-topmost sentinel.
 
-    One round per horizontal or vertical move. ``representable`` maps a key
-    to False when nobody (node or covering committee) can answer for it; the
-    search then stalls, which callers count as a protocol failure.
+    One round per horizontal or vertical move. ``uncovered`` holds the keys
+    that nobody (node or covering committee) can answer for; the search
+    stalls on one, which callers count as a protocol failure.
 
     The walk only stands on live members, relaying through not-yet-promoted
     keys at the same level (mid-merge buffer residents have complete links
@@ -306,42 +306,31 @@ def search(net: SkipNet, target: int, representable=None) -> SearchResult:
     live, such as a finished run's clean list, this is the plain skip-list
     walk (``tests/search_reference.reference_walk``).
 
-    Without ``representable`` nothing can stall, so the live successor is
+    With ``uncovered`` empty nothing can stall, so the live successor is
     read from the displaced-edge index (see ``SkipNet``) instead of relaying
     to it. The relay is still walked to count the hops of a move right, and
     whenever the candidate is neither live nor ``RS``, which keeps nets with
-    arbitrary live sets exact. With ``representable`` every relay key is
-    checked, as the protocol would.
+    arbitrary live sets exact. Otherwise every relay key is checked, as the
+    protocol would.
     """
     links = net.links
     live = net.live
-    checked = representable is not None
     pos, lvl = LS, net.height
     h_moves = v_moves = 0
-
-    def reachable(key):
-        return key in SENTINELS or representable(key)
-
-    def relay(p, l):
-        """(first live key or RS right of p, hops), or (None, hops) on a stall."""
-        z, hops = links[p][l][1], 1
-        while z != RS and z not in live:
-            if checked and not reachable(z):
-                return None, hops
-            z, hops = links[z][l][1], hops + 1
-        return z, hops
-
     while True:
         z, hops = links[pos][lvl][1], 1
         if z != RS and z not in live:
-            if not checked:
+            if not uncovered:
                 z = net.displaced.get((lvl, pos), z)
-            if checked or (z != RS and (z < target or z not in live)):
-                z, hops = relay(pos, lvl)
-                if z is None:
-                    return SearchResult(False, h_moves, v_moves, stalled=True)
+            if uncovered or (z != RS and (z < target or z not in live)):
+                # relay to the first live key or RS right of pos
+                z = links[pos][lvl][1]
+                while z != RS and z not in live:
+                    if z in uncovered:
+                        return SearchResult(False, h_moves, v_moves, stalled=True)
+                    z, hops = links[z][lvl][1], hops + 1
         if z < target and z != RS:
-            if checked and not reachable(z):
+            if z in uncovered:
                 return SearchResult(False, h_moves, v_moves, stalled=True)
             pos = z
             h_moves += hops
@@ -350,7 +339,7 @@ def search(net: SkipNet, target: int, representable=None) -> SearchResult:
             v_moves += 1
         else:
             found = pos == target or z == target
-            if checked and found and z == target and not reachable(z):
+            if found and z == target and z in uncovered:
                 return SearchResult(False, h_moves, v_moves, stalled=True)
             return SearchResult(found, h_moves, v_moves)
 

@@ -3,9 +3,9 @@
 ``churnskip.overlay.CommitteeOverlay`` keeps the last reassignment draw as
 the membership and tracks the nodes placed and removed since as deltas.
 This is the membership it replaced: one set per committee, cleared and
-refilled node by node on every tick, with the speaker taken as the minimum
-of the set. Both must agree on assignments, members, sizes, speakers,
-censuses and the random draws they make.
+refilled node by node on every tick. Both must agree on assignments,
+members, sizes, covers and whether each still holds, censuses and the
+random draws they make.
 
 ``assignment`` and ``members`` build a ``CommitteeOverlay``'s per-node map
 and member sets from its draw and deltas, copies that no run needs.
@@ -34,7 +34,8 @@ def members(overlay: CommitteeOverlay, addr: Address) -> set[int]:
     """The members of the committee at addr."""
     slot = overlay._slot[addr]
     drawn = compress(overlay._nodes, map(slot.__eq__, overlay._picks))
-    return set(drawn).difference(overlay._gone).union(overlay._placed_in(slot))
+    placed = (node for node, s in overlay._placed.items() if s == slot)
+    return set(drawn).difference(overlay._gone).union(placed)
 
 
 def validate_cliques(overlay: CommitteeOverlay) -> str:
@@ -72,27 +73,25 @@ class EagerOverlay:
             self.members[addr].discard(node)
         return addr
 
-    def speaker(self, addr):
-        return min(self.members[addr]) if self.members[addr] else None
-
     def sizes(self) -> list[int]:
         return [len(self.members[addr]) for addr in self.addrs]
 
     def cover_node(self, node, links):
-        """Returns (committee, speaker, edges), or None when the committee
-        is empty or the node had none."""
+        """Returns (committee, edges), or None when the committee is empty
+        or the node had none."""
         addr = self.remove_member(node)
         if addr is None or not self.members[addr]:
             return None
         self.covered_index[node] = addr
-        return addr, self.speaker(addr), len(self.members[addr]) * max(1, links)
+        return addr, len(self.members[addr]) * max(1, links)
 
     def uncover(self, node) -> None:
         self.covered_index.pop(node, None)
 
-    def covering_speaker(self, node):
+    def cover_holds(self, node) -> bool:
+        """Whether node is covered by a committee with a member left."""
         addr = self.covered_index.get(node)
-        return None if addr is None else self.speaker(addr)
+        return addr is not None and bool(self.members[addr])
 
     def maintenance_tick(self, alive, rng, round_no) -> Census:
         for members in self.members.values():

@@ -88,7 +88,7 @@ def reshape(state: CommitteeOverlay, opinions: dict[Address, str],
     """
     votes = set(opinions.values())
     agree_rounds = ceil_log2(max(2, len(state.addrs))) + 1
-    speakers = map(state.speaker, state.addrs)
+    speakers = (min(members(state, addr), default=None) for addr in state.addrs)
     rows = [sends_row(Counter(s for s in speakers if s is not None))]
     rows += [RoundWork() for _ in range(agree_rounds - 1)]
     if votes == {"stay"}:

@@ -3,10 +3,13 @@
 ``churnskip.skiplist.search`` reads a live member's successor from the
 displaced-edge index instead of relaying to it key by key. This is the walk
 it replaced: every relay key is visited and checked, and the level-0 run is
-scanned a second time for the answer. Both must give equal ``SearchResult``s
-for every net, live set, target and ``representable``. The walk also
-records its path, the ``(key, level)`` it stands on after each move, which
-``search`` does not build.
+scanned a second time for the answer. ``search`` stalls on the keys of its
+``uncovered`` set; this walk stalls where its own ``representable``
+predicate says no, and the tests derive that predicate from the liveness
+and the covers, or from their own bad keys, not from the uncovered set.
+Both must give equal ``SearchResult``s for every net, live set and target.
+The walk also records its path, the ``(key, level)`` it stands on after
+each move, which ``search`` does not build.
 """
 
 from churnskip.skiplist import LS, RS, SearchResult, is_sentinel

@@ -305,9 +305,9 @@ def test_criterion_8_covering_latency(churn_corpus):
     bad = sum(f["lost_covers"] for f in figures)
     departures = sum(f["departures"] for f in figures)
     verdict(8, total > 0 and bad == 0 and total + bad == departures,
-            f"every one of {total} departures had its committee speaker "
-            f"alive at the end of its departure round (reachability from "
-            f"its former neighbors is not checked)")
+            f"every one of {total} departures had a member left in its "
+            f"committee at the end of its departure round (reachability "
+            f"from its former neighbors is not checked)")
 
 
 # -- criterion 9: statistical suite ------------------------------------------------

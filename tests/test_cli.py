@@ -40,6 +40,18 @@ def test_rate_expression_arithmetic():
         eval_rate_expr("__import__('os')", 10)
     with pytest.raises(ConfigError):
         eval_rate_expr("m + 1", 10)
+    # no function of the grammar takes keyword arguments
+    for expr in ("log(n, base=2)", "floor(n, x=1/0)"):
+        with pytest.raises(ConfigError):
+            eval_rate_expr(expr, 1024)
+
+
+def test_rate_expression_with_keywords_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("n = 64\nchurn_rate_expr = log(n, base=2)\nhorizon_cycles = 1\n")
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "churn_rate_expr: disallowed syntax" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("expr", ["n/0", "log2(0)", "sqrt(-n)", "10.0**1000",

@@ -220,7 +220,7 @@ def test_committee_destroyed_is_counted_not_fatal():
 def test_cover_lost_within_its_round_fails_and_stalls(monkeypatch):
     # white-box: cover a departed member of a committee, then empty that
     # committee before the round's end; the end-of-round check finds no
-    # speaker, and the key stalls a search until the delete phase
+    # member left, and the key stalls a search until the delete phase
     sim = small_sim(n=64, rate=0, cycles=1)
     sim.bootstrap_all()
     # a reassignment tick would run before the check and refill the committee
@@ -299,16 +299,23 @@ def test_simulation_imports_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def _answerable(sim, key) -> bool:
+    """A key's own node is alive, or a committee covers it."""
+    return key in sim.world.alive or key in sim.overlay.covered_index
+
+
 def _serve_both_ways(sim, monkeypatch):
     """Serve every query with the fast search and check it against the
-    reference relay walk, which always checks representability."""
+    reference relay walk, which always checks that each relay key is
+    answerable."""
     served = []
 
-    def both(net, target, representable=None):
-        fast = search(net, target, representable)
-        ref = reference_search(net, target, sim._representable, live_view=True)
+    def both(net, target, uncovered=frozenset()):
+        fast = search(net, target, uncovered)
+        ref = reference_search(net, target, lambda key: _answerable(sim, key),
+                               live_view=True)
         assert fast == ref, (sim.world.round, target)
-        served.append((representable is not None, bool(net.displaced), ref.stalled))
+        served.append((bool(uncovered), bool(net.displaced), ref.stalled))
         return fast
 
     monkeypatch.setattr(maintenance, "search", both)
@@ -331,16 +338,24 @@ def test_served_queries_match_reference_walk(monkeypatch):
                                            ("burst", 13)])
 def test_clean_keys_stay_answerable_every_round(monkeypatch, strategy, seed):
     # the stall checks are skipped on this invariant: with no failed cover,
-    # every clean key is alive or covered after every round
+    # every clean key is alive or covered after every round. The cover
+    # audit and the search rest on two more: every committee member is
+    # alive, and an uncovered key is neither alive nor covered
     sim = small_sim(n=128, rate=3, cycles=4, seed=seed, strategy=strategy)
     advance = sim._advance
     rounds = []
 
     def checked(phase):
         advance(phase)
-        rounds.append(sim.world.round)
+        rnd = sim.world.round
+        rounds.append(rnd)
         for key in sim.clean.heights:
-            assert is_sentinel(key) or sim._representable(key), (key, sim.world.round)
+            assert is_sentinel(key) or _answerable(sim, key), (key, rnd)
+        overlay, alive = sim.overlay, sim.world.alive
+        for addr in overlay.addrs:
+            assert members(overlay, addr) <= alive, (addr, rnd)
+        assert sim.uncovered.isdisjoint(alive), rnd
+        assert sim.uncovered.isdisjoint(overlay.covered_index), rnd
 
     monkeypatch.setattr(sim, "_advance", checked)
     sim.run()
@@ -349,6 +364,30 @@ def test_clean_keys_stay_answerable_every_round(monkeypatch, strategy, seed):
     # every departure is one cover that passed its end-of-round check
     departures = sim.world.ledger.totals()["churn_out"]
     assert rounds and sim.covering_audits == departures > 0
+
+
+def test_query_violations_reports_a_wrong_answer(monkeypatch):
+    # flip the answer of one search for a live key that never departs: the
+    # audit reports exactly that query, and the cycle it fell in counts it
+    sim = Simulation(SimParams(n=256, seed_adv=3, seed_alg=4, churn_rate=1,
+                               horizon_cycles=2, query_density=0.05))
+    flipped = []
+
+    def flipping(net, target, uncovered=frozenset()):
+        result = search(net, target, uncovered)
+        if not flipped and target in net.live and \
+                sim.schedule.lifetime(target)[1] is None:
+            flipped.append((target, sim.world.round))
+            result.found = not result.found
+        return result
+
+    monkeypatch.setattr(maintenance, "search", flipping)
+    sim.run()
+    assert flipped == [(110, 130)]
+    assert [(out.x, out.r, out.answer) for out in sim.query_violations()] == \
+        [(110, 130, False)]
+    assert [c.q_violations for c in sim.cycles] == [0, 1]
+    assert sim.cycles[1].start_round <= 130 < sim.cycles[1].end_round
 
 
 def _fail_one_merged_cover(sim, monkeypatch) -> list[int]:

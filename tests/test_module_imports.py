@@ -1,8 +1,8 @@
 """The modules that run for every simulated event import at module level.
 
 An import statement inside a function runs on every call; in the round
-loop, the churn hooks or a phase engine that is a lookup per event. The
-command-line harness (`cli.py`) is exempt.
+loop, the churn and query draws, the churn hooks or a phase engine that is
+a lookup per event. The command-line harness (`cli.py`) is exempt.
 
 No package module imports a test module (a `*_reference` oracle,
 `overlay_reshape` or any other module under `tests/`). Under pytest,
@@ -20,7 +20,7 @@ import churnskip
 SRC = Path(churnskip.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 TEST_MODULES = {"tests", *(p.stem for p in TESTS.glob("*.py"))}
-HOT = ["simcore", "maintenance", "overlay", "skiplist", "work",
+HOT = ["adversary", "simcore", "maintenance", "overlay", "skiplist", "work",
        *sorted(p.stem for p in SRC.glob("phase_*.py"))]
 
 

@@ -98,8 +98,8 @@ def test_cover_and_uncover():
     edges = state.cover_node(node, 2)
     assert edges == 2 * state.size(addr)
     assert state.covered_index[node] == addr
-    assert state.covering_speaker(node) == state.speaker(addr)
-    assert state.covering_speaker(node) in members(state, addr)
+    # the cover holds: its committee has members left
+    assert state.size(addr) == len(members(state, addr)) > 0
     state.uncover(node)
     assert node not in state.covered_index
 
@@ -232,15 +232,14 @@ def test_reshape_carries_covers():
                                     for key, (r, lvl) in grown.covered_index.items()}
     for overlay in (grown, shrunk):
         for key, addr in overlay.covered_index.items():
-            assert overlay.size(addr) and overlay.covering_speaker(key) == overlay.speaker(addr)
-            assert overlay.speaker(addr) in members(overlay, addr)
+            assert overlay.size(addr) == len(members(overlay, addr)) > 0
 
     # growing out of the single committee keeps covers in (0, 0)
     single, _ = bootstrap_overlay(range(8), random.Random(0))
     single.cover_node(3, 1)
     grown, _, _ = reshape(single, {(0, 0): "grow"}, rng, 16)
     assert grown.k == 1 and grown.covered_index == {3: (0, 0)}
-    assert grown.covering_speaker(3) in members(grown, (0, 0))
+    assert grown.size((0, 0)) == len(members(grown, (0, 0))) > 0
 
 
 def test_opinions_thresholds():
@@ -251,7 +250,7 @@ def test_opinions_thresholds():
     assert set(ops.values()) == {"grow"}
 
 
-def _assert_same_membership(state, ref, speakers, pool):
+def _assert_same_membership(state, ref, pool):
     assert assignment(state) == ref.assignment
     # never placed, departed, placed since the tick, placed then removed
     for node in pool:
@@ -261,9 +260,9 @@ def _assert_same_membership(state, ref, speakers, pool):
     for addr in ref.addrs:
         assert members(state, addr) == ref.members[addr], addr
         assert state.size(addr) == len(ref.members[addr])
-    for addr in speakers:
-        assert state.speaker(addr) == ref.speaker(addr), addr
     assert state.covered_index == ref.covered_index
+    for node, addr in state.covered_index.items():
+        assert (state.size(addr) > 0) == ref.cover_holds(node), node
     assert list(state.census_log) == ref.census_log
 
 
@@ -280,7 +279,7 @@ def test_membership_matches_eager_reference(n, seed, data):
     rng, ref_rng = random.Random(seed + 1), random.Random(seed + 1)
     addrs = ref.addrs
     pool = range(3 * n)
-    _assert_same_membership(state, ref, addrs, pool)
+    _assert_same_membership(state, ref, pool)
     for step in range(data.draw(st.integers(1, 40), label="steps")):
         op = data.draw(st.sampled_from(["tick", "place", "remove", "cover", "uncover"]))
         assigned = sorted(ref.assignment)
@@ -294,11 +293,13 @@ def test_membership_matches_eager_reference(n, seed, data):
             state.place(node, addr)
             ref.place(node, addr)
         elif op in ("remove", "cover"):
-            # a committee's speaker, any assigned node, or one that has none
+            # a committee's smallest member, any assigned node, or one
+            # that has none
             how = data.draw(st.integers(0, 5)) if assigned else 0
             if how >= 3:
-                speaker = ref.speaker(data.draw(st.sampled_from(addrs)))
-                node = assigned[0] if speaker is None else speaker
+                smallest = min(ref.members[data.draw(st.sampled_from(addrs))],
+                               default=None)
+                node = assigned[0] if smallest is None else smallest
             else:
                 node = data.draw(st.sampled_from(assigned if how else pool))
             if op == "remove":
@@ -310,54 +311,16 @@ def test_membership_matches_eager_reference(n, seed, data):
                 if expect is None:
                     assert edges is None
                 else:
-                    assert (state.covered_index[node], state.covering_speaker(node),
-                            edges) == expect
+                    assert (state.covered_index[node], edges) == expect
         else:
             covered = sorted(ref.covered_index)
             if covered:
                 node = data.draw(st.sampled_from(covered))
                 state.uncover(node)
                 ref.uncover(node)
-        speakers = data.draw(st.lists(st.sampled_from(addrs), max_size=4))
-        _assert_same_membership(state, ref, speakers, pool)
-        for node in ref.covered_index:
-            assert state.covering_speaker(node) == ref.covering_speaker(node)
+        _assert_same_membership(state, ref, pool)
         assert validate_cliques(state) == "OK"
         assert rng.getstate() == ref_rng.getstate()
-
-
-def test_speaker_skips_placed_nodes_only_when_they_are_larger():
-    # the speaker is read from the draw when every node placed since the
-    # tick is larger than its first drawn member, and found among the
-    # placed nodes otherwise; both must match the eager reference
-    n = 64
-    state, _ = bootstrap_overlay(range(n), random.Random(3))
-    ref = eager_bootstrap(range(n), state.k, random.Random(3))
-    alive = set(range(10, n + 10))
-    state.maintenance_tick(alive, random.Random(4), 1)
-    ref.maintenance_tick(alive, random.Random(4), 1)
-    addr, other = ref.addrs[0], ref.addrs[1]
-    drawn = min(ref.members[addr])
-    assert drawn >= 10 and ref.members[other]
-    # a larger joiner leaves the drawn speaker in place
-    for overlay in (state, ref):
-        overlay.place(n + 10, other)
-    assert state.speaker(other) == ref.speaker(other) == min(ref.members[other])
-    # a node smaller than every drawn member becomes the speaker
-    for overlay in (state, ref):
-        overlay.place(0, addr)
-    assert state.speaker(addr) == ref.speaker(addr) == 0
-    for overlay in (state, ref):
-        assert overlay.remove_member(0) == addr
-    assert state.speaker(addr) == ref.speaker(addr) == drawn
-    # covering a member of that committee: its speaker is a current member
-    covered = max(ref.members[addr])
-    assert covered != drawn
-    edges = state.cover_node(covered, 2)
-    assert (addr, state.covering_speaker(covered), edges) == ref.cover_node(covered, 2)
-    assert state.covering_speaker(covered) == drawn
-    assert drawn in members(state, addr)
-    assert validate_cliques(state) == "OK"
 
 
 def test_hot_path_builds_no_assignment_map(monkeypatch):

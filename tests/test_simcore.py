@@ -110,7 +110,7 @@ def test_churn_keeps_size_and_counts():
     row = world.ledger.rows[0]
     assert row.churn_in == 2 and row.churn_out == 2
     assert len(world.alive) == 16
-    assert not world.is_alive(1) and world.is_alive(16)
+    assert 1 not in world.alive and 16 in world.alive
 
 
 def test_form_edge_idempotent_and_roundtrip():
